@@ -14,11 +14,14 @@
 //!    be bit-identical to the baseline, proving the quarantined arena
 //!    leaked nothing from the faulted attempt into pooled state.
 //!
-//! Panic faults are additionally replayed through the wrapped
+//! Every case additionally sweeps the plan through the wrapped
 //! [`NoiseSimBackend`](crate::plan::NoiseSimBackend) and
-//! [`CountingBackend`](crate::plan::CountingBackend), pinning the
-//! composability claim: the injection wrapper is backend-generic, not an
-//! encrypted-path special.
+//! [`CountingBackend`](crate::plan::CountingBackend) with a panic injected
+//! at *every* flat step index, pinning the composability claim: the step
+//! driver and the injection wrapper are backend-generic, so the typed
+//! [`AthenaError::StepPanicked`] naming the faulted step is not an
+//! encrypted-path special — and probes a backend that cannot measure a
+//! noise budget, which must change nothing.
 //!
 //! Seed policy matches the differential sweep: case `i` of a sweep uses
 //! generator seed `base + i`, and its fault plan is salted from the same
@@ -29,8 +32,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use athena_math::sampler::Sampler;
 
 use crate::plan::{
-    execute_resilient, AthenaError, CountingBackend, FaultInjectingBackend, FaultKind, FaultPlan,
-    FaultSpec, NoiseSimBackend, RunPolicy,
+    drive, execute_resilient, AthenaError, CountingBackend, ExecutionPlan, FaultInjectingBackend,
+    FaultKind, FaultPlan, FaultSpec, NoiseSimBackend, RunPolicy,
 };
 use crate::simulate::NoiseSpec;
 
@@ -233,60 +236,78 @@ fn run_chaos_case(
         ));
     }
 
-    // Composability: a panic fault fires identically through the
-    // simulation and counting backends.
-    if matches!(fault.kind, FaultKind::Panic) {
-        for (name, escaped) in [
-            ("sim", sim_panics(case, &plan, &faults)),
+    check_other_backends(&entry.engine, &plan, case, fault)
+}
+
+/// The backend-generic half of a chaos case: a panic injected at every
+/// flat step index through the wrapped simulation and counting backends
+/// must come back as [`AthenaError::StepPanicked`] naming that step, and a
+/// probed run of a backend with no budget hook must report no budget
+/// anywhere and leave the logits untouched.
+fn check_other_backends(
+    engine: &crate::pipeline::AthenaEngine,
+    plan: &ExecutionPlan,
+    case: &FuzzCase,
+    fault: FaultSpec,
+) -> Result<(), Box<ChaosFailure>> {
+    let exact = NoiseSpec::zero();
+    let sim = || NoiseSimBackend::new(plan, &exact, &mut Sampler::from_seed(case.seed));
+    let policy = RunPolicy::default();
+
+    let flat_steps = plan.layers.iter().flat_map(|l| {
+        l.steps
+            .iter()
+            .enumerate()
+            .map(|(si, s)| (l.node, si, s.op.label()))
+    });
+    for (k, at) in flat_steps.enumerate() {
+        let faults = FaultPlan::panic_at(k);
+        let mut wrapped_sim = FaultInjectingBackend::new(sim(), &faults, 1, None);
+        let mut wrapped_counting =
+            FaultInjectingBackend::new(CountingBackend::new(engine), &faults, 1, None);
+        for (name, err) in [
+            (
+                "sim",
+                drive(&mut wrapped_sim, plan, &case.input, &policy, None).err(),
+            ),
             (
                 "counting",
-                counting_panics(&entry.engine, &plan, case, &faults),
+                drive(&mut wrapped_counting, plan, &case.input, &policy, None).err(),
             ),
         ] {
-            if !escaped {
+            let typed = matches!(
+                &err,
+                Some(AthenaError::StepPanicked { node, step, label, payload })
+                    if (*node, *step, *label) == at && payload.contains("injected fault")
+            );
+            if !typed {
                 return Err(fail(
                     case,
-                    fault,
-                    format!("panic fault did not fire through the {name} backend"),
+                    faults.faults[0],
+                    format!(
+                        "panic through the {name} backend: expected StepPanicked at {at:?}, \
+                         got {err:?}"
+                    ),
                 ));
             }
         }
     }
+
+    let no_hook = |policy: &RunPolicy| {
+        drive(&mut sim(), plan, &case.input, policy, None)
+            .map_err(|e| fail(case, fault, format!("unfaulted sim run failed: {e}")))
+    };
+    let unprobed = no_hook(&policy)?;
+    let probed = no_hook(&RunPolicy::default().with_probe())?;
+    if probed.fresh_budget.is_some()
+        || probed.steps.iter().any(|s| s.noise_budget.is_some())
+        || probed.logits != unprobed.logits
+    {
+        return Err(fail(
+            case,
+            fault,
+            "probing a backend with no budget hook was not a no-op".to_string(),
+        ));
+    }
     Ok(())
-}
-
-/// Whether the fault plan's panic fires when the plan is driven through
-/// the wrapped [`NoiseSimBackend`] (it must — the wrapper is generic).
-fn sim_panics(case: &FuzzCase, plan: &crate::plan::ExecutionPlan, faults: &FaultPlan) -> bool {
-    let mut sampler = Sampler::from_seed(case.seed ^ CHAOS_SALT);
-    let exact = NoiseSpec { sigma: 0.0 };
-    let backend = NoiseSimBackend::new(plan, &exact, &mut sampler);
-    drive_wrapped(backend, plan, case, faults)
-}
-
-/// Same, through the value-free [`CountingBackend`].
-fn counting_panics(
-    engine: &crate::pipeline::AthenaEngine,
-    plan: &crate::plan::ExecutionPlan,
-    case: &FuzzCase,
-    faults: &FaultPlan,
-) -> bool {
-    drive_wrapped(CountingBackend::new(engine), plan, case, faults)
-}
-
-fn drive_wrapped<B>(
-    inner: B,
-    plan: &crate::plan::ExecutionPlan,
-    case: &FuzzCase,
-    faults: &FaultPlan,
-) -> bool
-where
-    B: crate::plan::PlanBackend,
-    B::Rlwe: crate::plan::FaultTarget,
-{
-    catch_unwind(AssertUnwindSafe(|| {
-        let mut backend = FaultInjectingBackend::new(inner, faults, 1, None);
-        crate::plan::drive_plain(&mut backend, plan, &case.input)
-    }))
-    .is_err()
 }

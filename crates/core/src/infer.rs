@@ -5,9 +5,11 @@
 //! model is first compiled into a typed [`crate::plan::ExecutionPlan`]
 //! (layouts, group splits, LUTs, key requirements, analytic op counts all
 //! resolved up front), then interpreted step by step by
-//! [`crate::plan::execute`]. The plan path is bit-identical to the
-//! pre-plan monolithic loop — every step is exact modular arithmetic and
-//! the only sampler draws are the input encryption's.
+//! [`crate::plan::execute`] — every step is exact modular arithmetic and
+//! the only sampler draws are the input encryption's. Callers that want
+//! typed errors, a deadline or the per-step noise probe compile the plan
+//! themselves and call [`crate::plan::execute_resilient`] with a
+//! [`crate::plan::RunPolicy`].
 //!
 //! Layouts: every intermediate value is held as a coefficient-encoded BFV
 //! ciphertext whose layout was chosen for its *consumer* — conv consumers
@@ -17,9 +19,11 @@
 //! accumulator at the LWE level (exact mod-`t` arithmetic).
 //!
 //! This module targets the reduced test parameter sets; model shapes must
-//! fit a single input-channel group per ciphertext (asserted). Full-scale
-//! models are measured through the noise-faithful simulator and the
-//! accelerator cost model, as in the paper.
+//! fit a single input-channel group per ciphertext (the plan compiler
+//! rejects the rest). Full-scale models — whose layers exceed that limit,
+//! so no plan backend can run them — are measured through the
+//! model-walking simulator ([`crate::simulate::simulate_inference`]) and
+//! the accelerator cost model, as in the paper.
 
 use athena_math::sampler::Sampler;
 use athena_nn::qmodel::QModel;
@@ -65,37 +69,6 @@ pub fn run_encrypted(
         logits: run.logits,
         stats: run.stats,
     }
-}
-
-/// Runs a quantized model under FHE with the noise probe on: the returned
-/// [`plan::PlanRun`] carries per-step analytic noise charges, measured
-/// budgets, and consumption, and the inference fails with a typed
-/// [`plan::NoiseExhausted`] — instead of returning garbage logits — the
-/// moment any step's measured budget reaches zero. Test/debug only (the
-/// probe reads the secret key); the logits are bit-identical to
-/// [`run_encrypted`].
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_encrypted`].
-pub fn run_encrypted_probed(
-    engine: &AthenaEngine,
-    secrets: &AthenaSecrets,
-    keys: &AthenaEvalKeys,
-    model: &QModel,
-    input: &ITensor,
-    sampler: &mut Sampler,
-) -> Result<plan::PlanRun, plan::NoiseExhausted> {
-    let compiled = plan::compile(engine, model, input.shape());
-    plan::execute_probed(
-        engine,
-        secrets,
-        keys,
-        &compiled,
-        input,
-        sampler,
-        plan::NoiseProbe::On,
-    )
 }
 
 #[cfg(test)]

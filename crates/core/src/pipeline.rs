@@ -20,7 +20,7 @@
 use athena_fhe::bfv::{BfvCiphertext, BfvContext, BfvEvaluator, GaloisKeys, RelinKey, SecretKey};
 use athena_fhe::encoder::encode_coeff;
 use athena_fhe::extract::{mod_switch_rlwe, rlwe_secret_as_lwe_mod, sample_extract_one};
-use athena_fhe::fbs::{fbs_apply, fbs_apply_batch, FbsStats, Lut};
+use athena_fhe::fbs::{fbs_apply, FbsStats, Lut};
 use athena_fhe::linear::SlotToCoeff;
 use athena_fhe::lwe::{lwe_mod_switch, LweCiphertext, LweKeySwitchKey, LweSecret};
 use athena_fhe::pack::{BsgsPackingKey, ColumnPackingKey};
@@ -113,6 +113,15 @@ pub struct PipelineStats {
     pub fbs: FbsStats,
     /// S2C invocations.
     pub s2c_calls: usize,
+}
+
+/// Whether an FBS over `slots` (of an `n`-slot ciphertext) must finish
+/// with the non-valid-slot mask PMult: a LUT that moves 0 would otherwise
+/// write `LUT(0)` into every slot no value was packed into. The one
+/// predicate the engine and every plan backend share, so they cannot
+/// disagree on when the mask is charged.
+pub(crate) fn fbs_needs_mask<T>(lut: &Lut, slots: &[Option<T>], n: usize) -> bool {
+    lut.get(0) != 0 && (slots.len() < n || slots.iter().any(Option::is_none))
 }
 
 impl AthenaEngine {
@@ -288,14 +297,14 @@ impl AthenaEngine {
         keys: &AthenaEvalKeys,
         stats: &mut PipelineStats,
     ) -> Vec<LweCiphertext> {
-        self.extract_lwes_mid(ct, positions, keys, stats)
-            .iter()
-            .map(|c| lwe_mod_switch(c, self.ctx.t()))
-            .collect()
+        self.lwes_to_t(&self.extract_lwes_mid(ct, positions, keys, stats))
     }
 
     /// Steps ② + ③ *without* the final drop to `t`: the LWEs stay at the
     /// extraction prime `q_mid`, carrying the message at scale `q_mid / t`.
+    /// A convenience over the per-op methods the plan backends run
+    /// ([`Self::mod_switch_mid`] → [`Self::sample_extract`] →
+    /// [`Self::dim_switch`]).
     ///
     /// [`Self::decrypt_lwes`] recovers these exactly — the phase is
     /// computed in exact mod-`q_mid` arithmetic and rounded *once*, so the
@@ -308,18 +317,9 @@ impl AthenaEngine {
         keys: &AthenaEvalKeys,
         stats: &mut PipelineStats,
     ) -> Vec<LweCiphertext> {
-        let small = mod_switch_rlwe(&self.ctx, ct, self.q_mid);
-        stats.extracts += positions.len();
-        // Extraction + dimension switch is independent per position — the
-        // per-LWE loop the paper fans out across FRU lanes; run it on the
-        // parallel layer (results stay in position order).
-        // Work per position ≈ the key-switch inner product (bytes()/8
-        // entries touched) plus the O(N) extraction copy.
-        let work = keys.lwe_ksk.bytes() / 8 + self.ctx.n();
-        par::parallel_map_with(par::threads_for(positions.len(), work), positions, |&p| {
-            let big = sample_extract_one(&small, p);
-            keys.lwe_ksk.switch(&big)
-        })
+        let small = self.mod_switch_mid(ct);
+        let big = self.sample_extract(&small, positions, stats);
+        self.dim_switch(&big, keys)
     }
 
     /// The intermediate extraction prime (`q_primes[0]`).
@@ -377,8 +377,9 @@ impl AthenaEngine {
 
     /// Step ③a alone — sample extraction of the requested coefficients
     /// from a mod-switched ciphertext (still at RLWE dimension `N`).
-    /// Exact arithmetic, so splitting this off the fused
-    /// [`Self::extract_lwes_mid`] loop is bit-identical.
+    /// Independent per position — the per-LWE loop the paper fans out
+    /// across FRU lanes — so it runs on the parallel layer (results stay
+    /// in position order).
     pub fn sample_extract(
         &self,
         small: &athena_fhe::extract::SmallRlwe,
@@ -439,41 +440,6 @@ impl AthenaEngine {
         self.s2c(&bootstrapped, keys, stats)
     }
 
-    /// Steps ④ + ⑤ for several independent slot groups sharing one LUT:
-    /// the LUT is interpolated once and the per-group BSGS evaluations run
-    /// through the parallel batch path ([`fbs_apply_batch`]). Group `i` of
-    /// the output corresponds to `groups[i]`, and results are bit-identical
-    /// to calling [`AthenaEngine::pack_fbs_s2c`] per group.
-    pub fn pack_fbs_s2c_batch(
-        &self,
-        groups: &[Vec<Option<LweCiphertext>>],
-        lut: &Lut,
-        keys: &AthenaEvalKeys,
-        stats: &mut PipelineStats,
-    ) -> Vec<BfvCiphertext> {
-        let packed: Vec<BfvCiphertext> = groups.iter().map(|g| self.pack(g, keys, stats)).collect();
-        let boot = fbs_apply_batch(&self.ctx, &packed, lut, &keys.rlk);
-        let ev = BfvEvaluator::new(&self.ctx);
-        let mut outs = Vec::with_capacity(groups.len());
-        for ((mut out, fstats), g) in boot.into_iter().zip(groups) {
-            stats.fbs_calls += 1;
-            stats.fbs.cmult += fstats.cmult;
-            stats.fbs.smult += fstats.smult;
-            stats.fbs.hadd += fstats.hadd;
-            let needs_mask =
-                lut.get(0) != 0 && (g.len() < self.ctx.n() || g.iter().any(|o| o.is_none()));
-            if needs_mask {
-                let mask: Vec<u64> = (0..self.ctx.n())
-                    .map(|i| u64::from(matches!(g.get(i), Some(Some(_)))))
-                    .collect();
-                out = ev.mul_plain(&out, &self.ctx.encoder().encode(&mask));
-                stats.pmult += 1;
-            }
-            outs.push(self.s2c(&out, keys, stats));
-        }
-        outs
-    }
-
     /// Step ④ alone.
     pub fn pack(
         &self,
@@ -515,9 +481,7 @@ impl AthenaEngine {
         stats.fbs.cmult += fstats.cmult;
         stats.fbs.smult += fstats.smult;
         stats.fbs.hadd += fstats.hadd;
-        let needs_mask =
-            lut.get(0) != 0 && (lwes.len() < self.ctx.n() || lwes.iter().any(|o| o.is_none()));
-        if needs_mask {
+        if fbs_needs_mask(lut, lwes, self.ctx.n()) {
             let mask: Vec<u64> = (0..self.ctx.n())
                 .map(|i| u64::from(matches!(lwes.get(i), Some(Some(_)))))
                 .collect();
@@ -583,39 +547,6 @@ impl AthenaEngine {
                 };
                 m as i64
             })
-            .collect()
-    }
-
-    /// Homomorphic max of two aligned LWE vectors — one round of the
-    /// max-tree of \[30\]. We use the noise-robust form
-    /// `max(a,b) = b + ReLU(a − b)`: a single ReLU LUT per round, and the
-    /// LWE noise only perturbs the LUT input (never gets amplified by a
-    /// modular halving).
-    pub fn lwe_max(
-        &self,
-        a: &[LweCiphertext],
-        b: &[LweCiphertext],
-        keys: &AthenaEvalKeys,
-        stats: &mut PipelineStats,
-    ) -> Vec<LweCiphertext> {
-        assert_eq!(a.len(), b.len());
-        let t = self.ctx.t();
-        // d = a - b at LWE level
-        let diffs: Vec<Option<LweCiphertext>> = a
-            .iter()
-            .zip(b)
-            .map(|(x, y)| Some(self.lwe_add_scaled(x, y, -1)))
-            .collect();
-        // ReLU(d) via one FBS pass
-        let relu_lut = Lut::from_signed_fn(t, |x| x.max(0));
-        let packed = self.pack(&diffs, keys, stats);
-        let relu_ct = self.fbs(&packed, &relu_lut, &diffs, keys, stats);
-        let relu_coeff = self.s2c(&relu_ct, keys, stats);
-        let positions: Vec<usize> = (0..a.len()).collect();
-        let relu_lwes = self.extract_lwes(&relu_coeff, &positions, keys, stats);
-        b.iter()
-            .zip(&relu_lwes)
-            .map(|(y, r)| self.lwe_add_scaled(y, r, 1))
             .collect()
     }
 }
@@ -801,62 +732,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_loop_matches_per_group_calls() {
-        // pack_fbs_s2c_batch must agree with per-group pack_fbs_s2c, for any
-        // worker count (the shared-interpolation batch path is bit-exact).
-        let mut f = setup();
-        let t = f.engine.context().t();
-        let tm = Modulus::new(t);
-        let groups: Vec<Vec<Option<LweCiphertext>>> = (0..2i64)
-            .map(|g| {
-                (0..8i64)
-                    .map(|i| {
-                        Some(LweCiphertext::encrypt(
-                            tm.from_i64((g * 8 + i) % 20 - 10),
-                            &f.secrets.lwe_sk,
-                            &mut f.sampler,
-                        ))
-                    })
-                    .collect()
-            })
-            .collect();
-        let eng = &f.engine;
-        let lut = Lut::from_signed_fn(t, |x| x.max(0));
-        let mut s1 = PipelineStats::default();
-        let singles: Vec<_> = groups
-            .iter()
-            .map(|g| eng.pack_fbs_s2c(g, &lut, &f.keys, &mut s1))
-            .collect();
-        par::set_threads(1);
-        let mut s2 = PipelineStats::default();
-        let b1 = eng.pack_fbs_s2c_batch(&groups, &lut, &f.keys, &mut s2);
-        par::set_threads(4);
-        let mut s3 = PipelineStats::default();
-        let b4 = eng.pack_fbs_s2c_batch(&groups, &lut, &f.keys, &mut s3);
-        par::set_threads(0);
-        let pos: Vec<usize> = (0..8).collect();
-        for i in 0..groups.len() {
-            let want = eng.decrypt_coeffs(&singles[i], &pos, &f.secrets);
-            assert_eq!(
-                eng.decrypt_coeffs(&b1[i], &pos, &f.secrets),
-                want,
-                "group {i}"
-            );
-            assert_eq!(
-                eng.decrypt_coeffs(&b4[i], &pos, &f.secrets),
-                want,
-                "group {i}"
-            );
-        }
-        for s in [&s2, &s3] {
-            assert_eq!(s.fbs_calls, s1.fbs_calls);
-            assert_eq!(s.packs, s1.packs);
-            assert_eq!(s.s2c_calls, s1.s2c_calls);
-            assert_eq!(s.fbs, s1.fbs);
-        }
-    }
-
-    #[test]
     fn lwe_scaled_addition_for_skips() {
         let mut f = setup();
         let t = f.engine.context().t();
@@ -937,27 +812,5 @@ mod tests {
             assert!((got - want).abs() <= 35, "softmax {i}: {got} vs {want}");
         }
         assert_eq!(stats.fbs_calls, 3, "exp + inverse + identity bridge");
-    }
-
-    #[test]
-    fn homomorphic_max_tree_round() {
-        let mut f = setup();
-        let t = f.engine.context().t();
-        let tm = Modulus::new(t);
-        let xs: Vec<i64> = vec![10, -20, 32, 5];
-        let ys: Vec<i64> = vec![-10, 30, 31, 5];
-        let enc = |v: i64, f: &mut Fx| {
-            LweCiphertext::encrypt(tm.from_i64(v), &f.secrets.lwe_sk, &mut f.sampler)
-        };
-        let a: Vec<LweCiphertext> = xs.iter().map(|&v| enc(v, &mut f)).collect();
-        let b: Vec<LweCiphertext> = ys.iter().map(|&v| enc(v, &mut f)).collect();
-        let mut stats = PipelineStats::default();
-        let m = f.engine.lwe_max(&a, &b, &f.keys, &mut stats);
-        let dec = f.engine.decrypt_lwes(&m, &f.secrets);
-        for (i, ((&x, &y), &got)) in xs.iter().zip(&ys).zip(&dec).enumerate() {
-            let want = x.max(y);
-            assert!((got - want).abs() <= 6, "max {i}: got {got}, want {want}");
-        }
-        assert_eq!(stats.fbs_calls, 1, "one |·| LUT per max round");
     }
 }

@@ -19,14 +19,14 @@
 //!   [`super::PlanStep::analytic`], so analytic accounting is literally
 //!   the execution code path.
 
-use athena_fhe::bfv::BfvCiphertext;
+use athena_fhe::bfv::{BfvCiphertext, BfvEvaluator};
 use athena_fhe::extract::SmallRlwe;
 use athena_fhe::fbs::{expected_stats, FbsStats, Lut};
 use athena_fhe::lwe::LweCiphertext;
 use athena_math::modops::Modulus;
 use athena_math::sampler::Sampler;
 
-use crate::pipeline::{AthenaEngine, AthenaEvalKeys, AthenaSecrets, PipelineStats};
+use crate::pipeline::{fbs_needs_mask, AthenaEngine, AthenaEvalKeys, AthenaSecrets, PipelineStats};
 use crate::simulate::NoiseSpec;
 use crate::trace::OpCounts;
 
@@ -82,6 +82,20 @@ pub trait PlanBackend {
     /// index. No-op by default; the fault-injection wrapper
     /// ([`super::FaultInjectingBackend`]) fires panics/sleeps here.
     fn note_step(&mut self, _node: usize, _step: usize, _index: usize) {}
+    /// Drains the artificial noise-budget consumption (bits) armed since
+    /// the last call. Zero by default; only the fault-injection wrapper
+    /// ever arms any ([`super::FaultKind::NoiseSpike`]).
+    fn take_spike(&mut self) -> u32 {
+        0
+    }
+    /// The measured invariant-noise budget of `ct` in bits, for the
+    /// executor's probe mode ([`super::RunPolicy::probe`]). `None` by
+    /// default — measuring needs a secret key, which only
+    /// [`EncryptedBackend`] holds — and a backend answering `None` is
+    /// simply not probed.
+    fn noise_budget(&self, _ct: &Self::Rlwe) -> Option<i64> {
+        None
+    }
 }
 
 /// The real pipeline: every primitive delegates to the corresponding
@@ -183,6 +197,10 @@ impl PlanBackend for EncryptedBackend<'_> {
             .iter()
             .map(|&v| v as f64 * scale)
             .collect()
+    }
+
+    fn noise_budget(&self, ct: &BfvCiphertext) -> Option<i64> {
+        Some(BfvEvaluator::new(self.engine.context()).noise_budget(ct, &self.secrets.sk))
     }
 }
 
@@ -327,8 +345,7 @@ impl PlanBackend for NoiseSimBackend {
     }
 
     fn fbs(&mut self, packed: &Vec<i64>, lut: &Lut, slots: &[Option<SimLwe>]) -> Vec<i64> {
-        let needs_mask =
-            lut.get(0) != 0 && (slots.len() < self.n || slots.iter().any(|o| o.is_none()));
+        let needs_mask = fbs_needs_mask(lut, slots, self.n);
         (0..self.n)
             .map(|i| {
                 let filled = matches!(slots.get(i), Some(Some(_)));
@@ -431,9 +448,8 @@ impl PlanBackend for CountingBackend<'_> {
     }
 
     fn fbs(&mut self, _packed: &(), lut: &Lut, slots: &[Option<()>]) {
-        let n = self.engine.context().n();
-        let needs_mask = lut.get(0) != 0 && (slots.len() < n || slots.iter().any(|o| o.is_none()));
-        self.counts.add(&fbs_analytic(lut, needs_mask));
+        let mask = fbs_needs_mask(lut, slots, self.engine.context().n());
+        self.counts.add(&fbs_analytic(lut, mask));
     }
 
     fn s2c(&mut self, _ct: &()) {

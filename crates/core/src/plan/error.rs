@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use athena_fhe::FheError;
 
-use super::exec::{NoiseExhausted, NoiseProbe};
+use super::exec::NoiseExhausted;
 use super::fault::FaultPlan;
 use super::ir::CompileError;
 
@@ -171,6 +171,16 @@ impl std::error::Error for AthenaError {
     }
 }
 
+/// Stringifies a caught panic payload (`&str` and `String` payloads
+/// verbatim — what `panic!` produces — anything else by a fixed marker).
+pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 impl From<CompileError> for AthenaError {
     fn from(e: CompileError) -> Self {
         AthenaError::Compile(e)
@@ -244,8 +254,11 @@ pub struct RunPolicy {
     /// Retry discipline for transient faults.
     pub retry: RetryPolicy,
     /// Whether to probe the measured noise budget after every
-    /// RLWE-producing step (needs the secret key; tests/debugging only).
-    pub probe: Option<NoiseProbe>,
+    /// RLWE-producing step and fail with [`AthenaError::NoiseExhausted`]
+    /// the moment one reaches zero, instead of decrypting garbage at the
+    /// end. Reads the secret key, so tests/debugging only: a production
+    /// server holds none.
+    pub probe: bool,
     /// Faults to inject (chaos testing); `None` in production.
     pub faults: Option<FaultPlan>,
 }
@@ -265,7 +278,7 @@ impl RunPolicy {
 
     /// A policy with the noise probe on.
     pub fn with_probe(mut self) -> Self {
-        self.probe = Some(NoiseProbe::On);
+        self.probe = true;
         self
     }
 

@@ -1,15 +1,18 @@
-//! The generic plan interpreter and its drivers.
+//! The generic plan interpreter and its one driver.
 //!
 //! [`run_step`] owns the control flow of every step — group accumulation,
 //! residual re-extraction, the pooling window streams and max tree — and
-//! is generic over [`PlanBackend`], so all three backends interpret the
-//! identical step structure. Three drivers walk the plan:
+//! [`drive`] owns everything around it: input placement, the step walk,
+//! per-step panic isolation, the deadline, the measured brackets that fill
+//! [`StepReport`], and the noise probe. Both are generic over
+//! [`PlanBackend`], so all three backends run the identical loop; the four
+//! public entry points only construct a backend and call [`drive`]:
 //!
-//! * [`execute`] / [`execute_probed`] / [`execute_resilient`] — the
-//!   encrypted run, with optional per-step noise probing, measured
-//!   `op-stats` brackets, and (for the resilient form) per-step
-//!   `catch_unwind` isolation, cooperative deadlines, fault injection,
-//!   and scratch-arena quarantine on unwind;
+//! * [`execute_resilient`] — one attempt of the encrypted run under a
+//!   [`RunPolicy`] (deadline, noise probe, fault injection), every failure
+//!   a typed [`AthenaError`];
+//! * [`execute`] — the same under the default policy, panicking with the
+//!   error's `Display` for callers with pre-validated inputs;
 //! * [`execute_sim`] — the plan-driven noise-faithful simulation
 //!   ([`super::NoiseSimBackend`]);
 //! * [`execute_counting`] — the value-free analytic dry run
@@ -18,23 +21,22 @@
 //!
 //! ## Panic safety and quarantine
 //!
-//! [`execute_resilient`] wraps every step in `catch_unwind`. When a step
-//! unwinds, the executor quarantines the scratch arena
-//! ([`athena_math::arena::quarantine`]) *before* constructing the typed
-//! error: the generation bump means every limb buffer checked out by the
-//! faulted request — including partially-written ones still held by the
-//! executor state — is freed on drop instead of recycled into the pool,
-//! so a faulted request can never leak scratch state into a later run.
-//! The caught payload is downcast back into the taxonomy: a typed
-//! [`athena_fhe::FheError`] becomes [`AthenaError::KeyMissing`] or
-//! [`AthenaError::Fhe`], a panic that poisoned a pool shard becomes
-//! [`AthenaError::PoolPoisoned`], and anything else
-//! [`AthenaError::StepPanicked`] — callers never see a raw unwind.
+//! [`drive`] wraps every step in `catch_unwind`. When a step unwinds, it
+//! quarantines the scratch arena ([`athena_math::arena::quarantine`])
+//! *before* constructing the typed error: the generation bump means every
+//! limb buffer checked out by the faulted request — including
+//! partially-written ones still held by the executor state — is freed on
+//! drop instead of recycled into the pool, so a faulted request can never
+//! leak scratch state into a later run. The caught payload is downcast
+//! back into the taxonomy: a typed [`athena_fhe::FheError`] becomes
+//! [`AthenaError::KeyMissing`] or [`AthenaError::Fhe`], a panic that
+//! poisoned a pool shard becomes [`AthenaError::PoolPoisoned`], and
+//! anything else [`AthenaError::StepPanicked`] — callers never see a raw
+//! unwind.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use athena_fhe::bfv::{BfvCiphertext, BfvEvaluator};
 use athena_fhe::fbs::Lut;
 use athena_fhe::FheError;
 use athena_math::arena;
@@ -47,8 +49,8 @@ use crate::simulate::NoiseSpec;
 use crate::trace::{OpCounts, Phase};
 
 use super::backend::{CountingBackend, EncryptedBackend, NoiseSimBackend, PlanBackend};
-use super::error::{AthenaError, RunPolicy};
-use super::fault::{FaultInjectingBackend, FaultKind};
+use super::error::{panic_text, AthenaError, RunPolicy};
+use super::fault::{FaultInjectingBackend, FaultKind, FaultPlan};
 use super::ir::{counts_from_hom, ExecutionPlan, StepOp};
 
 /// The measured record of one executed step.
@@ -79,11 +81,11 @@ pub struct StepReport {
     /// ([`super::PlanStep::noise_bits`]).
     pub noise_bits: u32,
     /// Measured invariant-noise budget of the step's RLWE output, sampled
-    /// right after the step ran. `Some` only under [`NoiseProbe::On`] and
-    /// only for RLWE-producing steps (`linear`, `pack`, `fbs`, `s2c`) —
-    /// extraction and LWE-level steps have no `Q`-basis ciphertext to
-    /// probe, and the pooling composite's inner chains end at the LWE
-    /// level.
+    /// right after the step ran. `Some` only when [`RunPolicy::probe`] is
+    /// on, the backend answers [`PlanBackend::noise_budget`], and the step
+    /// produces an RLWE value (`linear`, `pack`, `fbs`, `s2c`) — extraction
+    /// and LWE-level steps have no `Q`-basis ciphertext to probe, and the
+    /// pooling composite's inner chains end at the LWE level.
     pub noise_budget: Option<i64>,
     /// Measured noise consumption of the step in bits: the budget of its
     /// RLWE input (the stored value for `linear`, the fresh input budget
@@ -139,21 +141,6 @@ impl std::fmt::Display for NoiseExhausted {
 }
 
 impl std::error::Error for NoiseExhausted {}
-
-/// Whether [`execute_probed`] samples the measured noise budget after
-/// every step. Probing needs the secret key (already supplied to the
-/// executor for input encryption) and is for tests/debugging only: a
-/// production server holds no secret key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NoiseProbe {
-    /// No probing; `noise_budget`/`noise_consumed` stay `None` and the
-    /// execution cannot fail.
-    Off,
-    /// Probe after every RLWE-producing step and fail with
-    /// [`NoiseExhausted`] the moment a budget reaches zero, instead of
-    /// silently decrypting garbage at the end.
-    On,
-}
 
 /// Result of executing a plan.
 #[derive(Debug)]
@@ -218,40 +205,6 @@ impl<B: PlanBackend> ExecState<B> {
     }
 }
 
-/// Places the flat input activations at the plan's input-layout
-/// coefficient positions.
-fn place_input(plan: &ExecutionPlan, input: &ITensor) -> Vec<i64> {
-    assert_eq!(input.shape(), &plan.input_shape[..], "input shape mismatch");
-    let mut coeffs = vec![0i64; plan.n];
-    for (flat, &pos) in plan.input_positions.iter().enumerate() {
-        coeffs[pos] = input.data()[flat];
-    }
-    coeffs
-}
-
-/// Drives `backend` through the whole plan — encrypt plus every step, in
-/// order, with no resilience wrapping — and returns the logits.
-/// Crate-internal: the chaos sweep uses it to replay fault plans through
-/// the simulation and counting backends.
-pub(crate) fn drive_plain<B: PlanBackend>(
-    backend: &mut B,
-    plan: &ExecutionPlan,
-    input: &ITensor,
-) -> Vec<f64> {
-    let coeffs = place_input(plan, input);
-    let mut st = ExecState::new(plan);
-    st.values[0] = Some(backend.encrypt_input(&coeffs));
-    let mut flat = 0usize;
-    for layer in &plan.layers {
-        for (si, step) in layer.steps.iter().enumerate() {
-            backend.note_step(layer.node, si, flat);
-            run_step(backend, plan, &step.op, &mut st);
-            flat += 1;
-        }
-    }
-    st.logits
-}
-
 /// Interprets one step against a backend. All control flow — including
 /// the pooling composites' window streams, max tree, and window sums, and
 /// the residual re-extraction — lives here, decomposed into backend
@@ -308,8 +261,9 @@ pub(crate) fn run_step<B: PlanBackend>(
             // Window-position streams, then a max tree over them. Each
             // round is max(a,b) = b + ReLU(a − b): LWE diffs, one
             // pack → FBS(ReLU) → S2C cycle, re-extraction, and the add —
-            // the same decomposition as `AthenaEngine::lwe_max`, spelled
-            // in backend primitives.
+            // the noise-robust form of the max tree of [30]: one ReLU LUT
+            // per round, and the LWE noise only perturbs the LUT input
+            // (it is never amplified by a modular halving).
             let mut streams: Vec<Vec<B::Lwe>> = Vec::with_capacity(k * k);
             for ky in 0..*k {
                 for kx in 0..*k {
@@ -399,24 +353,6 @@ pub(crate) fn run_step<B: PlanBackend>(
     }
 }
 
-/// Executes a compiled plan on one encrypted input.
-///
-/// Bit-identical to the pre-plan monolithic loop: the steps perform the
-/// same exact modular arithmetic in the same order, and the only sampler
-/// draws are the input encryption's. Equivalent to [`execute_probed`] with
-/// [`NoiseProbe::Off`], which cannot fail.
-pub fn execute(
-    engine: &AthenaEngine,
-    secrets: &AthenaSecrets,
-    keys: &AthenaEvalKeys,
-    plan: &ExecutionPlan,
-    input: &ITensor,
-    sampler: &mut Sampler,
-) -> PlanRun {
-    execute_probed(engine, secrets, keys, plan, input, sampler, NoiseProbe::Off)
-        .expect("unprobed execution cannot exhaust")
-}
-
 /// Per-register noise-budget tracker for probe mode: mirrors the RLWE
 /// registers of [`ExecState`] so each step's consumption is measured
 /// against its actual chain predecessor.
@@ -432,126 +368,42 @@ struct NoiseTracker {
     boot: Option<i64>,
 }
 
-/// Executes a compiled plan, optionally sampling the measured
-/// invariant-noise budget after every RLWE-producing step.
-///
-/// With [`NoiseProbe::On`] the returned [`StepReport`]s carry
-/// `noise_budget`/`noise_consumed` alongside the analytic `noise_bits`
-/// charge, and the execution aborts with a typed [`NoiseExhausted`] error
-/// the moment a probed budget reaches zero — the paper's Table-4 invariant
-/// ("total noise stays under Δ/2") made observable and enforced at
-/// runtime, instead of decrypting garbage logits. Probing performs no
-/// sampler draws and no homomorphic ops, so the logits (and the measured
-/// op counts) are bit-identical with the probe on or off.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_probed(
-    engine: &AthenaEngine,
-    secrets: &AthenaSecrets,
-    keys: &AthenaEvalKeys,
-    plan: &ExecutionPlan,
-    input: &ITensor,
-    sampler: &mut Sampler,
-    probe: NoiseProbe,
-) -> Result<PlanRun, NoiseExhausted> {
-    let policy = RunPolicy {
-        probe: Some(probe),
-        ..RunPolicy::default()
-    };
-    match execute_resilient(
-        engine, secrets, keys, plan, input, sampler, &policy, 1, None,
-    ) {
-        Ok(run) => Ok(run),
-        Err(AthenaError::NoiseExhausted(ne)) => Err(ne),
-        // This driver keeps the pre-resilience contract: faults other
-        // than exhaustion propagate as panics (re-raised typed where the
-        // payload was typed).
-        Err(AthenaError::Fhe { source, .. }) => athena_fhe::error::raise(source),
-        Err(AthenaError::KeyMissing {
-            element, available, ..
-        }) => athena_fhe::error::raise(FheError::KeyMissing { element, available }),
-        Err(e) => std::panic::panic_any(e.to_string()),
-    }
-}
-
-/// Executes one attempt of a compiled plan under a [`RunPolicy`]: every
-/// step runs inside `catch_unwind` with the scratch arena quarantined on
-/// unwind, a cooperative deadline is checked before each step, and the
-/// policy's [`super::FaultPlan`] (if any) is injected. This is the
-/// single-attempt primitive [`super::InferenceSession`] builds its retry
-/// loop on; `attempt` (1-based) and `batch_input` scope the fault plan's
-/// filters.
-///
-/// With a default policy the run is bit-identical to [`execute`]: no
-/// extra sampler draws, no homomorphic ops, the same step order.
-///
-/// [`FaultKind::NoiseSpike`] faults force the probe on — an artificial
-/// budget burn is only observable at a probe point. A spike injected at a
-/// step with no RLWE output is carried to the next probed step (noise
-/// travels down the chain); one injected past the last probe point is
-/// charged against the fresh-input baseline at end of run.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_resilient(
-    engine: &AthenaEngine,
-    secrets: &AthenaSecrets,
-    keys: &AthenaEvalKeys,
-    plan: &ExecutionPlan,
-    input: &ITensor,
-    sampler: &mut Sampler,
-    policy: &RunPolicy,
-    attempt: u32,
-    batch_input: Option<usize>,
-) -> Result<PlanRun, AthenaError> {
-    if input.shape() != &plan.input_shape[..] {
-        return Err(AthenaError::ShapeMismatch {
-            input: batch_input.unwrap_or(0),
-            expected: plan.input_shape.clone(),
-            got: input.shape().to_vec(),
-        });
-    }
-    let spikes = policy.faults.as_ref().is_some_and(|fp| {
-        fp.faults
-            .iter()
-            .any(|f| matches!(f.kind, FaultKind::NoiseSpike { .. }))
-    });
-    let probe = match policy.probe {
-        Some(p) => p,
-        None if spikes => NoiseProbe::On,
-        None => NoiseProbe::Off,
-    };
-    match &policy.faults {
-        None => {
-            let backend = EncryptedBackend::new(engine, secrets, keys, sampler);
-            drive_resilient(
-                backend,
-                |_| 0,
-                EncryptedBackend::into_stats,
-                engine,
-                secrets,
-                plan,
-                input,
-                policy,
-                probe,
-            )
+/// Probes the RLWE register a step just wrote and charges the consumption
+/// to the step's chain predecessor: `(budget, consumed)`. Steps whose
+/// output lives below the RLWE layer (extraction, dimension/modulus
+/// switches, LWE adds, the pooling composites, output) yield `None`.
+fn probe_step<B: PlanBackend>(
+    backend: &B,
+    op: &StepOp,
+    st: &ExecState<B>,
+    tr: &mut NoiseTracker,
+) -> Option<(i64, Option<i64>)> {
+    match op {
+        StepOp::Linear { value, .. } => {
+            let after = backend.noise_budget(st.cur.as_ref().expect("linear output"))?;
+            Some((after, tr.values[*value].map(|b| b - after)))
         }
-        Some(fp) => {
-            let backend = FaultInjectingBackend::new(
-                EncryptedBackend::new(engine, secrets, keys, sampler),
-                fp,
-                attempt,
-                batch_input,
-            );
-            drive_resilient(
-                backend,
-                FaultInjectingBackend::take_spike,
-                |b| b.into_inner().into_stats(),
-                engine,
-                secrets,
-                plan,
-                input,
-                policy,
-                probe,
-            )
+        StepOp::Pack { .. } => {
+            // Packing starts a new chain: its output noise is a sum of
+            // PMulted fresh packing-key encryptions, so the fresh budget
+            // is the chain's baseline.
+            let after = backend.noise_budget(st.packed.as_ref().expect("packed output"))?;
+            tr.packed = Some(after);
+            Some((after, Some(tr.fresh - after)))
         }
+        StepOp::Fbs { .. } => {
+            let after = backend.noise_budget(st.boot.as_ref().expect("bootstrapped output"))?;
+            let consumed = tr.packed.take().map(|b| b - after);
+            tr.boot = Some(after);
+            Some((after, consumed))
+        }
+        StepOp::S2C { value, .. } => {
+            let after = backend.noise_budget(st.values[*value].as_ref().expect("s2c output"))?;
+            let consumed = tr.boot.take().map(|b| b - after);
+            tr.values[*value] = Some(after);
+            Some((after, consumed))
+        }
+        _ => None,
     }
 }
 
@@ -583,43 +435,76 @@ fn classify_panic(
             },
         };
     }
-    let text = payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string());
+    let payload = panic_text(payload.as_ref());
     if recoveries > 0 {
         AthenaError::PoolPoisoned {
             recoveries,
-            payload: text,
+            payload,
         }
     } else {
         AthenaError::StepPanicked {
             node,
             step,
             label,
-            payload: text,
+            payload,
         }
     }
 }
 
-/// The shared resilient driver: generic over the backend so the fault
-/// wrapper and the bare encrypted backend monomorphize to the same loop.
-#[allow(clippy::too_many_arguments)]
-fn drive_resilient<B>(
-    mut backend: B,
-    mut take_spike: impl FnMut(&mut B) -> u32,
-    into_stats: impl FnOnce(B) -> PipelineStats,
-    engine: &AthenaEngine,
-    secrets: &AthenaSecrets,
+/// What one [`drive`] pass leaves behind besides the backend's own state
+/// (which the caller still holds and reads its statistics off).
+pub(crate) struct Driven {
+    pub logits: Vec<f64>,
+    /// One report per executed step, in execution order.
+    pub steps: Vec<StepReport>,
+    /// [`PlanBackend::take_counts`] drained after every step — the
+    /// [`CountingBackend`]'s analytic tally (all zero for the others).
+    pub tallied: Vec<OpCounts>,
+    /// Budget of the freshly encrypted input (probed runs only).
+    pub fresh_budget: Option<i64>,
+}
+
+/// Drives `backend` through one attempt of the whole plan: places and
+/// encrypts the input, then walks every step in order. The single place
+/// the step loop lives — every backend, wrapped or bare, gets the same
+/// isolation and telemetry:
+///
+/// * a wrong-shaped input is a typed [`AthenaError::ShapeMismatch`]
+///   (`batch_input` names it), never a panic;
+/// * the encryption and every step run inside `catch_unwind`, with the
+///   scratch arena quarantined before the payload is classified;
+/// * the policy's cooperative deadline is checked before each step;
+/// * `op-stats` / `alloc-stats` brackets fill [`StepReport::measured`] and
+///   [`StepReport::alloc`];
+/// * with [`RunPolicy::probe`] on — or forced on by a
+///   [`FaultKind::NoiseSpike`] in the policy's fault plan, since an
+///   artificial budget burn is only observable at a probe point — the
+///   measured budget of every RLWE-producing step is sampled through
+///   [`PlanBackend::noise_budget`], and the run aborts with
+///   [`AthenaError::NoiseExhausted`] the moment one reaches zero. A
+///   backend that cannot answer the query is simply not probed.
+///
+/// A spike drained from [`PlanBackend::take_spike`] at a step with no
+/// RLWE output is carried to the next probed step (noise travels down the
+/// chain); one injected past the last probe point is charged against the
+/// fresh-input baseline at end of run.
+///
+/// Probing performs no sampler draws and no homomorphic ops, so logits and
+/// measured counts are bit-identical with the probe on or off.
+pub(crate) fn drive<B: PlanBackend>(
+    backend: &mut B,
     plan: &ExecutionPlan,
     input: &ITensor,
     policy: &RunPolicy,
-    probe: NoiseProbe,
-) -> Result<PlanRun, AthenaError>
-where
-    B: PlanBackend<Rlwe = BfvCiphertext>,
-{
+    batch_input: Option<usize>,
+) -> Result<Driven, AthenaError> {
+    if input.shape() != &plan.input_shape[..] {
+        return Err(AthenaError::ShapeMismatch {
+            input: batch_input.unwrap_or(0),
+            expected: plan.input_shape.clone(),
+            got: input.shape().to_vec(),
+        });
+    }
     let start = Instant::now();
     let poison_base = arena::poison_recoveries();
     // Quarantine-then-classify on every caught unwind: the generation
@@ -632,41 +517,52 @@ where
             classify_panic(payload, node, step, label, recoveries)
         };
 
-    let coeffs = place_input(plan, input);
-    let mut st = ExecState::new(plan);
+    // The flat input activations, at the plan's input-layout coefficient
+    // positions.
+    let mut coeffs = vec![0i64; plan.n];
+    for (flat, &pos) in plan.input_positions.iter().enumerate() {
+        coeffs[pos] = input.data()[flat];
+    }
     let first_node = plan.layers.first().map_or(0, |l| l.node);
     let encrypted = catch_unwind(AssertUnwindSafe(|| backend.encrypt_input(&coeffs)))
         .map_err(|p| caught(p, first_node, 0, "encrypt"))?;
+
+    let spikes = policy.faults.as_ref().is_some_and(|fp| {
+        fp.faults
+            .iter()
+            .any(|f| matches!(f.kind, FaultKind::NoiseSpike { .. }))
+    });
+    let fresh_budget = if policy.probe || spikes {
+        backend.noise_budget(&encrypted)
+    } else {
+        None
+    };
+    let mut tracker = fresh_budget.map(|fresh| {
+        let mut values = vec![None; plan.layers.len() + 1];
+        values[0] = Some(fresh);
+        NoiseTracker {
+            fresh,
+            values,
+            packed: None,
+            boot: None,
+        }
+    });
+    let mut st = ExecState::new(plan);
     st.values[0] = Some(encrypted);
 
-    let budget_of =
-        |ct: &BfvCiphertext| BfvEvaluator::new(engine.context()).noise_budget(ct, &secrets.sk);
-    let mut tracker = match probe {
-        NoiseProbe::Off => None,
-        NoiseProbe::On => {
-            let fresh = budget_of(st.values[0].as_ref().expect("input encrypted"));
-            let mut values = vec![None; plan.layers.len() + 1];
-            values[0] = Some(fresh);
-            Some(NoiseTracker {
-                fresh,
-                values,
-                packed: None,
-                boot: None,
-            })
-        }
-    };
-
-    let mut reports = Vec::with_capacity(plan.step_count());
+    let mut steps = Vec::with_capacity(plan.step_count());
+    let mut tallied = Vec::with_capacity(plan.step_count());
     let mut carry_spike: i64 = 0;
     let mut flat = 0usize;
     for layer in &plan.layers {
         for (si, step) in layer.steps.iter().enumerate() {
+            let label = step.op.label();
             if let Some(deadline) = policy.deadline {
                 if start.elapsed() >= deadline {
                     return Err(AthenaError::DeadlineExceeded {
                         node: layer.node,
                         step: si,
-                        label: step.op.label(),
+                        label,
                         deadline,
                     });
                 }
@@ -675,40 +571,38 @@ where
                 alloc_stats::measure(|| {
                     op_stats::measure(|| {
                         backend.note_step(layer.node, si, flat);
-                        run_step(&mut backend, plan, &step.op, &mut st)
+                        run_step(backend, plan, &step.op, &mut st)
                     })
                 })
             }))
-            .map_err(|p| caught(p, layer.node, si, step.op.label()))?;
+            .map_err(|p| caught(p, layer.node, si, label))?;
             flat += 1;
-            carry_spike += i64::from(take_spike(&mut backend));
-            let (budget, consumed) = match &mut tracker {
-                None => (None, None),
-                Some(tr) => probe_step(&step.op, &st, tr, &budget_of),
-            };
-            let budget = budget.map(|b| b - carry_spike);
-            if budget.is_some() {
-                carry_spike = 0;
-            }
-            reports.push(StepReport {
+            tallied.push(backend.take_counts());
+            carry_spike += i64::from(backend.take_spike());
+            // A probe point absorbs whatever spike was carried down to it.
+            let probed = tracker
+                .as_mut()
+                .and_then(|tr| probe_step(backend, &step.op, &st, tr))
+                .map(|(budget, consumed)| (budget - std::mem::take(&mut carry_spike), consumed));
+            steps.push(StepReport {
                 node: layer.node,
                 step: si,
-                label: step.op.label(),
+                label,
                 phase: step.phase,
                 analytic: step.analytic,
                 measured: counts_from_hom(&hom),
                 alloc,
                 noise_bits: step.noise_bits,
-                noise_budget: budget,
-                noise_consumed: consumed,
+                noise_budget: probed.map(|(budget, _)| budget),
+                noise_consumed: probed.and_then(|(_, consumed)| consumed),
             });
-            if let Some(b) = budget {
-                if b <= 0 {
+            if let Some((budget, consumed)) = probed {
+                if budget <= 0 {
                     return Err(AthenaError::NoiseExhausted(NoiseExhausted {
                         node: layer.node,
                         step: si,
-                        label: step.op.label(),
-                        budget: b,
+                        label,
+                        budget,
                         analytic_bits: step.noise_bits,
                         consumed,
                     }));
@@ -716,77 +610,93 @@ where
             }
         }
     }
-    if carry_spike > 0 {
-        // A spike injected after the last probe point: charge it against
-        // the fresh-input baseline so it still surfaces typed.
-        if let Some(tr) = &tracker {
-            let b = tr.fresh - carry_spike;
-            if b <= 0 {
-                let (node, si, label) = plan
-                    .layers
-                    .last()
-                    .and_then(|l| {
-                        l.steps
-                            .last()
-                            .map(|s| (l.node, l.steps.len() - 1, s.op.label()))
-                    })
-                    .unwrap_or((0, 0, "encrypt"));
-                return Err(AthenaError::NoiseExhausted(NoiseExhausted {
-                    node,
-                    step: si,
-                    label,
-                    budget: b,
-                    analytic_bits: 0,
-                    consumed: None,
-                }));
-            }
+    // A spike injected after the last probe point: charge it against the
+    // fresh-input baseline so it still surfaces typed.
+    if let Some(fresh) = fresh_budget {
+        let budget = fresh - carry_spike;
+        if carry_spike > 0 && budget <= 0 {
+            let (node, step, label) = steps
+                .last()
+                .map_or((0, 0, "encrypt"), |s| (s.node, s.step, s.label));
+            return Err(AthenaError::NoiseExhausted(NoiseExhausted {
+                node,
+                step,
+                label,
+                budget,
+                analytic_bits: 0,
+                consumed: None,
+            }));
         }
     }
-    Ok(PlanRun {
+    Ok(Driven {
         logits: st.logits,
-        stats: into_stats(backend),
-        steps: reports,
-        fresh_budget: tracker.map(|t| t.fresh),
+        steps,
+        tallied,
+        fresh_budget,
     })
 }
 
-/// Probes the RLWE register a step just wrote and charges the consumption
-/// to the step's chain predecessor. Steps whose output lives below the
-/// RLWE layer (extraction, dimension/modulus switches, LWE adds, the
-/// pooling composites, output) yield `(None, None)`.
-fn probe_step<B: PlanBackend<Rlwe = BfvCiphertext>>(
-    op: &StepOp,
-    st: &ExecState<B>,
-    tr: &mut NoiseTracker,
-    budget_of: &dyn Fn(&BfvCiphertext) -> i64,
-) -> (Option<i64>, Option<i64>) {
-    match op {
-        StepOp::Linear { value, .. } => {
-            let after = budget_of(st.cur.as_ref().expect("linear output"));
-            (Some(after), tr.values[*value].map(|b| b - after))
-        }
-        StepOp::Pack { .. } => {
-            // Packing starts a new chain: its output noise is a sum of
-            // PMulted fresh packing-key encryptions, so the fresh budget
-            // is the chain's baseline.
-            let after = budget_of(st.packed.as_ref().expect("packed output"));
-            tr.packed = Some(after);
-            (Some(after), Some(tr.fresh - after))
-        }
-        StepOp::Fbs { .. } => {
-            let after = budget_of(st.boot.as_ref().expect("bootstrapped output"));
-            let consumed = tr.packed.take().map(|b| b - after);
-            tr.boot = Some(after);
-            (Some(after), consumed)
-        }
-        StepOp::S2C { value, .. } => {
-            let after = budget_of(st.values[*value].as_ref().expect("s2c output"));
-            let consumed = tr.boot.take().map(|b| b - after);
-            tr.values[*value] = Some(after);
-            (Some(after), consumed)
-        }
-        _ => (None, None),
-    }
+/// Executes one attempt of a compiled plan on one encrypted input under a
+/// [`RunPolicy`]: the driver's per-step isolation, deadline and probe (see
+/// the module header), with the policy's [`FaultPlan`] (if any) injected.
+/// This is the single-attempt primitive [`super::InferenceSession`] builds
+/// its retry loop on; `attempt` (1-based) and `batch_input` scope the fault
+/// plan's filters.
+///
+/// The steps perform exact modular arithmetic in a fixed order and the
+/// only sampler draws are the input encryption's, so the logits depend on
+/// nothing in the policy: probe on or off, they are bit-identical.
+#[allow(clippy::too_many_arguments)]
+pub fn execute_resilient(
+    engine: &AthenaEngine,
+    secrets: &AthenaSecrets,
+    keys: &AthenaEvalKeys,
+    plan: &ExecutionPlan,
+    input: &ITensor,
+    sampler: &mut Sampler,
+    policy: &RunPolicy,
+    attempt: u32,
+    batch_input: Option<usize>,
+) -> Result<PlanRun, AthenaError> {
+    // An empty fault plan makes the wrapper a pure forwarder, so one call
+    // serves both the production and the chaos path.
+    let no_faults = FaultPlan::default();
+    let mut backend = FaultInjectingBackend::new(
+        EncryptedBackend::new(engine, secrets, keys, sampler),
+        policy.faults.as_ref().unwrap_or(&no_faults),
+        attempt,
+        batch_input,
+    );
+    let run = drive(&mut backend, plan, input, policy, batch_input)?;
+    Ok(PlanRun {
+        logits: run.logits,
+        stats: backend.into_inner().into_stats(),
+        steps: run.steps,
+        fresh_budget: run.fresh_budget,
+    })
+}
+
+/// Executes a compiled plan on one encrypted input: [`execute_resilient`]
+/// under the default policy (no deadline, no probe, no faults).
+///
+/// # Panics
+///
+/// Panics with the [`AthenaError`]'s message if the run fails — a
+/// wrong-shaped input or a step that panicked; callers that need the typed
+/// value use [`execute_resilient`].
+pub fn execute(
+    engine: &AthenaEngine,
+    secrets: &AthenaSecrets,
+    keys: &AthenaEvalKeys,
+    plan: &ExecutionPlan,
+    input: &ITensor,
+    sampler: &mut Sampler,
+) -> PlanRun {
+    let policy = RunPolicy::default();
+    execute_resilient(
+        engine, secrets, keys, plan, input, sampler, &policy, 1, None,
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs the plan through the noise-faithful [`NoiseSimBackend`]: exact
@@ -795,27 +705,23 @@ fn probe_step<B: PlanBackend<Rlwe = BfvCiphertext>>(
 /// reference exactly (pinned in the backend-equivalence tests), so the
 /// simulation is certified against the same plan the encrypted executor
 /// interprets.
+///
+/// # Panics
+///
+/// Panics with the [`AthenaError`]'s message if the run fails (a
+/// wrong-shaped input).
 pub fn execute_sim(
     plan: &ExecutionPlan,
     input: &ITensor,
     noise: &NoiseSpec,
     sampler: &mut Sampler,
 ) -> SimRun {
-    let coeffs = place_input(plan, input);
     let mut backend = NoiseSimBackend::new(plan, noise, sampler);
-    let mut st = ExecState::new(plan);
-    st.values[0] = Some(backend.encrypt_input(&coeffs));
-    let mut flat = 0usize;
-    for layer in &plan.layers {
-        for (si, step) in layer.steps.iter().enumerate() {
-            backend.note_step(layer.node, si, flat);
-            run_step(&mut backend, plan, &step.op, &mut st);
-            flat += 1;
-        }
-    }
+    let run = drive(&mut backend, plan, input, &RunPolicy::default(), None)
+        .unwrap_or_else(|e| panic!("{e}"));
     SimRun {
-        predicted: crate::util::argmax(&st.logits),
-        logits: st.logits,
+        predicted: crate::util::argmax(&run.logits),
+        logits: run.logits,
     }
 }
 
@@ -825,18 +731,8 @@ pub fn execute_sim(
 /// exposed so tests and reports can re-derive the counts independently.
 pub fn execute_counting(engine: &AthenaEngine, plan: &ExecutionPlan) -> Vec<OpCounts> {
     let mut backend = CountingBackend::new(engine);
-    let mut st = ExecState::new(plan);
-    backend.encrypt_input(&vec![0i64; plan.n]);
-    st.values[0] = Some(());
-    let mut out = Vec::with_capacity(plan.step_count());
-    let mut flat = 0usize;
-    for layer in &plan.layers {
-        for (si, step) in layer.steps.iter().enumerate() {
-            backend.note_step(layer.node, si, flat);
-            run_step(&mut backend, plan, &step.op, &mut st);
-            out.push(backend.take_counts());
-            flat += 1;
-        }
-    }
-    out
+    let input = ITensor::zeros(&plan.input_shape);
+    drive(&mut backend, plan, &input, &RunPolicy::default(), None)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .tallied
 }

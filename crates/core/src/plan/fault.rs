@@ -44,8 +44,9 @@ pub enum FaultKind {
     CorruptLimb,
     /// `bits` of artificial noise-budget consumption charged at the
     /// step's probe point (carried forward to the next probed step when
-    /// the step itself produces no RLWE value). Only observable under
-    /// [`super::NoiseProbe::On`].
+    /// the step itself produces no RLWE value). Only observable at a
+    /// probe point, so a spike in the plan forces [`super::RunPolicy::probe`]
+    /// on.
     NoiseSpike {
         /// Budget bits to burn.
         bits: u32,
@@ -208,7 +209,7 @@ impl FaultTarget for () {
 /// sleeps fire in [`PlanBackend::note_step`] (before the step runs),
 /// corruption arms there and lands on the step's RLWE output, and noise
 /// spikes accumulate for the executor to drain via
-/// [`FaultInjectingBackend::take_spike`].
+/// [`PlanBackend::take_spike`].
 pub struct FaultInjectingBackend<'p, B: PlanBackend> {
     inner: B,
     plan: &'p FaultPlan,
@@ -231,12 +232,6 @@ impl<'p, B: PlanBackend> FaultInjectingBackend<'p, B> {
             pending_spike: 0,
             prng: Prng::seed_from_u64(plan.seed ^ FAULT_SALT.rotate_left(17)),
         }
-    }
-
-    /// Drains the artificial noise-budget consumption armed since the
-    /// last call (bits).
-    pub fn take_spike(&mut self) -> u32 {
-        std::mem::take(&mut self.pending_spike)
     }
 
     /// Unwraps the inner backend.
@@ -326,6 +321,14 @@ where
 
     fn take_counts(&mut self) -> OpCounts {
         self.inner.take_counts()
+    }
+
+    fn take_spike(&mut self) -> u32 {
+        std::mem::take(&mut self.pending_spike)
+    }
+
+    fn noise_budget(&self, ct: &Self::Rlwe) -> Option<i64> {
+        self.inner.noise_budget(ct)
     }
 }
 

@@ -428,7 +428,7 @@ pub struct PlanStep {
     /// switch, LWE adds, output) charge 0; the pooling composite charges
     /// its worst single inner pack→FBS→S2C chain (each round restarts from
     /// fresh packing noise, so one round's chain is the binding
-    /// constraint). The probe mode of [`super::execute_probed`] pins
+    /// constraint). Probed runs ([`super::RunPolicy::probe`]) pin
     /// `charge ≥ measured consumption` per step.
     pub noise_bits: u32,
 }

@@ -5,16 +5,20 @@
 //! (model, engine) pair up front — consumer layouts, output-channel group
 //! splits, encoded kernels and bias positions, materialized remap LUTs,
 //! Galois-element and key requirements, and per-step *analytic* operation
-//! counts. Execution is one generic interpreter (`exec::run_step`)
-//! parameterized by a [`PlanBackend`] — the step structure, group
-//! accumulation, residual re-extraction, and pooling decompositions are
+//! counts. Execution is one generic interpreter (`exec::run_step`) under
+//! one generic driver (`exec::drive`), both parameterized by a
+//! [`PlanBackend`] — the step structure, group accumulation, residual
+//! re-extraction and pooling decompositions, and around them the step
+//! walk, panic isolation, deadline, measured brackets and noise probe, are
 //! written once and retargeted across three backends:
 //!
-//! * [`EncryptedBackend`] ([`execute`] / [`execute_probed`]) — real
-//!   RNS-BFV via the [`crate::pipeline::AthenaEngine`] primitives,
-//!   bit-identical to the pre-plan `infer::run_encrypted` path — every
-//!   step is exact modular arithmetic, so re-grouping the loop cannot
-//!   change a single coefficient;
+//! * [`EncryptedBackend`] ([`execute_resilient`], and [`execute`] as its
+//!   default-policy, panicking shorthand) — real RNS-BFV via the
+//!   [`crate::pipeline::AthenaEngine`] primitives, bit-identical to the
+//!   pre-plan `infer::run_encrypted` loop (golden logits pinned in
+//!   `tests/plan_equivalence.rs`) — every step is exact modular
+//!   arithmetic, so re-grouping the loop cannot change a single
+//!   coefficient;
 //! * [`NoiseSimBackend`] ([`execute_sim`]) — the §3.2.2 noise-faithful
 //!   integer simulation, driven step-by-step from the same compiled plan
 //!   (exact plain-Q semantics at σ = 0, `e_ms` injection at every LWE
@@ -42,14 +46,14 @@
 //! (slots back to coefficients), the pooling composites
 //! `MaxReduce`/`AvgReduce` (LWE-level trees over the accumulator), and
 //! `Output` (client-side decrypt + dequantize).
-
 //!
-//! The serving path is *resilient*: [`execute_resilient`] isolates every
-//! step behind `catch_unwind` with scratch-arena quarantine on unwind,
-//! enforces a cooperative [`RunPolicy`] deadline, and surfaces every
-//! failure as a typed [`AthenaError`]; the seeded fault-injection harness
-//! ([`FaultPlan`] / [`FaultInjectingBackend`]) drives those paths in the
-//! chaos tests.
+//! The serving path is *resilient*: the driver isolates every step behind
+//! `catch_unwind` with scratch-arena quarantine on unwind, enforces a
+//! cooperative [`RunPolicy`] deadline, samples the measured noise budget
+//! when the policy's probe flag is on, and surfaces every failure as a
+//! typed [`AthenaError`] through [`execute_resilient`]; the seeded
+//! fault-injection harness ([`FaultPlan`] / [`FaultInjectingBackend`])
+//! drives those paths in the chaos tests.
 
 mod backend;
 mod error;
@@ -60,10 +64,10 @@ mod session;
 
 pub use backend::{CountingBackend, EncryptedBackend, NoiseSimBackend, PlanBackend, SimLwe};
 pub use error::{AthenaError, RetryPolicy, RunPolicy};
-pub(crate) use exec::drive_plain;
+pub(crate) use exec::drive;
 pub use exec::{
-    execute, execute_counting, execute_probed, execute_resilient, execute_sim, NoiseExhausted,
-    NoiseProbe, PlanRun, SimRun, StepReport,
+    execute, execute_counting, execute_resilient, execute_sim, NoiseExhausted, PlanRun, SimRun,
+    StepReport,
 };
 pub use fault::{FaultInjectingBackend, FaultKind, FaultPlan, FaultSpec, FaultTarget};
 pub(crate) use ir::validate_model;

@@ -35,7 +35,7 @@ use athena_nn::tensor::ITensor;
 use crate::infer::EncryptedInference;
 use crate::pipeline::{AthenaEngine, AthenaEvalKeys, AthenaSecrets};
 
-use super::error::{AthenaError, RunPolicy};
+use super::error::{panic_text, AthenaError, RunPolicy};
 use super::exec::execute_resilient;
 use super::ir::{try_compile, CompileError, ExecutionPlan};
 
@@ -421,11 +421,7 @@ impl InferenceSession {
                         node: 0,
                         step: 0,
                         label: "batch",
-                        payload: payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string()),
+                        payload: panic_text(payload.as_ref()),
                     })
                 }),
             );
@@ -502,33 +498,24 @@ fn run_one(
     let max_attempts = policy.retry.max_attempts.max(1);
     let mut attempt = 1u32;
     loop {
-        let result = if attempt == 1 {
-            execute_resilient(
-                engine,
-                &entry.secrets,
-                &entry.keys,
-                &entry.plan,
-                input,
-                fork,
-                policy,
-                attempt,
-                input_idx,
-            )
+        let mut retry_fork;
+        let sampler = if attempt == 1 {
+            &mut *fork
         } else {
-            let mut retry_fork = fork.fork();
-            execute_resilient(
-                engine,
-                &entry.secrets,
-                &entry.keys,
-                &entry.plan,
-                input,
-                &mut retry_fork,
-                policy,
-                attempt,
-                input_idx,
-            )
+            retry_fork = fork.fork();
+            &mut retry_fork
         };
-        match result {
+        match execute_resilient(
+            engine,
+            &entry.secrets,
+            &entry.keys,
+            &entry.plan,
+            input,
+            sampler,
+            policy,
+            attempt,
+            input_idx,
+        ) {
             Ok(run) => {
                 return Ok(EncryptedInference {
                     logits: run.logits,

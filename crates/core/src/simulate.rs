@@ -72,9 +72,11 @@ pub struct SimulatedRun {
 
 /// Simulates one encrypted inference.
 ///
-/// This is the *fast path*: it walks [`QModel::forward_with_noise`]
-/// directly, without compiling a plan. It is validated against the
-/// plan-certified path ([`simulate_inference_planned`], which drives
+/// It walks [`QModel::forward_with_noise`] directly, without compiling a
+/// plan, so it also runs the full-size ResNets whose layers exceed the
+/// one-channel-group-per-ciphertext limit of the plan compiler. For models
+/// that do compile it is validated against the plan-certified path
+/// ([`crate::plan::execute_sim`], which drives
 /// [`crate::plan::NoiseSimBackend`] step-by-step from the compiled plan)
 /// in the backend-equivalence tests: at σ = 0 both are exactly the
 /// plain-Q integer reference.
@@ -100,23 +102,6 @@ pub fn simulate_inference(
         predicted,
         stats,
     }
-}
-
-/// Simulates one encrypted inference by compiling the model and driving
-/// the noise backend step-by-step from the plan — the same compiled
-/// artifact the encrypted executor interprets, so the simulation is
-/// certified against the real step program rather than a parallel
-/// reimplementation. Slower than [`simulate_inference`] (it pays plan
-/// compilation), identical in semantics.
-pub fn simulate_inference_planned(
-    engine: &crate::pipeline::AthenaEngine,
-    model: &QModel,
-    input: &ITensor,
-    noise: &NoiseSpec,
-    sampler: &mut Sampler,
-) -> crate::plan::SimRun {
-    let compiled = crate::plan::compile(engine, model, input.shape());
-    crate::plan::execute_sim(&compiled, input, noise, sampler)
 }
 
 /// Accuracy of the simulated encrypted pipeline over a labelled set.

@@ -18,7 +18,7 @@
 //! comparisons can demand bit equality.
 
 use athena_core::pipeline::{AthenaEngine, PackingMethod};
-use athena_core::simulate::{simulate_inference, simulate_inference_planned, NoiseSpec};
+use athena_core::simulate::{simulate_inference, NoiseSpec};
 use athena_core::{infer, plan};
 use athena_fhe::params::BfvParams;
 use athena_math::sampler::Sampler;
@@ -219,8 +219,8 @@ fn sim_at_sigma_zero_equals_plain_q_reference() {
     }
 }
 
-/// The legacy fast path (`simulate_inference`, walking the model
-/// directly) and the plan-driven path agree exactly at σ = 0.
+/// The model-walking simulator (`simulate_inference`) and the
+/// plan-driven one agree exactly at σ = 0.
 #[test]
 fn fast_path_sim_matches_planned_sim_at_sigma_zero() {
     let engine = AthenaEngine::new(BfvParams::test_small());
@@ -228,8 +228,8 @@ fn fast_path_sim_matches_planned_sim_at_sigma_zero() {
         let mut s1 = Sampler::from_seed(123);
         let fast = simulate_inference(&model, &input, &NoiseSpec::zero(), &mut s1);
         let mut s2 = Sampler::from_seed(456);
-        let planned =
-            simulate_inference_planned(&engine, &model, &input, &NoiseSpec::zero(), &mut s2);
+        let compiled = plan::compile(&engine, &model, input.shape());
+        let planned = plan::execute_sim(&compiled, &input, &NoiseSpec::zero(), &mut s2);
         assert_eq!(fast.logits, planned.logits, "{name}: fast vs planned sim");
         assert_eq!(fast.predicted, planned.predicted, "{name}");
     }

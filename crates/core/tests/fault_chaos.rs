@@ -13,7 +13,7 @@ use std::time::Duration;
 use athena_core::fuzz::{run_chaos, ChaosConfig};
 use athena_core::pipeline::AthenaEngine;
 use athena_core::plan::{
-    AthenaError, FaultKind, FaultPlan, FaultSpec, InferenceSession, RetryPolicy, RunPolicy,
+    self, AthenaError, FaultKind, FaultPlan, FaultSpec, InferenceSession, RetryPolicy, RunPolicy,
 };
 use athena_fhe::params::BfvParams;
 use athena_math::par;
@@ -371,8 +371,86 @@ fn poisoned_shard_lock_reports_pool_poisoned() {
         .expect("pool must have recovered");
 }
 
+/// A wrong-shaped input is a typed error at every public entry that can
+/// return one — never a panic out of input placement. Where a compiled
+/// plan already fixes the shape (`execute_resilient`, and a batch, whose
+/// first input picks the plan) it is [`AthenaError::ShapeMismatch`] naming
+/// both shapes; where the input's shape selects the plan (single session
+/// requests) the model itself is rejected for that shape.
+#[test]
+fn wrong_shaped_input_is_typed_at_every_entry() {
+    let _g = lock();
+    let model = model_with(-2);
+    let wrong = ITensor::from_vec(&[1, 4, 4], vec![1; 16]);
+    let policies = [
+        RunPolicy::default(),
+        RunPolicy::default()
+            .with_probe()
+            .with_faults(FaultPlan::panic_at(0)),
+    ];
+
+    let engine = AthenaEngine::new(BfvParams::test_small());
+    let compiled = plan::compile(&engine, &model, &[1, 5, 5]);
+    let mut sampler = Sampler::from_seed(21);
+    let (secrets, keys) = engine.keygen_for_plan(&compiled, &mut sampler);
+    for policy in &policies {
+        for (bad, idx) in [
+            (&wrong, None),
+            (&ITensor::from_vec(&[25], vec![0; 25]), Some(3)),
+        ] {
+            let err = plan::execute_resilient(
+                &engine,
+                &secrets,
+                &keys,
+                &compiled,
+                bad,
+                &mut sampler,
+                policy,
+                1,
+                idx,
+            )
+            .expect_err("the plan was compiled for [1, 5, 5]");
+            assert_eq!(
+                err,
+                AthenaError::ShapeMismatch {
+                    input: idx.unwrap_or(0),
+                    expected: vec![1, 5, 5],
+                    got: bad.shape().to_vec(),
+                }
+            );
+        }
+    }
+
+    let mut s = session();
+    for policy in &policies {
+        let err = s
+            .run_batch_with(&model, &[input(0), wrong.clone()], &mut sampler, policy)
+            .expect_err("one batch shares one plan");
+        assert!(
+            matches!(err, AthenaError::ShapeMismatch { input: 1, .. }),
+            "got {err:?}"
+        );
+        let err = s
+            .run_encrypted_with(&model, &wrong, &mut sampler, policy)
+            .expect_err("the FC layer cannot take a 4x4 image's features");
+        assert_eq!(err.kind(), "compile", "got {err:?}");
+    }
+    let err = s
+        .run_batch(&model, &[input(0), wrong.clone()], &mut sampler)
+        .expect_err("one batch shares one plan");
+    assert_eq!(err.kind(), "shape-mismatch", "got {err:?}");
+    let err = s
+        .run_encrypted(&model, &wrong, &mut sampler)
+        .expect_err("the FC layer cannot take a 4x4 image's features");
+    assert_eq!(err.kind(), "compile", "got {err:?}");
+}
+
 /// The seeded chaos sweep over the fuzz model zoo: random models, random
-/// faults, typed errors and bit-identical recovery throughout.
+/// faults, typed errors and bit-identical recovery throughout — and, per
+/// case, the backend-generic half of the contract (`fuzz::chaos`): a panic
+/// at every flat step index through the wrapped simulation and counting
+/// backends surfaces as `StepPanicked` naming that step, and probing a
+/// backend with no budget hook reports no budget and changes no logit.
 #[test]
 fn seeded_chaos_sweep_is_clean() {
     let _g = lock();

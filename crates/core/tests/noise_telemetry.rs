@@ -24,7 +24,7 @@
 use std::sync::Mutex;
 
 use athena_core::pipeline::{AthenaEngine, PackingMethod};
-use athena_core::plan::{self, NoiseProbe, StepReport};
+use athena_core::plan::{self, AthenaError, RunPolicy, StepReport};
 use athena_fhe::params::BfvParams;
 use athena_math::sampler::Sampler;
 use athena_nn::qmodel::{Activation, QLinear, QModel, QNode, QOp, QuantConfig};
@@ -131,14 +131,16 @@ fn run_probed(
     let compiled = plan::compile(&engine, model, in_shape);
     let mut sampler = Sampler::from_seed(seed);
     let (secrets, keys) = engine.keygen_for_plan(&compiled, &mut sampler);
-    plan::execute_probed(
+    plan::execute_resilient(
         &engine,
         &secrets,
         &keys,
         &compiled,
         &input,
         &mut sampler,
-        NoiseProbe::On,
+        &RunPolicy::default().with_probe(),
+        1,
+        None,
     )
     .expect("test_small has ample budget")
 }
@@ -262,14 +264,16 @@ fn probe_mode_is_pure_observation() {
 
     let mut s2 = Sampler::from_seed(6_060);
     let (sec2, keys2) = engine.keygen_for_plan(&compiled, &mut s2);
-    let probed = plan::execute_probed(
+    let probed = plan::execute_resilient(
         &engine,
         &sec2,
         &keys2,
         &compiled,
         &input,
         &mut s2,
-        NoiseProbe::On,
+        &RunPolicy::default().with_probe(),
+        1,
+        None,
     )
     .expect("ample budget");
 
@@ -302,16 +306,20 @@ fn exhaustion_surfaces_as_typed_error() {
     let compiled = plan::compile(&engine, &model, input.shape());
     let mut sampler = Sampler::from_seed(7_070);
     let (secrets, keys) = engine.keygen_for_plan(&compiled, &mut sampler);
-    let err = plan::execute_probed(
+    let err = match plan::execute_resilient(
         &engine,
         &secrets,
         &keys,
         &compiled,
         &input,
         &mut sampler,
-        NoiseProbe::On,
-    )
-    .expect_err("100-bit Q cannot survive a depth-9 FBS");
+        &RunPolicy::default().with_probe(),
+        1,
+        None,
+    ) {
+        Err(AthenaError::NoiseExhausted(err)) => err,
+        other => panic!("100-bit Q cannot survive a depth-9 FBS, got {other:?}"),
+    };
     assert!(
         err.budget <= 0,
         "exhaustion error carries a positive budget: {err}"

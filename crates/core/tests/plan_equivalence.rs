@@ -1,12 +1,21 @@
-//! Bit-identity of the plan-driven executor against the pre-plan monolithic
-//! inference loop.
+//! Bit-identity of the plan-driven executor against golden logits of the
+//! pre-plan monolithic inference loop.
 //!
-//! `legacy` below is a frozen copy of the original `infer::run_encrypted`
-//! (before it became a compile-then-execute wrapper), preserved verbatim so
-//! the refactor is checked against the real old control flow, not against a
-//! re-derivation. Both paths draw the same keys and the same input
-//! encryption randomness, and every evaluation step is exact modular
-//! arithmetic — so the logits must agree **exactly**, not within tolerance.
+//! The constants below are what the original `infer::run_encrypted` — the
+//! hand-written per-layer loop the plan compiler replaced — produced for
+//! these four (model, packing, seed) cases, recorded as `f64::to_bits()`
+//! patterns. They were taken by running the frozen copy of that loop this
+//! file used to carry, at the last commit that carried it (the parent of
+//! the change that introduced the single plan driver), with the key and
+//! encryption draws below. Every evaluation step is exact modular
+//! arithmetic, so the plan path must reproduce them **exactly**, not
+//! within tolerance.
+//!
+//! A deliberate change to the keygen or encryption draw order changes
+//! which keys and noise a seed produces and therefore (possibly) these
+//! logits; such a change regenerates the constants from the new
+//! `infer::run_encrypted` output under review, exactly like the committed
+//! `reports/*.txt`.
 
 use athena_core::pipeline::{AthenaEngine, PackingMethod};
 use athena_core::{infer, plan};
@@ -15,325 +24,17 @@ use athena_math::sampler::Sampler;
 use athena_nn::qmodel::{Activation, QLinear, QModel, QNode, QOp, QuantConfig};
 use athena_nn::tensor::ITensor;
 
-/// The pre-plan inference loop, frozen.
-mod legacy {
-    use athena_core::encoding::ConvEncoder;
-    use athena_core::pipeline::{AthenaEngine, AthenaEvalKeys, AthenaSecrets, PipelineStats};
-    use athena_fhe::bfv::BfvCiphertext;
-    use athena_fhe::fbs::Lut;
-    use athena_fhe::lwe::LweCiphertext;
-    use athena_math::sampler::Sampler;
-    use athena_nn::models::ConvShape;
-    use athena_nn::qmodel::{QLinear, QModel, QOp};
-    use athena_nn::tensor::ITensor;
-
-    #[derive(Debug, Clone)]
-    struct StoredValue {
-        ct: BfvCiphertext,
-        positions: Vec<usize>,
-        shape: Vec<usize>,
-    }
-
-    #[derive(Debug, Clone)]
-    struct ConsumerLayout {
-        slot_of: Vec<Option<usize>>,
-        positions: Vec<usize>,
-    }
-
-    fn flat_layout(len: usize, n: usize) -> ConsumerLayout {
-        assert!(len <= n);
-        let mut slot_of = vec![None; n];
-        for (i, s) in slot_of.iter_mut().take(len).enumerate() {
-            *s = Some(i);
-        }
-        ConsumerLayout {
-            slot_of,
-            positions: (0..len).collect(),
-        }
-    }
-
-    fn conv_layout(shape: &[usize], padding: usize, n: usize) -> ConsumerLayout {
-        let (c, h, w) = (shape[0], shape[1], shape[2]);
-        let (hp, wp) = (h + 2 * padding, w + 2 * padding);
-        assert!(c * hp * wp <= n);
-        let mut slot_of = vec![None; n];
-        let mut positions = vec![0usize; c * h * w];
-        for ci in 0..c {
-            for y in 0..h {
-                for x in 0..w {
-                    let flat = (ci * h + y) * w + x;
-                    let slot = ci * hp * wp + (y + padding) * wp + (x + padding);
-                    slot_of[slot] = Some(flat);
-                    positions[flat] = slot;
-                }
-            }
-        }
-        ConsumerLayout { slot_of, positions }
-    }
-
-    fn consumer_layout(
-        model: &QModel,
-        value_idx: usize,
-        shape: &[usize],
-        n: usize,
-    ) -> ConsumerLayout {
-        for node in &model.nodes {
-            if node.input == value_idx {
-                return match &node.op {
-                    QOp::Linear(l) if !l.is_fc => conv_layout(shape, l.padding, n),
-                    _ => flat_layout(shape.iter().product(), n),
-                };
-            }
-        }
-        flat_layout(shape.iter().product(), n)
-    }
-
-    pub fn run_encrypted(
-        engine: &AthenaEngine,
-        secrets: &AthenaSecrets,
-        keys: &AthenaEvalKeys,
-        model: &QModel,
-        input: &ITensor,
-        sampler: &mut Sampler,
-    ) -> Vec<f64> {
-        let n = engine.context().n();
-        let t = engine.context().t();
-        let a_max = model.cfg.a_max();
-        let mut stats = PipelineStats::default();
-
-        let in_layout = consumer_layout(model, 0, input.shape(), n);
-        let input_sv = {
-            let mut coeffs = vec![0i64; n];
-            for (flat, &pos) in in_layout.positions.iter().enumerate() {
-                coeffs[pos] = input.data()[flat];
-            }
-            let positions_all: Vec<usize> = (0..n).collect();
-            StoredValue {
-                ct: engine.encrypt_at(&coeffs, &positions_all, secrets, sampler),
-                positions: in_layout.positions.clone(),
-                shape: input.shape().to_vec(),
-            }
-        };
-
-        let mut values: Vec<Option<StoredValue>> = vec![Some(input_sv)];
-        let mut logits: Vec<f64> = Vec::new();
-
-        for (ni, node) in model.nodes.iter().enumerate() {
-            let is_last = ni == model.nodes.len() - 1;
-            let sv = values[node.input]
-                .as_ref()
-                .expect("producer stored")
-                .clone();
-            let (out_lwes, out_shape): (Vec<LweCiphertext>, Vec<usize>) = match &node.op {
-                QOp::Linear(l) => {
-                    let (acc_lwes, shape) =
-                        run_linear_accumulate(engine, keys, &sv, l, is_last, &mut stats);
-                    let mut acc_lwes = acc_lwes;
-                    if let Some((skip_idx, mult)) = node.skip {
-                        let skip_sv = values[skip_idx].as_ref().expect("skip stored");
-                        let skip_lwes = if is_last {
-                            engine.extract_lwes_mid(
-                                &skip_sv.ct,
-                                &skip_sv.positions,
-                                keys,
-                                &mut stats,
-                            )
-                        } else {
-                            engine.extract_lwes(&skip_sv.ct, &skip_sv.positions, keys, &mut stats)
-                        };
-                        assert_eq!(skip_lwes.len(), acc_lwes.len());
-                        for (a, s) in acc_lwes.iter_mut().zip(&skip_lwes) {
-                            *a = engine.lwe_add_scaled(a, s, mult);
-                        }
-                    }
-                    (acc_lwes, shape)
-                }
-                QOp::MaxPool { k } => {
-                    let lwes = engine.extract_lwes(&sv.ct, &sv.positions, keys, &mut stats);
-                    let (c, h, w) = (sv.shape[0], sv.shape[1], sv.shape[2]);
-                    let (oh, ow) = (h / k, w / k);
-                    let mut streams: Vec<Vec<LweCiphertext>> = Vec::with_capacity(k * k);
-                    for ky in 0..*k {
-                        for kx in 0..*k {
-                            let mut s = Vec::with_capacity(c * oh * ow);
-                            for ci in 0..c {
-                                for oy in 0..oh {
-                                    for ox in 0..ow {
-                                        s.push(
-                                            lwes[(ci * h + oy * k + ky) * w + ox * k + kx].clone(),
-                                        );
-                                    }
-                                }
-                            }
-                            streams.push(s);
-                        }
-                    }
-                    while streams.len() > 1 {
-                        let b = streams.pop().expect("len > 1");
-                        let a = streams.pop().expect("len > 1");
-                        streams.push(engine.lwe_max(&a, &b, keys, &mut stats));
-                    }
-                    (streams.pop().expect("one stream left"), vec![c, oh, ow])
-                }
-                QOp::AvgPool { k } => {
-                    let lwes = engine.extract_lwes(&sv.ct, &sv.positions, keys, &mut stats);
-                    let (c, h, w) = (sv.shape[0], sv.shape[1], sv.shape[2]);
-                    let (oh, ow) = (h / k, w / k);
-                    let mut sums = Vec::with_capacity(c * oh * ow);
-                    for ci in 0..c {
-                        for oy in 0..oh {
-                            for ox in 0..ow {
-                                let mut acc: Option<LweCiphertext> = None;
-                                for ky in 0..*k {
-                                    for kx in 0..*k {
-                                        let e = &lwes[(ci * h + oy * k + ky) * w + ox * k + kx];
-                                        acc = Some(match acc {
-                                            None => e.clone(),
-                                            Some(a) => engine.lwe_add_scaled(&a, e, 1),
-                                        });
-                                    }
-                                }
-                                sums.push(acc.expect("k >= 1"));
-                            }
-                        }
-                    }
-                    (sums, vec![c, oh, ow])
-                }
-            };
-
-            if is_last {
-                let ints = engine.decrypt_lwes(&out_lwes, secrets);
-                if let QOp::Linear(l) = &node.op {
-                    logits = ints
-                        .iter()
-                        .map(|&v| v as f64 * l.in_scale * l.w_scale)
-                        .collect();
-                } else {
-                    logits = ints.iter().map(|&v| v as f64).collect();
-                }
-                values.push(None);
-                continue;
-            }
-
-            let out_len: usize = out_shape.iter().product();
-            let layout = consumer_layout(model, ni + 1, &out_shape, n);
-            let mut slots: Vec<Option<LweCiphertext>> = vec![None; n];
-            for (slot, flat) in layout.slot_of.iter().enumerate() {
-                if let Some(f) = flat {
-                    slots[slot] = Some(out_lwes[*f].clone());
-                }
-            }
-            let lut = match &node.op {
-                QOp::Linear(l) => {
-                    let lc = l.clone();
-                    Lut::from_signed_fn(t, move |v| lc.remap(v, a_max))
-                }
-                QOp::AvgPool { k } => {
-                    let kk = (k * k) as f64;
-                    Lut::from_signed_fn(t, move |v| {
-                        ((v as f64 / kk).round() as i64).clamp(-a_max, a_max)
-                    })
-                }
-                QOp::MaxPool { .. } => Lut::from_signed_fn(t, |v| v),
-            };
-            let ct = engine.pack_fbs_s2c(&slots, &lut, keys, &mut stats);
-            assert_eq!(layout.positions.len(), out_len);
-            values.push(Some(StoredValue {
-                ct,
-                positions: layout.positions,
-                shape: out_shape,
-            }));
-        }
-
-        logits
-    }
-
-    fn run_linear_accumulate(
-        engine: &AthenaEngine,
-        keys: &AthenaEvalKeys,
-        sv: &StoredValue,
-        l: &QLinear,
-        client_bound: bool,
-        stats: &mut PipelineStats,
-    ) -> (Vec<LweCiphertext>, Vec<usize>) {
-        let n = engine.context().n();
-        let (c_out, c_in, k) = (
-            l.weight.shape()[0],
-            l.weight.shape()[1],
-            l.weight.shape()[2],
-        );
-        let (hp, wp) = if l.is_fc {
-            (1usize, 1usize)
-        } else {
-            (sv.shape[1] + 2 * l.padding, sv.shape[2] + 2 * l.padding)
-        };
-        let eff_cin = if l.is_fc { sv.positions.len() } else { c_in };
-        assert_eq!(
-            if l.is_fc { eff_cin } else { c_in },
-            if l.is_fc { c_in } else { sv.shape[0] },
-        );
-        let hw = hp * wp;
-        let mut co_g = c_out;
-        loop {
-            let t_idx = hw * (co_g * eff_cin - 1) + wp * (k - 1) + k - 1;
-            if t_idx + eff_cin * hw <= n {
-                break;
-            }
-            assert!(co_g > 1);
-            co_g = co_g.div_ceil(2);
-        }
-        let groups = c_out.div_ceil(co_g);
-        let valid = hp - k + 1;
-        let out_hw = if l.is_fc {
-            1
-        } else {
-            (sv.shape[1] + 2 * l.padding - k) / l.stride + 1
-        };
-        let mut all_lwes: Vec<LweCiphertext> = Vec::new();
-        for g in 0..groups {
-            let co_lo = g * co_g;
-            let co_hi = ((g + 1) * co_g).min(c_out);
-            let g_cout = co_hi - co_lo;
-            let shape = ConvShape {
-                hw: hp,
-                c_in: eff_cin,
-                c_out: g_cout,
-                k,
-                stride: 1,
-                padding: 0,
-            };
-            let enc = ConvEncoder::new(shape, n);
-            let per = eff_cin * k * k;
-            let kw = ITensor::from_vec(
-                &[g_cout, eff_cin, k, k],
-                l.weight.data()[co_lo * per..co_hi * per].to_vec(),
-            );
-            let mut bias_at = Vec::new();
-            let mut positions = Vec::new();
-            for co in 0..g_cout {
-                for oy in 0..out_hw {
-                    for ox in 0..out_hw {
-                        let (y, x) = (oy * l.stride, ox * l.stride);
-                        debug_assert!(y < valid && x < valid);
-                        let pos = enc.output_index(co, y, x);
-                        positions.push(pos);
-                        let b = l.bias[co_lo + co];
-                        if b != 0 {
-                            bias_at.push((pos, b));
-                        }
-                    }
-                }
-            }
-            let conv_ct = engine.linear(&sv.ct, &enc.encode_kernel(&kw), &bias_at, stats);
-            all_lwes.extend(if client_bound {
-                engine.extract_lwes_mid(&conv_ct, &positions, keys, stats)
-            } else {
-                engine.extract_lwes(&conv_ct, &positions, keys, stats)
-            });
-        }
-        (all_lwes, vec![c_out, out_hw, out_hw])
-    }
-}
+/// Legacy-loop logits of `conv_fc_model` (Column, seed 31 337; BSGS, seed
+/// 31 338 — both packings compute the same plaintext map): -1.5, -1.0, -2.0.
+const CONV_FC_GOLDEN: [u64; 3] = [
+    0xbff8_0000_0000_0000,
+    0xbff0_0000_0000_0000,
+    0xc000_0000_0000_0000,
+];
+/// Legacy-loop logits of `pool_model` (Column, seed 31 339): 3.0, -2.0.
+const POOL_GOLDEN: [u64; 2] = [0x4008_0000_0000_0000, 0xc000_0000_0000_0000];
+/// Legacy-loop logit of `skip_model` (Column, seed 31 340): 34.0.
+const SKIP_GOLDEN: [u64; 1] = [0x4041_0000_0000_0000];
 
 fn conv_fc_model() -> QModel {
     let conv_w: Vec<i64> = (0..2 * 9).map(|i| ((i % 5) as i64) - 2).collect();
@@ -475,37 +176,52 @@ fn skip_model() -> QModel {
     }
 }
 
-/// Runs both paths with identical key and encryption draws and asserts the
-/// logits are exactly equal.
-fn assert_bit_identical(method: PackingMethod, model: &QModel, input: &ITensor, seed: u64) {
+/// Runs the plan path with the key and encryption draws the goldens were
+/// recorded under and asserts the logits are exactly equal.
+fn assert_bit_identical(
+    method: PackingMethod,
+    model: &QModel,
+    input: &ITensor,
+    seed: u64,
+    golden: &[u64],
+) {
     let engine = AthenaEngine::with_packing(BfvParams::test_small(), method);
     let mut key_sampler = Sampler::from_seed(seed);
     let (secrets, keys) = engine.keygen(&mut key_sampler);
 
-    let mut s_legacy = Sampler::from_seed(seed + 1);
-    let legacy_logits =
-        legacy::run_encrypted(&engine, &secrets, &keys, model, input, &mut s_legacy);
-
     let mut s_plan = Sampler::from_seed(seed + 1);
     let enc = infer::run_encrypted(&engine, &secrets, &keys, model, input, &mut s_plan);
 
+    let bits: Vec<u64> = enc.logits.iter().map(|v| v.to_bits()).collect();
     assert_eq!(
-        enc.logits, legacy_logits,
-        "plan executor diverged from the legacy loop ({method:?})"
+        bits, golden,
+        "plan executor diverged from the legacy loop ({method:?}): logits {:?}",
+        enc.logits
     );
-    assert!(!enc.logits.is_empty());
 }
 
 #[test]
 fn conv_fc_bit_identical_column() {
     let input = ITensor::from_vec(&[1, 5, 5], (0..25).map(|i| ((i % 5) as i64) - 2).collect());
-    assert_bit_identical(PackingMethod::Column, &conv_fc_model(), &input, 31_337);
+    assert_bit_identical(
+        PackingMethod::Column,
+        &conv_fc_model(),
+        &input,
+        31_337,
+        &CONV_FC_GOLDEN,
+    );
 }
 
 #[test]
 fn conv_fc_bit_identical_bsgs() {
     let input = ITensor::from_vec(&[1, 5, 5], (0..25).map(|i| ((i % 5) as i64) - 2).collect());
-    assert_bit_identical(PackingMethod::Bsgs, &conv_fc_model(), &input, 31_338);
+    assert_bit_identical(
+        PackingMethod::Bsgs,
+        &conv_fc_model(),
+        &input,
+        31_338,
+        &CONV_FC_GOLDEN,
+    );
 }
 
 #[test]
@@ -514,13 +230,25 @@ fn padding_and_maxpool_bit_identical() {
         &[1, 4, 4],
         vec![1, -2, 3, 0, 2, 1, -1, 2, 0, 3, 1, -2, 1, 0, 2, 1],
     );
-    assert_bit_identical(PackingMethod::Column, &pool_model(), &input, 31_339);
+    assert_bit_identical(
+        PackingMethod::Column,
+        &pool_model(),
+        &input,
+        31_339,
+        &POOL_GOLDEN,
+    );
 }
 
 #[test]
 fn residual_skip_bit_identical() {
     let input = ITensor::from_vec(&[1, 3, 3], vec![2, -1, 3, 0, 1, -2, 4, 2, 0]);
-    assert_bit_identical(PackingMethod::Column, &skip_model(), &input, 31_340);
+    assert_bit_identical(
+        PackingMethod::Column,
+        &skip_model(),
+        &input,
+        31_340,
+        &SKIP_GOLDEN,
+    );
 }
 
 /// Plan-driven keygen is draw-identical to the engine's blanket keygen for
