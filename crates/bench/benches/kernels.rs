@@ -133,7 +133,9 @@ fn bench_fbs(opts: &BenchOpts) {
 }
 
 fn bench_base_conversion(opts: &BenchOpts) {
-    // Exact vs fast base conversion — the FRU's RNS datapath (ablation 1).
+    // Base conversion on the FRU's RNS datapath (ablation 1): the classic
+    // fast form, the exact word-sized form the request path runs on, and
+    // the big-integer CRT both are tested against.
     use athena_math::prime::ntt_primes;
     use athena_math::rns::RnsBasis;
     let n = 1024;
@@ -142,6 +144,10 @@ fn bench_base_conversion(opts: &BenchOpts) {
     let p = src.poly_from_i64(&(0..n as i64).map(|i| i * 31 % 1000).collect::<Vec<_>>());
     run_named(opts, "base_conversion/fast_bconv_4to4_n1024", || {
         src.fast_base_convert(std::hint::black_box(&p), &dst)
+    });
+    let conv = src.converter_to(&dst.moduli());
+    run_named(opts, "base_conversion/exact_word_sized_4to4_n1024", || {
+        src.convert_centered(std::hint::black_box(&p), &conv)
     });
     run_named(opts, "base_conversion/exact_bconv_4to4_n1024", || {
         src.exact_base_convert(std::hint::black_box(&p), &dst)

@@ -226,6 +226,43 @@ fn poisoned_batch_matches_sequential_at_any_thread_count() {
     }
 }
 
+/// Retention is bounded pool-wide, not per shard: every fresh thread takes
+/// the next shard round-robin (as the workers of a `par` region do), so a
+/// per-shard cap let a long batch run fill all eight shards in turn. Here
+/// 24 threads — three laps of the shards — each release 1 MiB; the pool
+/// must stay under its one cap, and a lease must raise exactly that cap.
+#[test]
+fn retention_is_capped_across_shards_not_per_shard() {
+    let _g = lock();
+    arena::clear();
+    let release_one_mib_from_fresh_threads = || {
+        let held: Vec<arena::LimbVec> = (0..3 * arena::N_SHARDS)
+            .map(|_| arena::LimbVec::take_raw(128 * 1024))
+            .collect();
+        for buf in held {
+            std::thread::spawn(move || drop(buf))
+                .join()
+                .expect("release thread");
+        }
+    };
+    let cap = arena::retention_cap();
+    release_one_mib_from_fresh_threads();
+    let pooled = arena::pooled_bytes();
+    assert!(pooled <= cap, "pooled {pooled} B over the {cap} B cap");
+    assert!(
+        pooled + (1 << 20) > cap,
+        "the cap, not a shard, is the limit"
+    );
+
+    let lease = arena::ArenaLease::reserve(3 << 20);
+    assert_eq!(arena::retention_cap(), cap + (3 << 20));
+    release_one_mib_from_fresh_threads();
+    assert_eq!(arena::pooled_bytes(), cap + (3 << 20));
+    drop(lease);
+    assert!(arena::pooled_bytes() <= cap, "dropping the lease trims");
+    arena::clear();
+}
+
 /// Every cached plan holds an arena lease; evicting the entry releases
 /// its share of the pool reservation (the RAII contract of
 /// `ArenaLease`).

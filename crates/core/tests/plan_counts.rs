@@ -118,6 +118,26 @@ fn measured_counts_match_plan_analytic_per_step() {
     }
 }
 
+/// The LUT polynomial is a plan constant: the analytic-count dry run
+/// (`expected_stats`) interpolates each FBS step's own `Lut` — the instance
+/// stored in the compiled plan, not a dropped clone — so no request does.
+#[test]
+fn compiled_plan_carries_interpolated_luts() {
+    let engine = AthenaEngine::new(BfvParams::test_small());
+    let compiled = plan::compile(&engine, &conv_model(), &[1, 5, 5]);
+    let luts: Vec<_> = compiled
+        .layers
+        .iter()
+        .flat_map(|l| &l.steps)
+        .filter_map(|s| match &s.op {
+            plan::StepOp::Fbs { lut } => Some(lut),
+            _ => None,
+        })
+        .collect();
+    assert!(!luts.is_empty(), "the model has an activation");
+    assert!(luts.iter().all(|lut| lut.is_interpolated()));
+}
+
 /// Where `trace.rs`'s production model and the measured executor count the
 /// same physical quantity, they agree exactly: extracted samples per layer
 /// (one per output activation) and FBS invocation volume.

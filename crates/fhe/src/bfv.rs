@@ -7,11 +7,39 @@
 //! (`CMult`), Galois automorphisms / rotations (`HRot`) via key switching,
 //! and the invariant-noise-budget probe used by the Table 4 analysis.
 //!
-//! Ciphertext multiplication takes the **exact** route: operands are lifted
-//! (centered) into an extended RNS basis, tensored there, and the `t/Q`
-//! scaling is performed coefficient-wise with big-integer rounding. This is
-//! the reference semantics that the accelerator's fast-base-conversion
-//! datapath (FRU) reproduces approximately in hardware.
+//! ## Ciphertext multiplication on the FRU's datapath
+//!
+//! CMult is **exact** — operands are lifted (centred) into an extended RNS
+//! basis `Q·P`, tensored there, and scaled by `t/Q` with exact rounding —
+//! and it runs on word-sized arithmetic, the multiply–accumulate lanes of
+//! the paper's FRU (§4.2), not on big integers:
+//!
+//! * **Lift.** The centred value of a coefficient is converted `Q → P` by
+//!   [`BaseConverter::convert_centered`]; the `Q` limbs are copied.
+//! * **Scale-down.** For a tensor coefficient `x` (limbs in `Q` and `P`):
+//!   `r` = the centred residue `[t·x]_Q`, converted `Q → P`; then
+//!   `w = (t·x − r)·Q^{-1} mod p_j` on the `P` limbs; then `w` converted
+//!   `P → Q`. `Q` is odd and coprime to `2t`, so `t·x/Q` is never a tie,
+//!   `|r| < Q/2` strictly, and `(t·x − r)/Q` *is* `round(t·x/Q)`.
+//!   Operands are centred, so `|x| ≤ N·Q²/2` and `|w| ≤ t·N·Q/2 + 1`,
+//!   which [`BfvParams::aux_primes`]' 8-bit margin keeps below `P/2^9`:
+//!   `w` is represented faithfully mod `P`, and the way back is nowhere
+//!   near the converter's ambiguous region.
+//! * **The guard band.** The converter counts the CRT overflow `α` with a
+//!   floating-point estimate whose error is bounded in terms of the limb
+//!   count and the mantissa width (see [`BaseConverter`]); a coefficient
+//!   whose estimate falls inside a band *proved* wider than that error —
+//!   i.e. a value within `≈ 2^-44·Q` of `±Q/2` — takes the big-integer
+//!   route instead, that coefficient only. So the result is bit-identical
+//!   to big-integer CRT for **every** input, and no big integer is touched
+//!   on a served request outside that branch (which a seeded 45 k-conversion
+//!   chain never enters; `tests/properties.rs` pins both facts).
+//!
+//! The big-integer bodies survive once each, as that fallback and as the
+//! oracle ([`BfvEvaluator::mul_no_relin_reference`]) the word-sized path
+//! is tested against word for word. The same datapath serves Alg. 2's
+//! inner sums: [`BfvEvaluator::linear_combination`] is one in-place MAC on
+//! `u128` lanes, reduced every [`lazy_mac_terms`] products.
 //!
 //! ## Representation invariants
 //!
@@ -32,10 +60,11 @@
 //! [`mul_no_relin`]: BfvEvaluator::mul_no_relin
 
 use athena_math::arena::LimbVec;
-use athena_math::bigint::{IBig, UBig};
+use athena_math::bigint::UBig;
+use athena_math::modops::{lazy_mac_terms, Modulus};
 use athena_math::par;
 use athena_math::poly::{Domain, Poly};
-use athena_math::rns::{RnsBasis, RnsPoly};
+use athena_math::rns::{coeff_polys, signed_residue, BaseConverter, RnsBasis, RnsPoly};
 use athena_math::sampler::Sampler;
 use athena_math::stats::{lift_stats, op_stats, rot_stats};
 use std::collections::HashMap;
@@ -58,6 +87,15 @@ pub struct BfvContext {
     delta: UBig,
     q: UBig,
     half_q: UBig,
+    /// `Q → P`: the centred CMult lift.
+    lift: BaseConverter,
+    /// `Q → P` of the centred `[t·x]_Q`, times `−Q^{-1}`: the remainder
+    /// half of the `t/Q` scale-down.
+    scale_down: BaseConverter,
+    /// `t·Q^{-1} mod p_j` with its Shoup companion, per `P` limb.
+    t_q_inv: Vec<(u64, u64)>,
+    /// `P → Q`: the scaled-down value back into the ciphertext basis.
+    scale_back: BaseConverter,
 }
 
 impl BfvContext {
@@ -93,6 +131,25 @@ impl BfvContext {
             gadget.push(qb.crt_decompose(&g));
         }
         let half_q = q.shr(1);
+        // CMult's word-sized conversion tables: a few hundred words off
+        // the moduli `qb`/`mb` already hold (no further NTT table, no
+        // second prime search).
+        let (q_primes, p_primes) = (qb.moduli(), mb.moduli().split_off(k));
+        let lift = qb.converter_to(&p_primes);
+        let q_invs: Vec<u64> = (lift.dst().iter())
+            .map(|p| p.inv(q.rem_u64(p.value())).expect("Q and P are coprime"))
+            .collect();
+        let neg_q_invs: Vec<u64> = (lift.dst().iter().zip(&q_invs))
+            .map(|(p, &inv)| p.neg(inv))
+            .collect();
+        let t_q_inv = (lift.dst().iter().zip(&q_invs))
+            .map(|(p, &inv)| {
+                let c = p.mul(p.reduce(params.t), inv);
+                (c, p.shoup(c))
+            })
+            .collect();
+        let scale_down = lift.clone().scaled(params.t, &neg_q_invs);
+        let scale_back = BaseConverter::new(&p_primes, &q_primes);
         Self {
             params,
             qb,
@@ -103,6 +160,10 @@ impl BfvContext {
             delta,
             q,
             half_q,
+            lift,
+            scale_down,
+            t_q_inv,
+            scale_back,
         }
     }
 
@@ -819,73 +880,143 @@ impl<'a> BfvEvaluator<'a> {
         BfvCiphertext { parts }
     }
 
-    /// Lifts a ciphertext part into the extended basis, centered.
-    fn lift_centered(&self, p: &RnsPoly) -> RnsPoly {
+    /// The linear combination `Σ c_k·ct_k` (`c_k ∈ Z_t`, lifted centred;
+    /// terms with `c_k ≡ 0` skipped) as **one in-place modular
+    /// multiply–accumulate** — Alg. 2's inner sum on the FRU's MAC datapath
+    /// (§4.2). Residues equal the chain of [`mul_scalar`](Self::mul_scalar)
+    /// and [`add`](Self::add) it stands for (modular arithmetic is exact,
+    /// so the order of reductions cannot show), and it is tallied as that
+    /// chain — one logical SMult per term, one HAdd between terms — but it
+    /// writes a single result ciphertext: every lane accumulates
+    /// `c'·x` in a `u128` and is reduced once per [`lazy_mac_terms`]
+    /// products (a whole block at 50-bit limbs, every 255 terms at 60).
+    /// Domain-preserving; `None` when no term survives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the terms differ in size or domain.
+    pub fn linear_combination<'c>(
+        &self,
+        terms: impl IntoIterator<Item = (&'c BfvCiphertext, u64)>,
+    ) -> Option<BfvCiphertext> {
         let ctx = self.ctx;
-        debug_assert_eq!(p.domain(), Domain::Coeff, "CRT lift reads coefficients");
-        let coeffs = ctx.qb.poly_to_ubig(p);
-        let n = ctx.params.n;
-        let limbs = ctx
-            .mb
-            .rings()
-            .iter()
-            .map(|r| {
-                let m = r.modulus();
-                debug_assert_eq!(coeffs.len(), n);
-                let mut vals = LimbVec::take_raw(n);
-                for (o, c) in vals.iter_mut().zip(&coeffs) {
-                    *o = if *c > ctx.half_q {
-                        let mag = ctx.q.sub(c);
-                        m.neg(mag.rem_u64(m.value()))
-                    } else {
-                        c.rem_u64(m.value())
-                    };
-                }
-                Poly::from_limbs(vals, Domain::Coeff)
+        let tm = Modulus::new(ctx.params.t);
+        let terms: Vec<(&BfvCiphertext, i64)> = terms
+            .into_iter()
+            .map(|(ct, c)| (ct, tm.center(c % tm.value())))
+            .filter(|&(_, c)| c != 0)
+            .collect();
+        let (first, _) = terms.first()?;
+        let (size, domain, n) = (first.size(), first.domain(), ctx.params.n);
+        assert!(
+            terms
+                .iter()
+                .all(|(ct, _)| ct.size() == size && ct.domain() == domain),
+            "linear-combination terms must share size and domain"
+        );
+        op_stats::record_lincomb(terms.len() as u64, terms.len() as u64 - 1);
+        let mut lanes = vec![0u128; n];
+        let parts = (0..size)
+            .map(|part| {
+                let limbs = ctx.qb.rings().iter().enumerate().map(|(i, r)| {
+                    let m = r.modulus();
+                    lanes.fill(0);
+                    for run in terms.chunks(lazy_mac_terms(m.bits(), m.bits())) {
+                        for &(ct, c) in run {
+                            let c = m.from_i64(c) as u128;
+                            let xs = ct.parts[part].limbs()[i].values();
+                            for (lane, &x) in lanes.iter_mut().zip(xs) {
+                                *lane += c * x as u128;
+                            }
+                        }
+                        for lane in lanes.iter_mut() {
+                            *lane = m.reduce_u128(*lane) as u128;
+                        }
+                    }
+                    let mut out = LimbVec::take_raw(n);
+                    for (o, &lane) in out.iter_mut().zip(&lanes) {
+                        *o = lane as u64;
+                    }
+                    Poly::from_limbs(out, domain)
+                });
+                RnsPoly::from_limbs(limbs.collect())
             })
             .collect();
-        RnsPoly::from_limbs(limbs)
+        Some(BfvCiphertext { parts })
+    }
+
+    /// Lifts a coefficient-form ciphertext part into the extended basis,
+    /// centred: the `Q` limbs are the part's own (moved, not recomputed),
+    /// the `P` limbs the exact word-sized conversion of the centred value.
+    /// Also hands back how many coefficients took the big-integer route.
+    fn lift_centered(&self, p: RnsPoly, reference: bool) -> (RnsPoly, usize) {
+        let ctx = self.ctx;
+        let (aux, big) = if reference {
+            (ctx.qb.convert_centered_reference(&p, ctx.lift.dst()), p.n())
+        } else {
+            ctx.qb.convert_centered(&p, &ctx.lift)
+        };
+        let mut limbs = p.into_limbs();
+        limbs.extend(aux);
+        (RnsPoly::from_limbs(limbs), big)
     }
 
     /// Scales a tensored component by `t/Q` with exact rounding and reduces
-    /// back into the `Q` basis.
-    fn scale_to_q(&self, p: &RnsPoly) -> RnsPoly {
+    /// back into the `Q` basis, on word-sized arithmetic (module docs:
+    /// remainder `Q → P`, exact division on the `P` limbs, quotient
+    /// `P → Q`). Also hands back how many coefficients took the
+    /// big-integer route.
+    fn scale_to_q(&self, mut e: RnsPoly, reference: bool) -> (RnsPoly, usize) {
         let ctx = self.ctx;
-        let p = ctx.mb.poly_to_coeff(p);
-        let n = ctx.params.n;
-        let k = ctx.mb.len();
-        let d = ctx.mb.product();
-        let half_d = d.shr(1);
-        let mut out_coeffs: Vec<IBig> = Vec::with_capacity(n);
-        let mut residues = vec![0u64; k];
-        for j in 0..n {
-            for (i, limb) in p.limbs().iter().enumerate() {
-                residues[i] = limb.values()[j];
-            }
-            let x = ctx.mb.crt_reconstruct(&residues);
-            let (neg, mag) = if x > half_d {
-                (true, d.sub(&x))
-            } else {
-                (false, x)
-            };
-            let w = mag.mul_u64(ctx.params.t).div_round(&ctx.q);
-            out_coeffs.push(IBig::new(neg, w));
-        }
-        let limbs = ctx
-            .qb
-            .rings()
-            .iter()
-            .map(|r| {
-                let m = r.modulus();
-                let mut vals = LimbVec::take_raw(n);
-                for (o, c) in vals.iter_mut().zip(&out_coeffs) {
-                    let v = c.mag.rem_u64(m.value());
-                    *o = if c.neg { m.neg(v) } else { v };
+        ctx.mb.poly_to_coeff_inplace(&mut e);
+        let (k, n) = (ctx.qb.len(), ctx.params.n);
+        let mut out = LimbVec::take_raw_many(k, n);
+        let mut ambiguous: Vec<usize> = if reference {
+            (0..n).collect()
+        } else {
+            let limbs = e.slices();
+            let (x_q, x_p) = limbs.split_at(k);
+            // w = −r·Q^{-1} (the converter's output) + x·t·Q^{-1}.
+            let mut w = LimbVec::take_raw_many(x_p.len(), n);
+            let mut ambiguous = ctx.scale_down.convert_centered(x_q, &mut w);
+            let consts = ctx.scale_down.dst().iter().zip(&ctx.t_q_inv);
+            for ((w, x), (p, &(c, c_shoup))) in w.iter_mut().zip(x_p).zip(consts) {
+                for (o, &x) in w.iter_mut().zip(*x) {
+                    *o = p.add(*o, p.mul_shoup(x, c, c_shoup));
                 }
-                Poly::from_limbs(vals, Domain::Coeff)
-            })
-            .collect();
-        RnsPoly::from_limbs(limbs)
+            }
+            let w: Vec<&[u64]> = w.iter().map(|l| &l[..]).collect();
+            ambiguous.extend(ctx.scale_back.convert_centered(&w, &mut out));
+            ambiguous
+        };
+        ambiguous.sort_unstable();
+        ambiguous.dedup();
+        let mut residues = vec![0u64; ctx.mb.len()];
+        for &c in &ambiguous {
+            self.scale_coeff_reference(&e, c, &mut residues, &mut out);
+        }
+        (RnsPoly::from_limbs(coeff_polys(out)), ambiguous.len())
+    }
+
+    /// Coefficient `c` of the scale-down through big integers: CRT
+    /// reconstruction in the extended basis, centring, `round(t·x/Q)` by
+    /// long division — the guard-band fallback of
+    /// [`scale_to_q`](Self::scale_to_q) and, run on every coefficient, its
+    /// oracle.
+    fn scale_coeff_reference(
+        &self,
+        e: &RnsPoly,
+        c: usize,
+        residues: &mut [u64],
+        out: &mut [LimbVec],
+    ) {
+        let ctx = self.ctx;
+        e.gather(c, residues);
+        let x = ctx.mb.crt_reconstruct_centered(residues);
+        let w = x.mag.mul_u64(ctx.params.t).div_round(&ctx.q);
+        for (o, r) in out.iter_mut().zip(ctx.qb.rings()) {
+            o[c] = signed_residue(x.neg, &w, r.modulus());
+        }
     }
 
     /// Ciphertext multiplication without relinearization (result size 3,
@@ -893,7 +1024,39 @@ impl<'a> BfvEvaluator<'a> {
     /// the second forced-Coeff boundary: Eval-resident operands are
     /// converted down here, lazily, rather than eagerly at production.
     pub fn mul_no_relin(&self, a: &BfvCiphertext, b: &BfvCiphertext) -> BfvCiphertext {
-        self.mul_no_relin_lifted(&self.lift_for_mul(a), &self.lift_for_mul(b))
+        self.mul_no_relin_counted(a, b).0
+    }
+
+    /// [`mul_no_relin`](Self::mul_no_relin), also handing back how many of
+    /// its coefficient conversions (two lifts per operand part, two per
+    /// scale-down) fell into a guard band and went through big integers —
+    /// 0 on anything but constructed inputs; the served path drops it.
+    pub fn mul_no_relin_counted(
+        &self,
+        a: &BfvCiphertext,
+        b: &BfvCiphertext,
+    ) -> (BfvCiphertext, usize) {
+        self.mul_no_relin_via(a, b, false)
+    }
+
+    /// [`mul_no_relin`](Self::mul_no_relin) with **every** coefficient of
+    /// the lifts and scale-downs through big-integer CRT — the oracle of
+    /// the word-sized path (same tensor, same NTTs; only the conversions
+    /// differ). Test-only in spirit: ~6× the cost of the served path.
+    pub fn mul_no_relin_reference(&self, a: &BfvCiphertext, b: &BfvCiphertext) -> BfvCiphertext {
+        self.mul_no_relin_via(a, b, true).0
+    }
+
+    fn mul_no_relin_via(
+        &self,
+        a: &BfvCiphertext,
+        b: &BfvCiphertext,
+        reference: bool,
+    ) -> (BfvCiphertext, usize) {
+        let (la, big_a) = self.lift_via(a, reference);
+        let (lb, big_b) = self.lift_via(b, reference);
+        let (ct, big) = self.tensor_via(&la, &lb, reference);
+        (ct, big_a + big_b + big)
     }
 
     /// Lifts a size-2 ciphertext into the extended multiplication basis
@@ -907,19 +1070,25 @@ impl<'a> BfvEvaluator<'a> {
     ///
     /// Panics unless `ct` has exactly two components.
     pub fn lift_for_mul(&self, ct: &BfvCiphertext) -> TensorOperand {
+        self.lift_via(ct, false).0
+    }
+
+    fn lift_via(&self, ct: &BfvCiphertext, reference: bool) -> (TensorOperand, usize) {
         assert_eq!(ct.size(), 2, "operands must be size-2 ciphertexts");
         let ctx = self.ctx;
         lift_stats::record_computed();
+        let mut big = 0;
         let parts = ct
             .parts
             .iter()
             .map(|p| {
-                let mut lifted = self.lift_centered(&ctx.qb.poly_to_coeff(p));
+                let (mut lifted, b) = self.lift_centered(ctx.qb.poly_to_coeff(p), reference);
+                big += b;
                 ctx.mb.poly_to_eval_inplace(&mut lifted);
                 lifted
             })
             .collect();
-        TensorOperand { parts }
+        (TensorOperand { parts }, big)
     }
 
     /// The tensor step on pre-lifted operands (result size 3, coefficient
@@ -927,6 +1096,15 @@ impl<'a> BfvEvaluator<'a> {
     /// scale-down. No lifts, so repeated products against a cached
     /// [`TensorOperand`] pay zero forward NTTs on that operand.
     pub fn mul_no_relin_lifted(&self, a: &TensorOperand, b: &TensorOperand) -> BfvCiphertext {
+        self.tensor_via(a, b, false).0
+    }
+
+    fn tensor_via(
+        &self,
+        a: &TensorOperand,
+        b: &TensorOperand,
+        reference: bool,
+    ) -> (BfvCiphertext, usize) {
         op_stats::record_cmult();
         let ctx = self.ctx;
         let e0 = ctx.mb.mul_poly(&a.parts[0], &b.parts[0]);
@@ -934,13 +1112,16 @@ impl<'a> BfvEvaluator<'a> {
         ctx.mb
             .add_assign_poly(&mut e1, &ctx.mb.mul_poly(&a.parts[1], &b.parts[0]));
         let e2 = ctx.mb.mul_poly(&a.parts[1], &b.parts[1]);
-        BfvCiphertext {
-            parts: vec![
-                self.scale_to_q(&e0),
-                self.scale_to_q(&e1),
-                self.scale_to_q(&e2),
-            ],
-        }
+        let mut big = 0;
+        let parts = [e0, e1, e2]
+            .into_iter()
+            .map(|e| {
+                let (scaled, b) = self.scale_to_q(e, reference);
+                big += b;
+                scaled
+            })
+            .collect();
+        (BfvCiphertext { parts }, big)
     }
 
     /// Relinearizes a size-3 ciphertext back to size 2, preserving the
@@ -1301,6 +1482,36 @@ mod tests {
             ev.mul_no_relin(&ca, &ca).parts(),
             ev.mul_no_relin_lifted(&la, &la).parts()
         );
+    }
+
+    #[test]
+    fn scale_down_guard_band_coefficients_fall_back_and_still_match() {
+        // Tensor coefficients x with [t·x]_Q = ±⌊Q/2⌋ put the scale-down's
+        // remainder conversion inside its guard band: x = (v + m·Q)/t for
+        // the m that makes the division exact.
+        let (ctx, _sk, _s) = setup();
+        let ev = BfvEvaluator::new(&ctx);
+        let tm = Modulus::new(ctx.t());
+        let q_inv = tm.inv(ctx.q.rem_u64(ctx.t())).expect("Q coprime to t");
+        let planted: Vec<UBig> = [ctx.half_q.clone(), ctx.half_q.add_u64(1)]
+            .iter()
+            .map(|v| {
+                let m = tm.mul(tm.neg(v.rem_u64(ctx.t())), q_inv);
+                let (x, rem) = v.add(&ctx.q.mul_u64(m)).div_rem_u64(ctx.t());
+                assert_eq!(rem, 0);
+                x
+            })
+            .collect();
+        let mut coeffs: Vec<UBig> = (0..ctx.n() as u64)
+            .map(|i| ctx.delta.mul_u64(i * i + 1))
+            .collect();
+        coeffs[5] = planted[0].clone();
+        coeffs[90] = planted[1].clone();
+        let e = ctx.mb.poly_from_ubig(&coeffs);
+        let (fast, big) = ev.scale_to_q(e.clone(), false);
+        let (reference, all) = ev.scale_to_q(e, true);
+        assert_eq!(fast, reference);
+        assert_eq!((big, all), (planted.len(), ctx.n()));
     }
 
     #[test]

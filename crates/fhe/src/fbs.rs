@@ -10,10 +10,14 @@
 //!
 //! Interpolation cost: `O(t log t)` when `t − 1` is a power of two (a
 //! size-(t−1) Fermat-style NTT over `Z_t` — this covers the production
-//! `t = 65537`), with an `O(t²)` Lagrange fallback for other primes.
+//! `t = 65537`), with an `O(t²)` Lagrange fallback for other primes. A
+//! [`Lut`] is a plan constant, so it pays that cost once: [`Lut::coeffs`]
+//! memoises the polynomial, the plan compiler's dry run
+//! ([`expected_stats`]) warms it, and a served request never interpolates.
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 use athena_math::bsgs::{bsgs_polynomial_eval, BsgsSplit};
 use athena_math::modops::Modulus;
@@ -34,11 +38,23 @@ use crate::bfv::{BfvCiphertext, BfvContext, BfvEvaluator, RelinKey, TensorOperan
 /// assert_eq!(lut.get(3), 3);
 /// assert_eq!(lut.get(16), 0); // 16 ≡ -1
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Lut {
     t: u64,
     table: Vec<u64>,
+    /// The interpolated polynomial, computed on first use.
+    coeffs: OnceLock<Vec<u64>>,
 }
+
+/// Equality is over what defines the LUT, `(t, table)`: a LUT whose
+/// polynomial has been memoised equals one that has not interpolated yet.
+impl PartialEq for Lut {
+    fn eq(&self, other: &Self) -> bool {
+        (self.t, &self.table) == (other.t, &other.table)
+    }
+}
+
+impl Eq for Lut {}
 
 impl Lut {
     /// Builds a LUT from explicit entries (reduced mod `t`).
@@ -50,7 +66,11 @@ impl Lut {
         assert!(is_prime(t), "FBS requires a prime plaintext modulus");
         assert_eq!(table.len(), t as usize, "LUT must have t entries");
         let table = table.into_iter().map(|v| v % t).collect();
-        Self { t, table }
+        Self {
+            t,
+            table,
+            coeffs: OnceLock::new(),
+        }
     }
 
     /// Builds a LUT from a function on raw residues `[0, t)`.
@@ -86,8 +106,23 @@ impl Lut {
         &self.table
     }
 
+    /// The interpolated polynomial `c_0..c_{t−1}` ([`interpolate`]d on the
+    /// first call, memoised for the life of this `Lut` and of its clones).
+    ///
+    /// [`interpolate`]: Self::interpolate
+    pub fn coeffs(&self) -> &[u64] {
+        self.coeffs.get_or_init(|| self.interpolate())
+    }
+
+    /// Whether [`coeffs`](Self::coeffs) is already memoised — true for every
+    /// LUT of a compiled plan, so a request never interpolates.
+    pub fn is_interpolated(&self) -> bool {
+        self.coeffs.get().is_some()
+    }
+
     /// Interpolates the LUT into polynomial coefficients `c_0..c_{t−1}`
-    /// with `Σ c_i x^i ≡ LUT(x) (mod t)` for all `x` (Eq. 3).
+    /// with `Σ c_i x^i ≡ LUT(x) (mod t)` for all `x` (Eq. 3). Always
+    /// recomputes; [`coeffs`](Self::coeffs) is the memoised form.
     pub fn interpolate(&self) -> Vec<u64> {
         if (self.t - 1).is_power_of_two() && self.t > 3 {
             self.interpolate_ntt()
@@ -183,14 +218,14 @@ pub fn fbs_apply(
     rlk: &RelinKey,
 ) -> (BfvCiphertext, FbsStats) {
     assert_eq!(lut.t(), ctx.t(), "LUT modulus must match context t");
-    let coeffs = lut.interpolate();
-    fbs_apply_interpolated(ctx, ct, &coeffs, rlk)
+    fbs_apply_interpolated(ctx, ct, lut.coeffs(), rlk)
 }
 
 /// Evaluates a batch of independent FBS over the same LUT: the LUT is
-/// interpolated once, then the per-ciphertext BSGS evaluations run on the
-/// parallel layer (they are fully independent — this is the loop the paper's
-/// FRU array spreads across hardware units). Results are in input order and
+/// interpolated at most once (not at all when it comes out of a compiled
+/// plan), then the per-ciphertext BSGS evaluations run on the parallel
+/// layer (they are fully independent — this is the loop the paper's FRU
+/// array spreads across hardware units). Results are in input order and
 /// bit-identical for any thread count.
 ///
 /// # Panics
@@ -203,8 +238,8 @@ pub fn fbs_apply_batch(
     rlk: &RelinKey,
 ) -> Vec<(BfvCiphertext, FbsStats)> {
     assert_eq!(lut.t(), ctx.t(), "LUT modulus must match context t");
-    let coeffs = lut.interpolate();
-    athena_math::par::parallel_map(cts, |ct| fbs_apply_interpolated(ctx, ct, &coeffs, rlk))
+    let coeffs = lut.coeffs();
+    athena_math::par::parallel_map(cts, |ct| fbs_apply_interpolated(ctx, ct, coeffs, rlk))
 }
 
 /// A BSGS operand carrying a shared, lazily computed tensor-basis lift.
@@ -251,22 +286,25 @@ fn fbs_apply_interpolated(
     // Eval-resident input (e.g. fresh out of packing) is normalized to
     // coefficient form once here instead of inside every product.
     let ct = FbsOperand::new(ct.to_coeff(ctx));
-    let mut stats = FbsStats::default();
+    let tally = Tally::default();
     let result = {
         let mut mul = |a: &FbsOperand, b: &FbsOperand| {
-            stats.cmult += 1;
+            tally.mul();
             let tensored = ev.mul_no_relin_lifted(a.tensor(&ev), b.tensor(&ev));
             FbsOperand::new(ev.relinearize(&tensored, rlk))
         };
-        let mut smul = |a: &FbsOperand, c: u64| {
-            stats.smult += 1;
-            FbsOperand::new(ev.mul_scalar(&a.ct, c))
+        // A block's inner sum is one in-place MAC writing one ciphertext,
+        // tallied as the per-term SMult/HAdd chain it stands for.
+        let mut lincomb = |xs: &[FbsOperand], cs: &[u64]| {
+            tally.lincomb(cs);
+            ev.linear_combination(xs.iter().map(|x| &x.ct).zip(cs.iter().copied()))
+                .map(FbsOperand::new)
         };
         let mut add = |a: &FbsOperand, b: &FbsOperand| {
-            stats.hadd += 1;
+            tally.add();
             FbsOperand::new(ev.add(&a.ct, &b.ct))
         };
-        bsgs_polynomial_eval(coeffs, &ct, &mut mul, &mut smul, &mut add)
+        bsgs_polynomial_eval(coeffs, &ct, &mut mul, &mut lincomb, &mut add)
     };
     // Add the constant term c_0 = LUT(0) in plaintext (all slots).
     let constant = ctx.encoder().encode(&vec![coeffs[0] % ctx.t(); ctx.n()]);
@@ -274,7 +312,44 @@ fn fbs_apply_interpolated(
         Some(r) => ev.add_plain(&r.ct, &constant),
         None => BfvCiphertext::trivial(ctx, &constant),
     };
-    (out, stats)
+    (out, tally.stats())
+}
+
+/// The logical op tally of Alg. 2's schedule, shared by the ciphertext
+/// run and the [`expected_stats`] dry run so the two cannot count by
+/// different rules: a block inner sum is one SMult per evaluated (non-zero)
+/// term and one HAdd between terms, however the algebra fuses it.
+#[derive(Default)]
+struct Tally {
+    cmult: Cell<usize>,
+    smult: Cell<usize>,
+    hadd: Cell<usize>,
+}
+
+impl Tally {
+    fn mul(&self) {
+        self.cmult.set(self.cmult.get() + 1);
+    }
+
+    /// Tallies a block inner sum; returns how many terms it evaluates.
+    fn lincomb(&self, cs: &[u64]) -> usize {
+        let terms = cs.iter().filter(|&&c| c != 0).count();
+        self.smult.set(self.smult.get() + terms);
+        self.hadd.set(self.hadd.get() + terms.saturating_sub(1));
+        terms
+    }
+
+    fn add(&self) {
+        self.hadd.set(self.hadd.get() + 1);
+    }
+
+    fn stats(&self) -> FbsStats {
+        FbsStats {
+            cmult: self.cmult.get(),
+            smult: self.smult.get(),
+            hadd: self.hadd.get(),
+        }
+    }
 }
 
 /// Expected BSGS split for a LUT of size `t` (Alg. 2's `bs`/`gs`).
@@ -290,27 +365,28 @@ pub fn fbs_split(t: u64) -> BsgsSplit {
 /// The returned stats mirror the [`FbsStats`] of the real call; the final
 /// plaintext constant add (`c_0`) is *not* included, matching the real
 /// path's accounting (it shows up as one extra measured HAdd).
+///
+/// Reads — and on a cold `Lut`, fills — the memoised polynomial, so the
+/// plan compiler's dry run over a step's own `Lut` is what spares every
+/// later request the interpolation.
 pub fn expected_stats(lut: &Lut) -> FbsStats {
-    let coeffs = lut.interpolate();
     #[derive(Clone)]
     struct Unit;
-    let mut stats = FbsStats::default();
-    {
-        let mut mul = |_: &Unit, _: &Unit| {
-            stats.cmult += 1;
+    let tally = Tally::default();
+    let _ = bsgs_polynomial_eval(
+        lut.coeffs(),
+        &Unit,
+        &mut |_: &Unit, _: &Unit| {
+            tally.mul();
             Unit
-        };
-        let mut smul = |_: &Unit, _: u64| {
-            stats.smult += 1;
+        },
+        &mut |_: &[Unit], cs: &[u64]| (tally.lincomb(cs) > 0).then_some(Unit),
+        &mut |_: &Unit, _: &Unit| {
+            tally.add();
             Unit
-        };
-        let mut add = |_: &Unit, _: &Unit| {
-            stats.hadd += 1;
-            Unit
-        };
-        let _ = bsgs_polynomial_eval(&coeffs, &Unit, &mut mul, &mut smul, &mut add);
-    }
-    stats
+        },
+    );
+    tally.stats()
 }
 
 #[cfg(test)]
@@ -327,6 +403,22 @@ mod tests {
         assert_eq!(lut.table(), &[0, 1, 2, 0, 0]);
         let coeffs = lut.interpolate();
         assert_eq!(coeffs, vec![0, 3, 1, 0, 2]);
+    }
+
+    #[test]
+    fn memoised_polynomial_is_the_interpolation_and_does_not_affect_equality() {
+        let cold = Lut::from_signed_fn(257, |x| x.max(0));
+        let warm = cold.clone();
+        assert!(!warm.is_interpolated());
+        assert_eq!(warm.coeffs(), &cold.interpolate()[..]);
+        assert!(warm.is_interpolated() && !cold.is_interpolated());
+        // A warmed LUT still equals a cold one; its clones stay warm; the
+        // dry run is what warms a plan's LUT.
+        assert_eq!(warm, cold);
+        assert!(warm.clone().is_interpolated());
+        assert_ne!(warm, Lut::from_signed_fn(257, |x| x.min(0)));
+        expected_stats(&cold);
+        assert!(cold.is_interpolated());
     }
 
     #[test]

@@ -35,13 +35,18 @@
 //!
 //! # Capacity and leases
 //!
-//! Each shard retains at most `BASE_SHARD_CAP` bytes plus its share of the
-//! process-wide [`ArenaLease`] reservation; buffers released above the cap
-//! are freed (counted by `alloc_stats::freed_count`). A long-lived owner
-//! with a known working set — the plan cache entry of an
-//! `InferenceSession` — holds a lease sized from its compiled plan, so the
-//! pool keeps that working set resident exactly as long as the plan is
-//! cached and trims back when the entry is evicted.
+//! The pool as a whole — all shards together — retains at most `BASE_CAP`
+//! bytes plus the process-wide [`ArenaLease`] reservation; buffers
+//! released above the cap are freed (counted by
+//! `alloc_stats::freed_count`). The bound is global, not per shard,
+//! because `par` spawns fresh OS threads per region and each takes the
+//! next shard round-robin: a batch run walks all the shards, and a
+//! per-shard cap let retention (hence peak RSS) grow with the number of
+//! batches served until every shard had filled. A long-lived owner with a
+//! known working set — the plan cache entry of an `InferenceSession` —
+//! holds a lease sized from its compiled plan, so the pool keeps that
+//! working set resident exactly as long as the plan is cached and trims
+//! back when the entry is evicted.
 //!
 //! # Quarantine (panic safety)
 //!
@@ -73,9 +78,9 @@ use crate::stats::alloc_stats;
 /// with up to this many workers get contention-free checkout.
 pub const N_SHARDS: usize = 8;
 
-/// Bytes each shard retains with no lease outstanding (so short-lived
+/// Bytes the pool retains with no lease outstanding (so short-lived
 /// usage — tests, one-shot tools — still gets recycling without a lease).
-const BASE_SHARD_CAP: usize = 4 * 1024 * 1024;
+const BASE_CAP: usize = 4 * 1024 * 1024;
 
 /// One pool shard: buffers bucketed by exact length.
 struct Shard {
@@ -93,6 +98,13 @@ impl Shard {
 }
 
 static SHARDS: [Mutex<Shard>; N_SHARDS] = [const { Mutex::new(Shard::new()) }; N_SHARDS];
+
+/// Bytes retained across all shards (the sum of every `Shard::bytes`),
+/// kept beside the shard maps so the retention cap can be global without
+/// a sweep over the shard locks on every release. `Relaxed` throughout: it
+/// is a byte count that publishes no other data — the buffers themselves
+/// only ever change hands under a shard mutex.
+static POOLED: AtomicUsize = AtomicUsize::new(0);
 
 /// Round-robin shard assignment for new threads.
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
@@ -124,10 +136,21 @@ fn my_shard() -> usize {
     SHARD_IDX.try_with(|&i| i).unwrap_or(0)
 }
 
-/// Per-shard retention cap: the base cap plus this shard's share of the
-/// lease reservation.
-fn shard_cap() -> usize {
-    BASE_SHARD_CAP + RESERVED.load(Ordering::Relaxed) / N_SHARDS
+/// The pool-wide retention cap in force: the base cap plus every live
+/// [`ArenaLease`]. [`pooled_bytes`] never exceeds it, whichever shards the
+/// releasing threads were assigned.
+pub fn retention_cap() -> usize {
+    BASE_CAP + RESERVED.load(Ordering::Relaxed)
+}
+
+/// Empties a shard, keeping the pool-wide byte count in step; returns how
+/// many buffers were dropped.
+fn flush(shard: &mut Shard) -> usize {
+    let dropped = shard.buckets.values().map(Vec::len).sum();
+    shard.buckets.clear();
+    POOLED.fetch_sub(shard.bytes, Ordering::Relaxed);
+    shard.bytes = 0;
+    dropped
 }
 
 /// Enables (`Some(sentinel)`) or disables (`None`) poison-on-checkout.
@@ -167,13 +190,9 @@ fn lock_shard(idx: usize) -> std::sync::MutexGuard<'static, Shard> {
         Ok(guard) => guard,
         Err(poisoned) => {
             let mut guard = poisoned.into_inner();
-            for bucket in guard.buckets.values() {
-                for _ in bucket {
-                    alloc_stats::record_freed();
-                }
+            for _ in 0..flush(&mut guard) {
+                alloc_stats::record_freed();
             }
-            guard.buckets.clear();
-            guard.bytes = 0;
             SHARDS[idx].clear_poison();
             POISON_RECOVERED.fetch_add(1, Ordering::Relaxed);
             guard
@@ -181,7 +200,8 @@ fn lock_shard(idx: usize) -> std::sync::MutexGuard<'static, Shard> {
     }
 }
 
-/// Total bytes currently retained across all shards.
+/// Total bytes currently retained across all shards (locks every shard,
+/// so a poisoned one is recovered on the way).
 pub fn pooled_bytes() -> usize {
     (0..N_SHARDS).map(|i| lock_shard(i).bytes).sum()
 }
@@ -224,15 +244,11 @@ pub fn quarantine() -> QuarantineReport {
     let generation = GENERATION.fetch_add(1, Ordering::Relaxed) + 1;
     let mut freed = 0usize;
     for i in 0..N_SHARDS {
-        let mut shard = lock_shard(i);
-        for bucket in shard.buckets.values() {
-            freed += bucket.len();
-            for _ in bucket {
-                alloc_stats::record_freed();
-            }
+        let dropped = flush(&mut lock_shard(i));
+        for _ in 0..dropped {
+            alloc_stats::record_freed();
         }
-        shard.buckets.clear();
-        shard.bytes = 0;
+        freed += dropped;
     }
     QuarantineReport { generation, freed }
 }
@@ -240,9 +256,7 @@ pub fn quarantine() -> QuarantineReport {
 /// Drops every retained buffer (test hook for measuring cold starts).
 pub fn clear() {
     for i in 0..N_SHARDS {
-        let mut shard = lock_shard(i);
-        shard.buckets.clear();
-        shard.bytes = 0;
+        flush(&mut lock_shard(i));
     }
 }
 
@@ -269,6 +283,7 @@ fn take(len: usize) -> Vec<u64> {
         if let Some(bucket) = shard.buckets.get_mut(&len) {
             if let Some(buf) = bucket.pop() {
                 shard.bytes -= len * 8;
+                POOLED.fetch_sub(len * 8, Ordering::Relaxed);
                 debug_assert_eq!(buf.len(), len);
                 return buf;
             }
@@ -278,7 +293,7 @@ fn take(len: usize) -> Vec<u64> {
     vec![0u64; len]
 }
 
-/// Returns a buffer to the caller's home shard, or frees it if the shard
+/// Returns a buffer to the caller's home shard, or frees it if the pool
 /// is at its retention cap — or if the buffer was checked out before the
 /// last [`quarantine`] (its contents are suspect; drop, don't recycle).
 fn recycle(buf: Vec<u64>, checkout_generation: u64) {
@@ -291,22 +306,26 @@ fn recycle(buf: Vec<u64>, checkout_generation: u64) {
         return;
     }
     let bytes = len * 8;
-    let mut shard = lock_shard(my_shard());
-    if shard.bytes + bytes > shard_cap() {
+    // Claim the room first, so concurrent releases into different shards
+    // cannot overshoot the cap together.
+    if POOLED.fetch_add(bytes, Ordering::Relaxed) + bytes > retention_cap() {
+        POOLED.fetch_sub(bytes, Ordering::Relaxed);
         alloc_stats::record_freed();
         return;
     }
+    let mut shard = lock_shard(my_shard());
     shard.bytes += bytes;
     shard.buckets.entry(len).or_default().push(buf);
     alloc_stats::record_recycle();
 }
 
-/// Trims every shard down to the current cap (called when a lease drops).
+/// Trims the pool down to the current cap, shard by shard (called when a
+/// lease drops).
 fn trim_to_cap() {
-    let cap = shard_cap();
+    let cap = retention_cap();
     for i in 0..N_SHARDS {
         let mut shard = lock_shard(i);
-        while shard.bytes > cap {
+        while POOLED.load(Ordering::Relaxed) > cap {
             // Drop from the largest bucket first: big buffers free the
             // most memory per pop and are the least likely to be general.
             let Some((&len, _)) = shard.buckets.iter().next_back() else {
@@ -316,6 +335,7 @@ fn trim_to_cap() {
             let (popped, empty) = (bucket.pop().is_some(), bucket.is_empty());
             if popped {
                 shard.bytes -= len * 8;
+                POOLED.fetch_sub(len * 8, Ordering::Relaxed);
                 alloc_stats::record_freed();
             }
             if empty {
@@ -384,6 +404,12 @@ impl LimbVec {
             inner.fill(p);
         }
         Self::wrap(inner)
+    }
+
+    /// Checks out `count` [`take_raw`](Self::take_raw) buffers (the output
+    /// limbs of a conversion or accumulation kernel).
+    pub fn take_raw_many(count: usize, len: usize) -> Vec<Self> {
+        (0..count).map(|_| Self::take_raw(len)).collect()
     }
 
     /// Checks out a zero-filled buffer.

@@ -79,9 +79,14 @@ impl BsgsSplit {
 /// baby powers `x^1..x^baby` are combined with scalar multiplications, giant
 /// powers `x^(baby·k)` with full multiplications.
 ///
-/// `mul` is the expensive ciphertext×ciphertext product; `smul` multiplies by
-/// a scalar coefficient; `add` sums. Returns `None` when all coefficients are
-/// zero.
+/// `mul` is the expensive ciphertext×ciphertext product. `lincomb(xs, cs)`
+/// is one block's whole inner sum `Σ_k cs[k]·xs[k]` over the **non-zero**
+/// `cs[k]` — logically one scalar multiplication per term and one addition
+/// between terms, handed over as a single call so the algebra can run it
+/// as one in-place multiply–accumulate (the FRU's modular-MAC datapath,
+/// §4.2) instead of materialising every term; it returns `None` when
+/// every `cs[k]` is zero. `add` sums two block results. Returns `None`
+/// when all coefficients are zero.
 ///
 /// The closure design lets the exact same schedule drive (a) real BFV
 /// ciphertexts, (b) plain modular integers in tests, and (c) the
@@ -90,7 +95,7 @@ pub fn bsgs_polynomial_eval<T: Clone>(
     coeffs: &[u64],
     x: &T,
     mul: &mut impl FnMut(&T, &T) -> T,
-    smul: &mut impl FnMut(&T, u64) -> T,
+    lincomb: &mut impl FnMut(&[T], &[u64]) -> Option<T>,
     add: &mut impl FnMut(&T, &T) -> T,
 ) -> Option<T> {
     // Highest non-constant coefficient actually present.
@@ -131,17 +136,7 @@ pub fn bsgs_polynomial_eval<T: Clone>(
         }
         let end = (start + bs).min(max_idx + 1);
         // inner = Σ_{k=1..bs-1} c_{start+k} · x^k  (local-degree >= 1 part)
-        let mut inner: Option<T> = None;
-        for (k, &c) in coeffs[start..end].iter().enumerate().skip(1) {
-            if c == 0 {
-                continue;
-            }
-            let t = smul(&powers[k - 1], c);
-            inner = Some(match inner {
-                None => t,
-                Some(acc) => add(&acc, &t),
-            });
-        }
+        let inner = lincomb(&powers[..end - start - 1], &coeffs[start + 1..end]);
         // Block contribution: inner · x^{start}, plus the boundary term
         // c_{start} · x^{start}. For g == 0 the boundary term is the
         // constant c_0, which FBS adds in plaintext, so it is skipped here.
@@ -150,12 +145,13 @@ pub fn bsgs_polynomial_eval<T: Clone>(
             Some(inn) => Some(mul(&inn, &giants[g - 1])),
             None => None,
         };
-        if coeffs[start] != 0 && start != 0 {
-            let t = smul(&giants[g - 1], coeffs[start]);
-            block = Some(match block {
-                None => t,
-                Some(acc) => add(&acc, &t),
-            });
+        if start != 0 {
+            if let Some(t) = lincomb(&giants[g - 1..g], &coeffs[start..=start]) {
+                block = Some(match block {
+                    None => t,
+                    Some(acc) => add(&acc, &t),
+                });
+            }
         }
         if let Some(bc) = block {
             result = Some(match result {
@@ -165,6 +161,28 @@ pub fn bsgs_polynomial_eval<T: Clone>(
         }
     }
     result
+}
+
+/// The reference `lincomb` of [`bsgs_polynomial_eval`], term by term:
+/// `Σ_k cs[k]·xs[k]` over the non-zero `cs[k]` from a scalar
+/// multiplication and an addition — what an algebra without a fused
+/// multiply–accumulate plugs in, and the chain a fused one is tested
+/// against.
+pub fn lincomb_by_terms<T>(
+    xs: &[T],
+    cs: &[u64],
+    mut smul: impl FnMut(&T, u64) -> T,
+    mut add: impl FnMut(&T, &T) -> T,
+) -> Option<T> {
+    let mut acc: Option<T> = None;
+    for (x, &c) in xs.iter().zip(cs).filter(|&(_, &c)| c != 0) {
+        let t = smul(x, c);
+        acc = Some(match acc {
+            None => t,
+            Some(a) => add(&a, &t),
+        });
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -252,7 +270,9 @@ mod tests {
                     muls += 1;
                     q.mul(*a, *b)
                 },
-                &mut |a: &u64, c: u64| q.mul(*a, c % 65537),
+                &mut |xs: &[u64], cs: &[u64]| {
+                    lincomb_by_terms(xs, cs, |a, c| q.mul(*a, c % 65537), |a, b| q.add(*a, *b))
+                },
                 &mut |a: &u64, b: &u64| q.add(*a, *b),
             );
             let want_nonconst = {
@@ -282,7 +302,9 @@ mod tests {
             &[5, 0, 0, 0],
             &3u64,
             &mut |a: &u64, b: &u64| q.mul(*a, *b),
-            &mut |a: &u64, c: u64| q.mul(*a, c),
+            &mut |xs: &[u64], cs: &[u64]| {
+                lincomb_by_terms(xs, cs, |a, c| q.mul(*a, c), |a, b| q.add(*a, *b))
+            },
             &mut |a: &u64, b: &u64| q.add(*a, *b),
         );
         // Constant term is the caller's responsibility (it is added in

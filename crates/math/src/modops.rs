@@ -210,6 +210,20 @@ impl Modulus {
     }
 }
 
+/// How many products `a·b` (`a < 2^a_bits`, `b < 2^b_bits`) a `u128` lane
+/// can absorb on top of an already reduced word before it must be reduced
+/// again — the headroom rule of every lazy multiply–accumulate in the
+/// workspace (base conversion, the FBS inner sum). The reduced carry is
+/// below one product, so `2^(128 − a_bits − b_bits) − 1` products plus the
+/// carry stay below `2^128`: a whole 257-term block at 50-bit limbs, 255
+/// terms at the production 60 bits, 15 at the 62-bit ceiling. The test
+/// profile's overflow checks are the guard on this rule.
+pub fn lazy_mac_terms(a_bits: u32, b_bits: u32) -> usize {
+    let spare = 128u32.saturating_sub(a_bits + b_bits);
+    assert!(spare >= 1, "operands too wide for a u128 lane");
+    (1usize << spare.min(usize::BITS - 2)) - 1
+}
+
 impl std::fmt::Display for Modulus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.value)

@@ -25,6 +25,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Process-wide thread-count override set by [`set_threads`]
 /// (0 means "not set").
@@ -33,19 +34,24 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// The worker count used by the `parallel_*` entry points, resolved in
 /// priority order: [`set_threads`] override, then the `ATHENA_THREADS`
 /// environment variable, then [`std::thread::available_parallelism`].
+///
+/// The environment/hardware default is resolved **once** per process:
+/// this is called per limb-level op (through [`threads_for`]), and an
+/// environment lookup plus an affinity syscall and cgroup reads on every
+/// call used to cost more than the op it scheduled.
 pub fn num_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
     let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;
     }
-    if let Ok(v) = std::env::var("ATHENA_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    *DEFAULT.get_or_init(|| {
+        std::env::var("ATHENA_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
 /// Forces the worker count for the whole process (`0` clears the override

@@ -68,12 +68,106 @@ pub fn ntt_primes(bits: u32, n: usize, count: usize) -> Vec<u64> {
     out
 }
 
-/// Factorizes a `u64` by trial division + Pollard-free simple sieve (the
-/// group orders factored here are tiny: `q - 1` for moduli up to 62 bits,
-/// dominated by small factors and at most one large prime cofactor found by
-/// trial division up to 2^21; falls back to treating the cofactor as prime
-/// if it is).
+/// Trial divisors tried before handing the cofactor to Pollard–Brent.
+const TRIAL_BOUND: u64 = 256;
+
+/// The distinct prime factors of `n < 2^62`, ascending.
+///
+/// The orders factored here are `q − 1` for NTT primes: a power of two,
+/// a few small primes and usually one large prime cofactor. Small factors
+/// come out by trial division, which stops the moment the remaining
+/// cofactor is prime (the common case — walking divisors up to `2^21`
+/// for every limb prime used to be 40 % of context set-up); a composite
+/// cofactor is split by a deterministic Pollard–Brent rho. Only the
+/// factor *set* matters to [`primitive_root`], so the least generator —
+/// and with it every NTT table — is what trial division alone produced.
 fn factorize(mut n: u64) -> Vec<u64> {
+    let mut fs = Vec::new();
+    let mut d = 2u64;
+    let mut done = is_prime(n);
+    while !done && d < TRIAL_BOUND && d * d <= n {
+        if n.is_multiple_of(d) {
+            fs.push(d);
+            while n.is_multiple_of(d) {
+                n /= d;
+            }
+            done = is_prime(n);
+        }
+        d += 1;
+    }
+    // What is left has no factor below `d`: 1, a prime, or a product of
+    // large primes for the rho to split.
+    let mut pending = vec![n];
+    while let Some(m) = pending.pop() {
+        if m == 1 {
+            continue;
+        }
+        if is_prime(m) {
+            fs.push(m);
+        } else {
+            let f = rho_factor(m);
+            pending.extend([f, m / f]);
+        }
+    }
+    fs.sort_unstable();
+    fs.dedup();
+    fs
+}
+
+/// A non-trivial factor of the odd composite `n` by Pollard's rho with
+/// Brent's cycle detection and batched gcds. Deterministic: the walk
+/// `x → x² + c` starts at 2 with `c = 1` and retries with the next `c`
+/// on the (rare) cycle that collapses all factors at once.
+fn rho_factor(n: u64) -> u64 {
+    fn gcd(mut a: u64, mut b: u64) -> u64 {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    }
+    const BATCH: u64 = 128;
+    let m = Modulus::new(n);
+    for c in 1..n {
+        let step = |x: u64| m.add(m.mul(x, x), c);
+        let (mut x, mut y, mut saved) = (2u64, 2u64, 2u64);
+        let (mut g, mut run) = (1u64, 1u64);
+        while g == 1 {
+            x = y;
+            for _ in 0..run {
+                y = step(y);
+            }
+            let mut done = 0;
+            while done < run && g == 1 {
+                saved = y;
+                let mut prod = 1u64;
+                for _ in 0..BATCH.min(run - done) {
+                    y = step(y);
+                    prod = m.mul(prod, x.abs_diff(y));
+                }
+                g = gcd(prod, n);
+                done += BATCH;
+            }
+            run *= 2;
+        }
+        if g == n {
+            // The batch product hit 0 mod n: replay it one step at a time.
+            g = 1;
+            while g == 1 {
+                saved = step(saved);
+                g = gcd(x.abs_diff(saved), n);
+            }
+        }
+        if g != n {
+            return g;
+        }
+    }
+    unreachable!("rho_factor is only called on composites")
+}
+
+/// The previous `factorize` — trial division to `2^21`, then on — kept as
+/// the independent oracle of the test below.
+#[cfg(test)]
+fn factorize_by_trial_division(mut n: u64) -> Vec<u64> {
     let mut fs = Vec::new();
     let mut d = 2u64;
     while d * d <= n && d < (1 << 21) {
@@ -193,6 +287,36 @@ mod tests {
                 assert_ne!(m.pow(g, (q - 1) / f), 1);
             }
         }
+    }
+
+    #[test]
+    fn factorize_matches_the_trial_division_oracle_on_every_limb_order() {
+        // Same factor set => same least generator, ψ and NTT tables.
+        for bits in [30u32, 50, 55, 60] {
+            for n in [64usize, 128, 1 << 15] {
+                for q in ntt_primes(bits, n, 16) {
+                    assert_eq!(
+                        factorize(q - 1),
+                        factorize_by_trial_division(q - 1),
+                        "q = {q} ({bits} bits, n = {n})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn factorize_splits_stubborn_cofactors() {
+        // Two large primes (no factor for trial division to find), a
+        // prime square, and a three-way product.
+        let (p, q, r) = (1_000_003u64, 998_244_353, 4_294_967_311);
+        assert_eq!(factorize(p * q), vec![p, q]);
+        assert_eq!(factorize(p * p), vec![p]);
+        assert_eq!(factorize(2 * 3 * p * r), vec![2, 3, p, r]);
+        assert_eq!(factorize(q * r), vec![q, r]);
+        assert_eq!(factorize(1), Vec::<u64>::new());
+        assert_eq!(factorize(2), vec![2]);
+        assert_eq!(factorize(1 << 40), vec![2]);
     }
 
     #[test]

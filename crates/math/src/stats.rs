@@ -331,6 +331,14 @@ pub mod op_stats {
             HADD.fetch_add(1, Ordering::Relaxed);
         }
 
+        /// Bulk tally of a fused multiply–accumulate: `smults` logical
+        /// SMults and `hadds` logical HAdds it stands for.
+        #[inline]
+        pub fn record_lincomb(smults: u64, hadds: u64) {
+            SMULT.fetch_add(smults, Ordering::Relaxed);
+            HADD.fetch_add(hadds, Ordering::Relaxed);
+        }
+
         #[inline]
         pub fn record_hrot() {
             HROT.fetch_add(1, Ordering::Relaxed);
@@ -370,6 +378,8 @@ pub mod op_stats {
         #[inline]
         pub fn record_hadd() {}
         #[inline]
+        pub fn record_lincomb(_smults: u64, _hadds: u64) {}
+        #[inline]
         pub fn record_hrot() {}
         #[inline]
         pub fn record_sample_extract() {}
@@ -381,7 +391,7 @@ pub mod op_stats {
     }
 
     pub use imp::{
-        record_cmult, record_hadd, record_hrot, record_mod_switch, record_pmult,
+        record_cmult, record_hadd, record_hrot, record_lincomb, record_mod_switch, record_pmult,
         record_sample_extract, record_smult,
     };
 
