@@ -5,8 +5,10 @@
 //! Run once before the Eval-resident refactor to record the baseline
 //! (`reports/domain_ntt_baseline.txt`), and after it to produce
 //! `reports/domain_ntt.txt` with before/after deltas; counting uses the
-//! `op-stats` feature of `athena-math` (relaxed atomics, process-global, so
-//! the bench forces a single worker while counting).
+//! `op-stats` feature of `athena-math`. A `measure` counts exactly the call
+//! tree it wraps, parallel workers included, so the counts do not depend on
+//! the worker count; the bench still counts on one worker, as the report's
+//! header line states.
 
 use std::time::Duration;
 

@@ -338,24 +338,21 @@ impl AthenaEngine {
     /// method. Exact for uniformly random LWE masks (an all-zero mask
     /// column/diagonal is skipped at run time with probability ≈ `t^-slots`
     /// — negligible).
-    pub fn pack_expected_op_counts(
-        &self,
-        nontrivial: usize,
-    ) -> athena_math::stats::op_stats::HomOpCounts {
-        use athena_math::stats::op_stats::HomOpCounts;
+    pub fn pack_expected_op_counts(&self, nontrivial: usize) -> crate::trace::OpCounts {
+        use crate::trace::OpCounts;
         let lwe_n = self.ctx.params().lwe_n;
         match self.packing {
             PackingMethod::Column => {
                 if nontrivial == 0 {
-                    HomOpCounts {
+                    OpCounts {
                         hadd: 1,
-                        ..HomOpCounts::default()
+                        ..OpCounts::default()
                     }
                 } else {
-                    HomOpCounts {
+                    OpCounts {
                         pmult: lwe_n as u64,
                         hadd: lwe_n as u64 + 1,
-                        ..HomOpCounts::default()
+                        ..OpCounts::default()
                     }
                 }
             }

@@ -442,9 +442,8 @@ impl PlanBackend for CountingBackend<'_> {
 
     fn pack(&mut self, slots: &[Option<()>]) {
         let nontrivial = slots.iter().filter(|s| s.is_some()).count();
-        self.counts.add(&super::counts_from_hom(
-            &self.engine.pack_expected_op_counts(nontrivial),
-        ));
+        self.counts
+            .add(&self.engine.pack_expected_op_counts(nontrivial));
     }
 
     fn fbs(&mut self, _packed: &(), lut: &Lut, slots: &[Option<()>]) {
@@ -453,9 +452,7 @@ impl PlanBackend for CountingBackend<'_> {
     }
 
     fn s2c(&mut self, _ct: &()) {
-        self.counts.add(&super::counts_from_hom(
-            &self.engine.slot_to_coeff().op_counts(),
-        ));
+        self.counts.add(&self.engine.slot_to_coeff().op_counts());
     }
 
     fn output(&mut self, acc: &[()], _scale: f64) -> Vec<f64> {

@@ -41,7 +41,7 @@ use athena_fhe::fbs::Lut;
 use athena_fhe::FheError;
 use athena_math::arena;
 use athena_math::sampler::Sampler;
-use athena_math::stats::{alloc_stats, op_stats};
+use athena_math::stats::{self, alloc_stats};
 use athena_nn::tensor::ITensor;
 
 use crate::pipeline::{AthenaEngine, AthenaEvalKeys, AthenaSecrets, PipelineStats};
@@ -51,7 +51,7 @@ use crate::trace::{OpCounts, Phase};
 use super::backend::{CountingBackend, EncryptedBackend, NoiseSimBackend, PlanBackend};
 use super::error::{panic_text, AthenaError, RunPolicy};
 use super::fault::{FaultInjectingBackend, FaultKind, FaultPlan};
-use super::ir::{counts_from_hom, ExecutionPlan, StepOp};
+use super::ir::{ExecutionPlan, StepOp};
 
 /// The measured record of one executed step.
 #[derive(Debug, Clone)]
@@ -66,12 +66,13 @@ pub struct StepReport {
     pub phase: Phase,
     /// Compile-time analytic counts.
     pub analytic: OpCounts,
-    /// Counter-measured counts (zero when the `op-stats` feature is off,
-    /// and attributable only when no other thread drives the engine
-    /// concurrently — the counters are process-global).
+    /// Counter-measured counts of exactly this step's work — its own
+    /// thread and the `par` workers it spawned, never a request running
+    /// concurrently on another thread (zero when the `op-stats` feature is
+    /// off).
     pub measured: OpCounts,
-    /// Arena limb-buffer allocation counts of the step (zero when the
-    /// `alloc-stats` feature is off; process-global, like `measured`).
+    /// Arena limb-buffer allocation counts of the step, scoped like
+    /// `measured` (zero when the `alloc-stats` feature is off).
     /// `takes` and the drop total are schedule-independent; the
     /// `fresh`/pooled split of a *cold* step depends on thread
     /// interleaving, so only the warm-pool invariant `fresh == 0` is
@@ -474,8 +475,8 @@ pub(crate) struct Driven {
 /// * the encryption and every step run inside `catch_unwind`, with the
 ///   scratch arena quarantined before the payload is classified;
 /// * the policy's cooperative deadline is checked before each step;
-/// * `op-stats` / `alloc-stats` brackets fill [`StepReport::measured`] and
-///   [`StepReport::alloc`];
+/// * one [`stats::measure`] bracket per step fills
+///   [`StepReport::measured`] and [`StepReport::alloc`];
 /// * with [`RunPolicy::probe`] on — or forced on by a
 ///   [`FaultKind::NoiseSpike`] in the policy's fault plan, since an
 ///   artificial budget burn is only observable at a probe point — the
@@ -567,12 +568,10 @@ pub(crate) fn drive<B: PlanBackend>(
                     });
                 }
             }
-            let (((), hom), alloc) = catch_unwind(AssertUnwindSafe(|| {
-                alloc_stats::measure(|| {
-                    op_stats::measure(|| {
-                        backend.note_step(layer.node, si, flat);
-                        run_step(backend, plan, &step.op, &mut st)
-                    })
+            let ((), counted) = catch_unwind(AssertUnwindSafe(|| {
+                stats::measure(|| {
+                    backend.note_step(layer.node, si, flat);
+                    run_step(backend, plan, &step.op, &mut st)
                 })
             }))
             .map_err(|p| caught(p, layer.node, si, label))?;
@@ -590,8 +589,8 @@ pub(crate) fn drive<B: PlanBackend>(
                 label,
                 phase: step.phase,
                 analytic: step.analytic,
-                measured: counts_from_hom(&hom),
-                alloc,
+                measured: counted.into(),
+                alloc: counted.into(),
                 noise_bits: step.noise_bits,
                 noise_budget: probed.map(|(budget, _)| budget),
                 noise_consumed: probed.and_then(|(_, consumed)| consumed),

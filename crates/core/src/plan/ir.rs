@@ -8,7 +8,6 @@ use athena_fhe::lwe::{LweKeySwitchKey, LweSecret};
 use athena_fhe::noise::{NoiseModel, StepDepths};
 use athena_fhe::pack::{BsgsPackingKey, ColumnPackingKey};
 use athena_math::sampler::Sampler;
-use athena_math::stats::op_stats::HomOpCounts;
 use athena_nn::models::ConvShape;
 use athena_nn::qmodel::{QLinear, QModel, QOp, QuantConfig};
 use athena_nn::tensor::ITensor;
@@ -567,19 +566,6 @@ impl ExecutionPlan {
             quant: *quant,
             layers,
         }
-    }
-}
-
-/// Converts the measured counter snapshot into trace units.
-pub fn counts_from_hom(h: &HomOpCounts) -> OpCounts {
-    OpCounts {
-        pmult: h.pmult,
-        cmult: h.cmult,
-        smult: h.smult,
-        hadd: h.hadd,
-        hrot: h.hrot,
-        sample_extract: h.sample_extract,
-        mod_switch: h.mod_switch,
     }
 }
 

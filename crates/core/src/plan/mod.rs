@@ -72,7 +72,6 @@ pub use exec::{
 pub use fault::{FaultInjectingBackend, FaultKind, FaultPlan, FaultSpec, FaultTarget};
 pub(crate) use ir::validate_model;
 pub use ir::{
-    compile, counts_from_hom, try_compile, CompileError, ExecutionPlan, KeyRequirements, PlanLayer,
-    PlanStep, StepOp,
+    compile, try_compile, CompileError, ExecutionPlan, KeyRequirements, PlanLayer, PlanStep, StepOp,
 };
 pub use session::{InferenceSession, SessionStats};

@@ -40,37 +40,10 @@ impl TraceParams {
     }
 }
 
-/// Counts of high-level homomorphic operations.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OpCounts {
-    /// Plaintext-ciphertext multiplications.
-    pub pmult: u64,
-    /// Ciphertext-ciphertext multiplications (with relinearization).
-    pub cmult: u64,
-    /// Scalar multiplications.
-    pub smult: u64,
-    /// Homomorphic additions.
-    pub hadd: u64,
-    /// Rotations (automorphism + key switch).
-    pub hrot: u64,
-    /// Coefficients run through the sample-extraction unit.
-    pub sample_extract: u64,
-    /// Ring-degree / modulus switches (whole-ciphertext rescales).
-    pub mod_switch: u64,
-}
-
-impl OpCounts {
-    /// Component-wise sum.
-    pub fn add(&mut self, o: &OpCounts) {
-        self.pmult += o.pmult;
-        self.cmult += o.cmult;
-        self.smult += o.smult;
-        self.hadd += o.hadd;
-        self.hrot += o.hrot;
-        self.sample_extract += o.sample_extract;
-        self.mod_switch += o.mod_switch;
-    }
-}
+/// Counts of high-level homomorphic operations: the one type the trace
+/// model, the plan's analytic per-step counts and the counters measured
+/// around each executed step all share.
+pub use athena_math::stats::op_stats::HomOpCounts as OpCounts;
 
 /// Execution phase, for the Fig. 9 breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -11,8 +11,8 @@
 //! * evicting a plan-cache entry drops its arena lease, releasing the
 //!   pool-capacity reservation.
 //!
-//! The arena and its counters are process-global, so every test in this
-//! binary serializes behind one lock.
+//! The arena's pool, generation and retention cap are process-global, so
+//! every test in this binary serializes behind one lock.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 

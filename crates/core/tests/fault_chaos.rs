@@ -4,8 +4,8 @@
 //! to a session that never faulted (the arena-quarantine contract), at
 //! both `ATHENA_THREADS` legs.
 //!
-//! The arena and its counters are process-global, so every test in this
-//! binary serializes behind one lock.
+//! The arena's pool, generation and retention cap are process-global, so
+//! every test in this binary serializes behind one lock.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;

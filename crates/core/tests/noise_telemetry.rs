@@ -17,11 +17,8 @@
 //! * probing changes nothing: logits are bit-identical with the probe on
 //!   or off (the probe performs no homomorphic ops and no sampler draws).
 //!
-//! The probe reads `op-stats`-free code paths only, but the executor still
-//! measures global counters around each step, so tests serialize on the
-//! same counter mutex pattern as `plan_counts.rs`.
-
-use std::sync::Mutex;
+//! The executor's per-step counter brackets count only their own run, so
+//! these tests run concurrently.
 
 use athena_core::pipeline::{AthenaEngine, PackingMethod};
 use athena_core::plan::{self, AthenaError, RunPolicy, StepReport};
@@ -29,8 +26,6 @@ use athena_fhe::params::BfvParams;
 use athena_math::sampler::Sampler;
 use athena_nn::qmodel::{Activation, QLinear, QModel, QNode, QOp, QuantConfig};
 use athena_nn::tensor::ITensor;
-
-static COUNTER_GUARD: Mutex<()> = Mutex::new(());
 
 fn linear_node(
     shape: &[usize],
@@ -237,7 +232,6 @@ fn assert_telemetry_contract(run: &plan::PlanRun, tag: &str) {
 /// monotonically along each RLWE chain.
 #[test]
 fn analytic_noise_charge_covers_measured_consumption() {
-    let _lock = COUNTER_GUARD.lock().unwrap();
     for method in [PackingMethod::Column, PackingMethod::Bsgs] {
         let run = run_probed(&conv_model(), &[1, 5, 5], method, 5_050);
         assert_telemetry_contract(&run, &format!("conv/{method:?}"));
@@ -252,7 +246,6 @@ fn analytic_noise_charge_covers_measured_consumption() {
 /// off, and the probed run's reports carry exactly the plan's charges.
 #[test]
 fn probe_mode_is_pure_observation() {
-    let _lock = COUNTER_GUARD.lock().unwrap();
     let model = conv_model();
     let input = ITensor::from_vec(&[1, 5, 5], (0..25).map(|i| ((i % 5) as i64) - 2).collect());
     let engine = AthenaEngine::new(BfvParams::test_small());
@@ -294,7 +287,6 @@ fn probe_mode_is_pure_observation() {
 /// completing and decrypting garbage.
 #[test]
 fn exhaustion_surfaces_as_typed_error() {
-    let _lock = COUNTER_GUARD.lock().unwrap();
     let params = BfvParams {
         q_primes: athena_math::prime::ntt_primes(50, 128, 2),
         ..BfvParams::test_small()

@@ -17,13 +17,11 @@
 //! they diverge (BSGS constants after the PR 3 hoisting rework, S2C
 //! factorization) the divergence is bounded and explained.
 //!
-//! The `op-stats` counters are process-global relaxed atomics; tests that
-//! read them serialize on one mutex (same pattern as
-//! `crates/fhe/tests/hoisting.rs`).
+//! Every `measure` counts only its own call tree, so these tests run
+//! concurrently — and one of them serves eight requests at once to pin
+//! that per-request isolation.
 
 #![cfg(feature = "op-stats")]
-
-use std::sync::Mutex;
 
 use athena_core::pipeline::{AthenaEngine, PackingMethod};
 use athena_core::plan;
@@ -32,8 +30,6 @@ use athena_fhe::params::BfvParams;
 use athena_math::sampler::Sampler;
 use athena_nn::qmodel::{Activation, QLinear, QModel, QNode, QOp, QuantConfig};
 use athena_nn::tensor::ITensor;
-
-static COUNTER_GUARD: Mutex<()> = Mutex::new(());
 
 /// Small conv layer + FC head at test parameters.
 fn conv_model() -> QModel {
@@ -85,7 +81,6 @@ fn conv_model() -> QModel {
 #[cfg(feature = "op-stats")]
 #[test]
 fn measured_counts_match_plan_analytic_per_step() {
-    let _lock = COUNTER_GUARD.lock().unwrap();
     let model = conv_model();
     let input = ITensor::from_vec(&[1, 5, 5], (0..25).map(|i| ((i % 5) as i64) - 2).collect());
     for method in [PackingMethod::Column, PackingMethod::Bsgs] {
@@ -144,7 +139,6 @@ fn compiled_plan_carries_interpolated_luts() {
 #[cfg(feature = "op-stats")]
 #[test]
 fn trace_model_extraction_counts_match_measured() {
-    let _lock = COUNTER_GUARD.lock().unwrap();
     let model = conv_model();
     let input = ITensor::from_vec(&[1, 5, 5], (0..25).map(|i| (i % 3) as i64 - 1).collect());
     let engine = AthenaEngine::new(BfvParams::test_small());
@@ -202,7 +196,6 @@ fn trace_fbs_formula_vs_measured_fbs_drift_is_pinned() {
     use athena_fhe::lwe::LweCiphertext;
     use athena_math::stats::op_stats;
 
-    let _lock = COUNTER_GUARD.lock().unwrap();
     let engine = AthenaEngine::new(BfvParams::test_small());
     let mut sampler = Sampler::from_seed(4_042);
     let (secrets, keys) = engine.keygen(&mut sampler);
@@ -276,17 +269,16 @@ fn s2c_factorization_drift_is_documented() {
     assert_eq!(s2c_counts.hrot, single_stage_hrot);
 }
 
-/// Per-step measured counts are thread-count invariant: the `op-stats`
-/// counters are process-global relaxed atomics bumped from worker threads,
-/// so a mis-scoped measurement window (or counter bumps escaping a step's
-/// `measure()` bracket from still-running workers) would show up as counts
-/// drifting between serial and parallel runs. Pins the serial run and a
+/// Per-step measured counts are thread-count invariant: worker threads
+/// record into the scope of the step that spawned them, so a worker that
+/// missed the handoff (or a bump escaping a step's `measure()` bracket
+/// from a still-running worker) would show up as counts drifting between
+/// serial and parallel runs. Pins the serial run and a
 /// 4-worker run of the same seeded plan to identical per-step counts —
 /// the CI `ATHENA_THREADS={1,4}` matrix relies on this invariance.
 #[cfg(feature = "op-stats")]
 #[test]
 fn per_step_counts_are_thread_count_invariant() {
-    let _lock = COUNTER_GUARD.lock().unwrap();
     let model = conv_model();
     let input = ITensor::from_vec(&[1, 5, 5], (0..25).map(|i| ((i % 5) as i64) - 2).collect());
     let run_with = |threads: usize| {
@@ -313,4 +305,48 @@ fn per_step_counts_are_thread_count_invariant() {
         serial.logits, parallel.logits,
         "threading changed arithmetic"
     );
+}
+
+/// Counts are per request: eight requests served at once on four workers
+/// (the shape of `run_batch`) each report exactly their own steps. Every
+/// step's measured counts equal its analytic counts, and its arena
+/// checkouts equal those of the same request run alone — nothing a
+/// neighbouring request did leaks into either.
+#[test]
+fn concurrent_requests_count_only_their_own_steps() {
+    let model = conv_model();
+    let engine = AthenaEngine::with_packing(BfvParams::test_small(), PackingMethod::Bsgs);
+    let compiled = plan::compile(&engine, &model, &[1, 5, 5]);
+    let mut sampler = Sampler::from_seed(4_343);
+    let (secrets, keys) = engine.keygen_for_plan(&compiled, &mut sampler);
+    let requests: Vec<(u64, ITensor)> = (0..8u64)
+        .map(|k| {
+            let x = (0..25)
+                .map(|i| ((i * (k + 1) + k) % 5) as i64 - 2)
+                .collect();
+            (k, ITensor::from_vec(&[1, 5, 5], x))
+        })
+        .collect();
+    let serve = |(k, x): &(u64, ITensor)| {
+        let mut s = Sampler::from_seed(4_400 + k);
+        let policy = plan::RunPolicy::default();
+        plan::execute_resilient(
+            &engine, &secrets, &keys, &compiled, x, &mut s, &policy, 1, None,
+        )
+        .expect("clean run")
+    };
+    let alone: Vec<_> = requests.iter().map(serve).collect();
+    let together = athena_math::par::parallel_map_with(4, &requests, serve);
+    for (k, (a, t)) in alone.iter().zip(&together).enumerate() {
+        assert_eq!(a.logits, t.logits, "request {k}");
+        assert_eq!(a.steps.len(), t.steps.len());
+        for (sa, st) in a.steps.iter().zip(&t.steps) {
+            let at = format!(
+                "request {k} node {} step {} ({})",
+                st.node, st.step, st.label
+            );
+            assert_eq!(st.measured, st.analytic, "{at}: measured != analytic");
+            assert_eq!(st.alloc.takes, sa.alloc.takes, "{at}: arena takes");
+        }
+    }
 }

@@ -66,7 +66,7 @@ use athena_math::par;
 use athena_math::poly::{Domain, Poly};
 use athena_math::rns::{coeff_polys, signed_residue, BaseConverter, RnsBasis, RnsPoly};
 use athena_math::sampler::Sampler;
-use athena_math::stats::{lift_stats, op_stats, rot_stats};
+use athena_math::stats::{record, Counter};
 use std::collections::HashMap;
 
 use crate::encoder::SlotEncoder;
@@ -283,7 +283,7 @@ impl BfvContext {
             Domain::Coeff,
             "digit decomposition needs coefficient form"
         );
-        rot_stats::record_decompose();
+        record(Counter::RotDecompose, 1);
         // The per-digit lifts are independent — fan out like the limbs
         // (each digit costs a full-basis lift plus NTTs).
         let work = self.qb.len() * self.qb.n() * (self.qb.n().ilog2() as usize + 2);
@@ -774,7 +774,7 @@ impl<'a> BfvEvaluator<'a> {
     /// [`BfvCiphertext::to_coeff`] first).
     pub fn add(&self, a: &BfvCiphertext, b: &BfvCiphertext) -> BfvCiphertext {
         assert_eq!(a.size(), b.size(), "ciphertext sizes must match");
-        op_stats::record_hadd();
+        record(Counter::Hadd, 1);
         let parts = a
             .parts
             .iter()
@@ -787,7 +787,7 @@ impl<'a> BfvEvaluator<'a> {
     /// Homomorphic subtraction.
     pub fn sub(&self, a: &BfvCiphertext, b: &BfvCiphertext) -> BfvCiphertext {
         assert_eq!(a.size(), b.size(), "ciphertext sizes must match");
-        op_stats::record_hadd();
+        record(Counter::Hadd, 1);
         let parts = a
             .parts
             .iter()
@@ -800,7 +800,7 @@ impl<'a> BfvEvaluator<'a> {
     /// In-place addition.
     pub fn add_assign(&self, a: &mut BfvCiphertext, b: &BfvCiphertext) {
         assert_eq!(a.size(), b.size());
-        op_stats::record_hadd();
+        record(Counter::Hadd, 1);
         for (x, y) in a.parts.iter_mut().zip(&b.parts) {
             self.ctx.qb.add_assign_poly(x, y);
         }
@@ -809,7 +809,7 @@ impl<'a> BfvEvaluator<'a> {
     /// Adds a plaintext polynomial (mod `t`), following the ciphertext's
     /// domain (`Δ·m` is transformed when the ciphertext is Eval-resident).
     pub fn add_plain(&self, a: &BfvCiphertext, m: &Poly) -> BfvCiphertext {
-        op_stats::record_hadd();
+        record(Counter::Hadd, 1);
         let ctx = self.ctx;
         let mut d = ctx.delta_times(m);
         if a.parts[0].domain() == Domain::Eval {
@@ -843,7 +843,7 @@ impl<'a> BfvEvaluator<'a> {
             Domain::Eval,
             "lifted plaintext operands are cached in Eval form"
         );
-        op_stats::record_pmult();
+        record(Counter::Pmult, 1);
         let keep_coeff = a.domain() == Domain::Coeff;
         let parts = a
             .parts
@@ -863,7 +863,7 @@ impl<'a> BfvEvaluator<'a> {
     /// by the constant `c ∈ Z_t` (lifted centered). Domain-preserving and
     /// NTT-free in either form.
     pub fn mul_scalar(&self, a: &BfvCiphertext, c: u64) -> BfvCiphertext {
-        op_stats::record_smult();
+        record(Counter::Smult, 1);
         let ctx = self.ctx;
         let t = ctx.params.t;
         let c = c % t;
@@ -914,7 +914,9 @@ impl<'a> BfvEvaluator<'a> {
                 .all(|(ct, _)| ct.size() == size && ct.domain() == domain),
             "linear-combination terms must share size and domain"
         );
-        op_stats::record_lincomb(terms.len() as u64, terms.len() as u64 - 1);
+        // One fused multiply-accumulate stands for this many logical ops.
+        record(Counter::Smult, terms.len() as u64);
+        record(Counter::Hadd, terms.len() as u64 - 1);
         let mut lanes = vec![0u128; n];
         let parts = (0..size)
             .map(|part| {
@@ -1076,7 +1078,7 @@ impl<'a> BfvEvaluator<'a> {
     fn lift_via(&self, ct: &BfvCiphertext, reference: bool) -> (TensorOperand, usize) {
         assert_eq!(ct.size(), 2, "operands must be size-2 ciphertexts");
         let ctx = self.ctx;
-        lift_stats::record_computed();
+        record(Counter::LiftComputed, 1);
         let mut big = 0;
         let parts = ct
             .parts
@@ -1105,7 +1107,7 @@ impl<'a> BfvEvaluator<'a> {
         b: &TensorOperand,
         reference: bool,
     ) -> (BfvCiphertext, usize) {
-        op_stats::record_cmult();
+        record(Counter::Cmult, 1);
         let ctx = self.ctx;
         let e0 = ctx.mb.mul_poly(&a.parts[0], &b.parts[0]);
         let mut e1 = ctx.mb.mul_poly(&a.parts[0], &b.parts[1]);
@@ -1174,7 +1176,7 @@ impl<'a> BfvEvaluator<'a> {
         let key = gk.key_or_panic(g);
         let c0 = ctx.qb.poly_to_eval(&ct.parts[0]);
         let digits = ctx.decompose_lift(&ctx.qb.poly_to_coeff(&ct.parts[1]));
-        rot_stats::record_eager();
+        record(Counter::RotEager, 1);
         self.galois_from_digits(&c0, &digits, g, key)
     }
 
@@ -1190,7 +1192,7 @@ impl<'a> BfvEvaluator<'a> {
         key: &KeySwitchKey,
     ) -> BfvCiphertext {
         let ctx = self.ctx;
-        op_stats::record_hrot();
+        record(Counter::Hrot, 1);
         let permuted: Vec<RnsPoly> = par::parallel_map_range_with(
             par::threads_for(digits.len(), ctx.qb.len() * ctx.qb.n()),
             digits.len(),
@@ -1298,7 +1300,7 @@ impl HoistedCiphertext {
     /// Panics if no key for `g` is present.
     pub fn apply_galois(&self, ctx: &BfvContext, g: usize, gk: &GaloisKeys) -> BfvCiphertext {
         let key = gk.key_or_panic(g);
-        rot_stats::record_hoisted();
+        record(Counter::RotHoisted, 1);
         BfvEvaluator::new(ctx).galois_from_digits(&self.ct.parts[0], &self.digits, g, key)
     }
 

@@ -4,7 +4,7 @@
 
 use athena_math::modops::Modulus;
 use athena_math::poly::Domain;
-use athena_math::stats::op_stats;
+use athena_math::stats::{record, Counter};
 
 use crate::bfv::{BfvCiphertext, BfvContext, SecretKey};
 use crate::lwe::{LweCiphertext, LweSecret};
@@ -61,7 +61,7 @@ impl SmallRlwe {
 /// Panics if the ciphertext has more than two components.
 pub fn mod_switch_rlwe(ctx: &BfvContext, ct: &BfvCiphertext, target: u64) -> SmallRlwe {
     assert_eq!(ct.size(), 2, "mod switch expects a size-2 ciphertext");
-    op_stats::record_mod_switch();
+    record(Counter::ModSwitch, 1);
     let qb = ctx.q_basis();
     let c0 = qb.poly_to_coeff(&ct.parts()[0]);
     let c1 = qb.poly_to_coeff(&ct.parts()[1]);
@@ -92,7 +92,7 @@ pub fn sample_extract_all(rlwe: &SmallRlwe) -> Vec<LweCiphertext> {
 pub fn sample_extract_one(rlwe: &SmallRlwe, i: usize) -> LweCiphertext {
     let n = rlwe.a.len();
     assert!(i < n, "coefficient index out of range");
-    op_stats::record_sample_extract();
+    record(Counter::SampleExtract, 1);
     let q = Modulus::new(rlwe.q);
     let mut a = vec![0u64; n];
     for (j, slot) in a.iter_mut().enumerate() {

@@ -23,7 +23,7 @@ use athena_math::bsgs::{bsgs_polynomial_eval, BsgsSplit};
 use athena_math::modops::Modulus;
 use athena_math::ntt::CyclicNtt;
 use athena_math::prime::{is_prime, primitive_root};
-use athena_math::stats::lift_stats;
+use athena_math::stats::{record, Counter};
 
 use crate::bfv::{BfvCiphertext, BfvContext, BfvEvaluator, RelinKey, TensorOperand};
 
@@ -267,7 +267,7 @@ impl FbsOperand {
     /// The cached tensor lift, computed on first use.
     fn tensor(&self, ev: &BfvEvaluator) -> &TensorOperand {
         if self.lift.get().is_some() {
-            lift_stats::record_reused();
+            record(Counter::LiftReused, 1);
         }
         self.lift.get_or_init(|| ev.lift_for_mul(&self.ct))
     }

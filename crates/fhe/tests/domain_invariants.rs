@@ -1,19 +1,13 @@
 //! Domain-representation invariants: rotation chains stay NTT-resident,
 //! lazy Coeff conversion happens only at the forced boundaries, and the
 //! `op-stats` counters prove the NTT budget of a key-switched rotation.
-//!
-//! The counters are process-global relaxed atomics, so every test in this
-//! binary — including the ones that only check values — serializes on one
-//! mutex to keep `ntt_stats::measure` deltas attributable.
-
-use std::sync::Mutex;
+//! Each `ntt_stats::measure` counts only its own call tree, so the tests
+//! run concurrently.
 
 use athena_fhe::bfv::{BfvContext, BfvEvaluator, GaloisKeys, SecretKey};
 use athena_fhe::params::BfvParams;
 use athena_math::poly::Domain;
 use athena_math::sampler::Sampler;
-
-static COUNTER_GUARD: Mutex<()> = Mutex::new(());
 
 struct Fx {
     ctx: BfvContext,
@@ -45,7 +39,6 @@ fn rotation_keys(f: &mut Fx, rotations: &[usize]) -> GaloisKeys {
 /// even the embedded noise agrees).
 #[test]
 fn eval_resident_rotation_chain_matches_eager() {
-    let _lock = COUNTER_GUARD.lock().unwrap();
     let mut f = setup();
     let gk = rotation_keys(&mut f, &[1, 2]);
     let ev = BfvEvaluator::new(&f.ctx);
@@ -87,7 +80,6 @@ fn eval_resident_rotation_chain_matches_eager() {
 /// domain, and decryption works from either form.
 #[test]
 fn lazy_boundaries_accept_eval_operands() {
-    let _lock = COUNTER_GUARD.lock().unwrap();
     let mut f = setup();
     let ev = BfvEvaluator::new(&f.ctx);
     let enc = f.ctx.encoder();
@@ -110,7 +102,6 @@ fn lazy_boundaries_accept_eval_operands() {
 /// arithmetic is identical whichever form the operand is resident in.
 #[test]
 fn pmult_and_add_plain_are_domain_preserving() {
-    let _lock = COUNTER_GUARD.lock().unwrap();
     let mut f = setup();
     let ev = BfvEvaluator::new(&f.ctx);
     let enc = f.ctx.encoder();
@@ -143,7 +134,6 @@ fn pmult_and_add_plain_are_domain_preserving() {
 #[test]
 fn eval_rotation_does_no_body_forward_ntts() {
     use athena_math::stats::ntt_stats;
-    let _lock = COUNTER_GUARD.lock().unwrap();
     let mut f = setup();
     let gk = rotation_keys(&mut f, &[1]);
     let ev = BfvEvaluator::new(&f.ctx);
@@ -177,7 +167,6 @@ fn eval_rotation_does_no_body_forward_ntts() {
 #[test]
 fn chained_rotations_pay_no_conversion_between_hops() {
     use athena_math::stats::ntt_stats;
-    let _lock = COUNTER_GUARD.lock().unwrap();
     let mut f = setup();
     let gk = rotation_keys(&mut f, &[1, 2]);
     let ev = BfvEvaluator::new(&f.ctx);

@@ -3,9 +3,10 @@
 //! and actually shares the digit decomposition (one per source, not one per
 //! rotation — proved with the `op-stats` counters).
 //!
-//! The counters are process-global relaxed atomics, so every test in this
-//! binary serializes on one mutex to keep `measure` deltas attributable
-//! (see `domain_invariants.rs`, which uses the same pattern).
+//! Each `measure` counts only its own call tree, so the tests run
+//! concurrently; only the two that set the process-wide worker count
+//! (`par::set_threads`) take turns, so each runs its serial and parallel
+//! legs as labelled.
 
 use std::sync::Mutex;
 
@@ -17,7 +18,8 @@ use athena_fhe::params::BfvParams;
 use athena_math::par;
 use athena_math::sampler::Sampler;
 
-static COUNTER_GUARD: Mutex<()> = Mutex::new(());
+/// Held by the tests that set `par::set_threads`.
+static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
 
 struct Fx {
     ctx: BfvContext,
@@ -48,7 +50,7 @@ fn schedule_keys(f: &mut Fx, max_rot: usize) -> GaloisKeys {
 /// worker count (and the two runs agree with each other bit-for-bit).
 #[test]
 fn hoisted_matches_eager_for_every_element_any_thread_count() {
-    let _lock = COUNTER_GUARD.lock().unwrap();
+    let _threads = THREAD_OVERRIDE.lock().unwrap();
     let mut f = setup();
     let gk = schedule_keys(&mut f, 8);
     let ev = BfvEvaluator::new(&f.ctx);
@@ -87,7 +89,6 @@ fn hoisted_matches_eager_for_every_element_any_thread_count() {
 /// The trivial rotation (`k ≡ 0 mod row`) returns the source unchanged.
 #[test]
 fn hoisted_trivial_rotation_is_identity() {
-    let _lock = COUNTER_GUARD.lock().unwrap();
     let mut f = setup();
     let gk = schedule_keys(&mut f, 1);
     let ev = BfvEvaluator::new(&f.ctx);
@@ -106,7 +107,6 @@ fn hoisted_trivial_rotation_is_identity() {
 /// invariant-noise budget equals the eager path's (they are bit-identical).
 #[test]
 fn hoisted_rotation_noise_budget_matches_eager() {
-    let _lock = COUNTER_GUARD.lock().unwrap();
     let mut f = setup();
     let gk = schedule_keys(&mut f, 4);
     let ev = BfvEvaluator::new(&f.ctx);
@@ -139,7 +139,7 @@ fn hoisted_rotation_noise_budget_matches_eager() {
 #[test]
 fn hoisted_schedule_shares_one_decomposition() {
     use athena_math::stats::{ntt_stats, rot_stats};
-    let _lock = COUNTER_GUARD.lock().unwrap();
+    let _threads = THREAD_OVERRIDE.lock().unwrap();
     let mut f = setup();
     const R: usize = 5;
     let gk = schedule_keys(&mut f, R);
@@ -192,7 +192,6 @@ fn hoisted_schedule_shares_one_decomposition() {
 #[test]
 fn linear_rotation_count_matches_measured() {
     use athena_math::stats::rot_stats;
-    let _lock = COUNTER_GUARD.lock().unwrap();
     let mut f = setup();
     let n = f.ctx.n();
     let mut rng = Sampler::from_seed(424_242);
@@ -233,7 +232,6 @@ fn linear_rotation_count_matches_measured() {
 #[test]
 fn pack_rotation_count_matches_measured() {
     use athena_math::stats::rot_stats;
-    let _lock = COUNTER_GUARD.lock().unwrap();
     let mut f = setup();
     let lwe_sk = LweSecret::generate(f.ctx.params().lwe_n, f.ctx.t(), &mut f.sampler);
     let pk = BsgsPackingKey::generate(&f.ctx, &f.sk, &lwe_sk, &mut f.sampler);

@@ -37,8 +37,8 @@
 //!
 //! The pool as a whole — all shards together — retains at most `BASE_CAP`
 //! bytes plus the process-wide [`ArenaLease`] reservation; buffers
-//! released above the cap are freed (counted by
-//! `alloc_stats::freed_count`). The bound is global, not per shard,
+//! released above the cap are freed (counted in the `AllocFreed` row of
+//! [`crate::stats`]). The bound is global, not per shard,
 //! because `par` spawns fresh OS threads per region and each takes the
 //! next shard round-robin: a batch run walks all the shards, and a
 //! per-shard cap let retention (hence peak RSS) grow with the number of
@@ -72,7 +72,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::stats::alloc_stats;
+use crate::stats::{record, Counter};
 
 /// Number of pool shards. Threads are assigned round-robin, so regions
 /// with up to this many workers get contention-free checkout.
@@ -190,9 +190,7 @@ fn lock_shard(idx: usize) -> std::sync::MutexGuard<'static, Shard> {
         Ok(guard) => guard,
         Err(poisoned) => {
             let mut guard = poisoned.into_inner();
-            for _ in 0..flush(&mut guard) {
-                alloc_stats::record_freed();
-            }
+            record(Counter::AllocFreed, flush(&mut guard) as u64);
             SHARDS[idx].clear_poison();
             POISON_RECOVERED.fetch_add(1, Ordering::Relaxed);
             guard
@@ -244,12 +242,9 @@ pub fn quarantine() -> QuarantineReport {
     let generation = GENERATION.fetch_add(1, Ordering::Relaxed) + 1;
     let mut freed = 0usize;
     for i in 0..N_SHARDS {
-        let dropped = flush(&mut lock_shard(i));
-        for _ in 0..dropped {
-            alloc_stats::record_freed();
-        }
-        freed += dropped;
+        freed += flush(&mut lock_shard(i));
     }
+    record(Counter::AllocFreed, freed as u64);
     QuarantineReport { generation, freed }
 }
 
@@ -275,7 +270,7 @@ pub fn poison_shard_lock_for_test(idx: usize) {
 /// Checks a length-`len` buffer out of the pool: own shard first, then a
 /// steal pass over the others, then a fresh (zeroed) allocation.
 fn take(len: usize) -> Vec<u64> {
-    alloc_stats::record_take();
+    record(Counter::AllocTake, 1);
     let home = my_shard();
     for probe in 0..N_SHARDS {
         let idx = (home + probe) % N_SHARDS;
@@ -289,7 +284,7 @@ fn take(len: usize) -> Vec<u64> {
             }
         }
     }
-    alloc_stats::record_fresh();
+    record(Counter::AllocFresh, 1);
     vec![0u64; len]
 }
 
@@ -302,7 +297,7 @@ fn recycle(buf: Vec<u64>, checkout_generation: u64) {
         return;
     }
     if checkout_generation != GENERATION.load(Ordering::Relaxed) {
-        alloc_stats::record_freed();
+        record(Counter::AllocFreed, 1);
         return;
     }
     let bytes = len * 8;
@@ -310,13 +305,13 @@ fn recycle(buf: Vec<u64>, checkout_generation: u64) {
     // cannot overshoot the cap together.
     if POOLED.fetch_add(bytes, Ordering::Relaxed) + bytes > retention_cap() {
         POOLED.fetch_sub(bytes, Ordering::Relaxed);
-        alloc_stats::record_freed();
+        record(Counter::AllocFreed, 1);
         return;
     }
     let mut shard = lock_shard(my_shard());
     shard.bytes += bytes;
     shard.buckets.entry(len).or_default().push(buf);
-    alloc_stats::record_recycle();
+    record(Counter::AllocRecycle, 1);
 }
 
 /// Trims the pool down to the current cap, shard by shard (called when a
@@ -336,7 +331,7 @@ fn trim_to_cap() {
             if popped {
                 shard.bytes -= len * 8;
                 POOLED.fetch_sub(len * 8, Ordering::Relaxed);
-                alloc_stats::record_freed();
+                record(Counter::AllocFreed, 1);
             }
             if empty {
                 shard.buckets.remove(&len);
@@ -485,6 +480,16 @@ impl From<Vec<u64>> for LimbVec {
     }
 }
 
+/// Serialises the unit tests that quarantine the pool, poison a shard
+/// lock, or pin exact arena counts: the generation and the shards are
+/// process-wide, so each of these tests can see another's bump, and a
+/// poison recovery frees into whichever thread's scope trips over it.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,6 +552,7 @@ mod tests {
 
     #[test]
     fn quarantine_frees_in_flight_checkouts_instead_of_pooling() {
+        let _pool = test_lock();
         // Unique length so concurrent tests cannot feed this bucket.
         let len = 12353;
         let held = LimbVec::take_raw(len);
@@ -566,6 +572,7 @@ mod tests {
 
     #[test]
     fn quarantine_bumps_generation_and_flushes_pool() {
+        let _pool = test_lock();
         let len = 12361;
         drop(LimbVec::take_raw(len)); // ensure something is pooled
         let g0 = generation();
@@ -581,6 +588,7 @@ mod tests {
 
     #[test]
     fn poisoned_shard_lock_is_recovered_and_counted() {
+        let _pool = test_lock();
         let before = poison_recoveries();
         poison_shard_lock_for_test(5);
         // Any path that locks shard 5 recovers it; pooled_bytes locks all.

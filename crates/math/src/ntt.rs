@@ -10,6 +10,7 @@
 
 use crate::modops::Modulus;
 use crate::prime::root_of_unity;
+use crate::stats::{record, Counter};
 
 /// Bit-reverses the low `bits` bits of `x`.
 #[inline]
@@ -137,7 +138,7 @@ impl NttTables {
     /// Panics if `a.len() != n`.
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n);
-        crate::stats::ntt_stats::record_forward();
+        record(Counter::NttForward, 1);
         let q = &self.modulus;
         let mut t = self.n;
         let mut m = 1;
@@ -166,7 +167,7 @@ impl NttTables {
     /// Panics if `a.len() != n`.
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n);
-        crate::stats::ntt_stats::record_inverse();
+        record(Counter::NttInverse, 1);
         let q = &self.modulus;
         let mut t = 1;
         let mut m = self.n;

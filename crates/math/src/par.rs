@@ -13,6 +13,10 @@
 //! including the sequential `threads = 1` fallback (which runs entirely on
 //! the caller's stack — no spawning at all).
 //!
+//! Every worker records its operation counters into the counter scope of
+//! the thread that spawned it (see [`crate::stats`]), so a `measure`
+//! around a parallel region counts the whole region.
+//!
 //! The default worker count is [`std::thread::available_parallelism`],
 //! overridable at runtime with the `ATHENA_THREADS` environment variable or
 //! programmatically with [`set_threads`] (handy for serial-vs-parallel
@@ -26,6 +30,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+
+use crate::stats::Scope;
 
 /// Process-wide thread-count override set by [`set_threads`]
 /// (0 means "not set").
@@ -81,6 +87,15 @@ pub fn threads_for(len: usize, work_per_item: usize) -> usize {
     num_threads().min(total / WORK_PER_WORKER).max(1)
 }
 
+/// Serialises the unit tests that set the process-wide override: one of
+/// them asserts the count it set, and the others mean their serial and
+/// parallel legs to run as labelled.
+#[cfg(test)]
+pub(crate) fn override_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Splits `len` items into at most `workers` contiguous chunk ranges.
 fn chunk_ranges(len: usize, workers: usize) -> Vec<(usize, usize)> {
     let workers = workers.clamp(1, len.max(1));
@@ -112,11 +127,15 @@ where
     }
     let ranges = chunk_ranges(len, threads);
     let fref = &f;
+    let counters = Scope::current();
     let mut chunks: Vec<Vec<U>> = Vec::with_capacity(ranges.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = ranges
             .iter()
-            .map(|&(a, b)| scope.spawn(move || (a..b).map(fref).collect::<Vec<U>>()))
+            .map(|&(a, b)| {
+                let counters = counters.clone();
+                scope.spawn(move || counters.enter(|| (a..b).map(fref).collect::<Vec<U>>()))
+            })
             .collect();
         for h in handles {
             chunks.push(h.join().expect("parallel worker panicked"));
@@ -176,12 +195,16 @@ where
     let fref = &f;
     // Hand each worker a disjoint chunk of the slice.
     let chunk = len.div_ceil(threads);
+    let counters = Scope::current();
     std::thread::scope(|scope| {
         for part in items.chunks_mut(chunk) {
+            let counters = counters.clone();
             scope.spawn(move || {
-                for item in part {
-                    fref(item);
-                }
+                counters.enter(|| {
+                    for item in part {
+                        fref(item);
+                    }
+                })
             });
         }
     });
@@ -222,13 +245,17 @@ where
     }
     let fref = &f;
     let chunk = len.div_ceil(threads);
+    let counters = Scope::current();
     std::thread::scope(|scope| {
         for (ci, (pa, pb)) in a.chunks_mut(chunk).zip(b.chunks(chunk)).enumerate() {
+            let counters = counters.clone();
             scope.spawn(move || {
-                let base = ci * chunk;
-                for (i, (x, y)) in pa.iter_mut().zip(pb).enumerate() {
-                    fref(base + i, x, y);
-                }
+                counters.enter(|| {
+                    let base = ci * chunk;
+                    for (i, (x, y)) in pa.iter_mut().zip(pb).enumerate() {
+                        fref(base + i, x, y);
+                    }
+                })
             });
         }
     });
@@ -316,6 +343,7 @@ mod tests {
 
     #[test]
     fn override_takes_priority() {
+        let _threads = override_lock();
         set_threads(3);
         assert_eq!(num_threads(), 3);
         set_threads(0);

@@ -990,6 +990,7 @@ mod tests {
         let y = b.poly_from_i64(&(0..16).map(|i| 7 - i as i64).collect::<Vec<_>>());
         let want_add = b.add_poly(&x, &y);
         let want_sub = b.sub_poly(&x, &y);
+        let _threads = par::override_lock();
         for threads in [1usize, 2, 4, 8] {
             par::set_threads(threads);
             let mut a = x.clone();
@@ -1039,6 +1040,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         let ae = b.poly_to_eval(&a);
+        let _threads = par::override_lock();
         par::set_threads(1);
         let serial_c = b.automorphism_poly(&a, 9);
         let serial_e = b.automorphism_poly(&ae, 9);

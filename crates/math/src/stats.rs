@@ -1,102 +1,239 @@
-//! Lightweight operation counters for the NTT hot path.
+//! Operation counters: one table, scoped to the call that measures it.
 //!
-//! The domain-aware refactor keeps ciphertexts and key material in Eval
-//! (NTT) form end-to-end; these counters let tests and benches *prove* the
-//! round-trips are gone rather than merely moved. Counting is compiled in
-//! under the default-on `op-stats` feature and costs one relaxed atomic
-//! increment per transform; with the feature disabled the API still exists
-//! but every call is a no-op and every read returns zero.
+//! Every counter the workspace keeps is one row of [`Counter`] — NTT
+//! transforms, rotation key switches, tensor lifts, homomorphic operations
+//! and arena limb-buffer traffic — and every call site bumps its row with
+//! the one [`record`]. The arena rows are compiled in under the default-on
+//! `alloc-stats` feature, every other row under the default-on `op-stats`
+//! feature; with a row's feature off, `record` compiles to nothing for it
+//! and every `measure` reads zero there. These counters let tests and
+//! benches *prove* a schedule's budget (NTT round-trips gone, one digit
+//! decomposition per hoisted source, zero fresh buffers in a warm run)
+//! rather than merely time it.
 //!
-//! Counters are process-global. Tests that assert exact counts must not run
-//! concurrently with other NTT work — keep them in a dedicated integration
-//! test binary and serialize them behind a lock (see
-//! `crates/fhe/tests/domain_invariants.rs`).
+//! **Scope rule.** [`measure`] runs a closure with a fresh, zeroed block
+//! installed as the calling thread's current scope, and returns what was
+//! recorded into it. A `record` lands in the recording thread's current
+//! scope, or nowhere when that thread has none. The `par` layer hands the
+//! spawning thread's scope to every worker it starts, so a parallel region
+//! inside the closure is counted in full, at any worker count. A delta
+//! therefore holds exactly the work of its own call tree: requests served
+//! concurrently on other threads never leak into it, and nothing has to be
+//! serialised to keep a count attributable.
 //!
-//! **Measurement discipline:** every module exposes `snapshot()` and
-//! `measure()` and *no reset*. A global reset racing a parallel region
-//! would silently corrupt any measurement running elsewhere in the
-//! process (the `report_*` binaries measure inside parallel sweeps), so
-//! the snapshot-and-diff bracket is the only sanctioned pattern — the
-//! counters are monotone for the life of the process.
+//! **Fold rule.** When a `measure` ends — by returning or by unwinding —
+//! the thread's previous scope is restored and the block's totals are
+//! added into it. Nested brackets therefore see everything their inner
+//! brackets saw (the plan driver's per-step brackets inside a caller's
+//! bracket around a whole run), and a panic caught around a `measure`
+//! leaves the thread as it found it.
+//!
+//! The family modules [`ntt_stats`], [`rot_stats`], [`lift_stats`],
+//! [`op_stats`] and [`alloc_stats`] are projections of the one block: each
+//! `measure` there is [`measure`] keeping the family's rows.
 
-/// Forward/inverse negacyclic NTT counters.
-pub mod ntt_stats {
-    #[cfg(feature = "op-stats")]
-    mod imp {
-        use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::RefCell;
+use std::ops::Index;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-        static FORWARD: AtomicU64 = AtomicU64::new(0);
-        static INVERSE: AtomicU64 = AtomicU64::new(0);
+/// Every counter, once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// Forward (Coeff→Eval) negacyclic NTTs.
+    NttForward,
+    /// Inverse (Eval→Coeff) negacyclic NTTs.
+    NttInverse,
+    /// Rotations that paid their own digit decomposition.
+    RotEager,
+    /// Rotations served from hoisted (cached) digits.
+    RotHoisted,
+    /// Digit decompositions performed (rotations *and* relinearisations).
+    RotDecompose,
+    /// Tensor lifts computed from scratch.
+    LiftComputed,
+    /// Tensor lifts served from an operand cache.
+    LiftReused,
+    /// Plaintext-ciphertext multiplications.
+    Pmult,
+    /// Ciphertext-ciphertext multiplications (tensor products).
+    Cmult,
+    /// Scalar multiplications.
+    Smult,
+    /// Homomorphic additions (ciphertext-ciphertext and plaintext).
+    Hadd,
+    /// Rotations / automorphisms with a key switch.
+    Hrot,
+    /// Coefficients run through sample extraction.
+    SampleExtract,
+    /// Whole-ciphertext RLWE modulus switches.
+    ModSwitch,
+    /// Limb-buffer checkouts (pool hits *and* misses).
+    AllocTake,
+    /// Checkouts that missed the pool and hit the heap allocator.
+    AllocFresh,
+    /// Buffers returned to the pool on drop.
+    AllocRecycle,
+    /// Buffers freed instead of pooled (retention cap, quarantine, poison
+    /// recovery).
+    AllocFreed,
+}
 
-        #[inline]
-        pub fn record_forward() {
-            FORWARD.fetch_add(1, Ordering::Relaxed);
+const ROWS: usize = Counter::AllocFreed as usize + 1;
+
+impl Counter {
+    /// Whether this row is compiled in: the arena rows under
+    /// `alloc-stats`, every other row under `op-stats`.
+    const fn enabled(self) -> bool {
+        match self {
+            Counter::AllocTake
+            | Counter::AllocFresh
+            | Counter::AllocRecycle
+            | Counter::AllocFreed => {
+                cfg!(feature = "alloc-stats")
+            }
+            _ => cfg!(feature = "op-stats"),
         }
-
-        #[inline]
-        pub fn record_inverse() {
-            INVERSE.fetch_add(1, Ordering::Relaxed);
-        }
-
-        pub fn forward_count() -> u64 {
-            FORWARD.load(Ordering::Relaxed)
-        }
-
-        pub fn inverse_count() -> u64 {
-            INVERSE.load(Ordering::Relaxed)
-        }
-    }
-
-    #[cfg(not(feature = "op-stats"))]
-    mod imp {
-        #[inline]
-        pub fn record_forward() {}
-        #[inline]
-        pub fn record_inverse() {}
-        pub fn forward_count() -> u64 {
-            0
-        }
-        pub fn inverse_count() -> u64 {
-            0
-        }
-    }
-
-    pub use imp::{forward_count, inverse_count, record_forward, record_inverse};
-
-    /// Snapshot of both counters, for before/after deltas.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct NttCounts {
-        /// Forward (Coeff→Eval) transforms since the last reset.
-        pub forward: u64,
-        /// Inverse (Eval→Coeff) transforms since the last reset.
-        pub inverse: u64,
-    }
-
-    /// Reads both counters at once.
-    pub fn snapshot() -> NttCounts {
-        NttCounts {
-            forward: forward_count(),
-            inverse: inverse_count(),
-        }
-    }
-
-    /// Runs `f` and returns its result together with the NTT counts it
-    /// incurred. Only meaningful when no other thread is transforming.
-    pub fn measure<T>(f: impl FnOnce() -> T) -> (T, NttCounts) {
-        let before = snapshot();
-        let out = f();
-        let after = snapshot();
-        (
-            out,
-            NttCounts {
-                forward: after.forward - before.forward,
-                inverse: after.inverse - before.inverse,
-            },
-        )
     }
 }
 
-/// Rotation / key-switch counters: eager vs hoisted HRots and the digit
+/// What one [`measure`] counted: a total per [`Counter`], indexed by it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Counts([u64; ROWS]);
+
+impl Index<Counter> for Counts {
+    type Output = u64;
+
+    fn index(&self, c: Counter) -> &u64 {
+        &self.0[c as usize]
+    }
+}
+
+/// A live scope's block: shared by the measuring thread and the `par`
+/// workers it spawns, hence atomic. `Relaxed` throughout: the rows publish
+/// no other data, and a block is read only after the workers that record
+/// into it have been joined.
+type Block = [AtomicU64; ROWS];
+
+thread_local! {
+    /// The calling thread's current scope (`None` outside every `measure`).
+    static SCOPE: RefCell<Option<Arc<Block>>> = const { RefCell::new(None) };
+}
+
+/// Adds `n` to row `c` of the calling thread's current scope. A no-op when
+/// the row's feature is off, outside every scope, and while the thread's
+/// locals are being torn down (limb buffers can drop then).
+#[inline]
+pub fn record(c: Counter, n: u64) {
+    if c.enabled() {
+        let _ = SCOPE.try_with(|scope| {
+            if let Some(block) = &*scope.borrow() {
+                block[c as usize].fetch_add(n, Ordering::Relaxed);
+            }
+        });
+    }
+}
+
+/// Runs `f` in a fresh scope and returns its result together with every
+/// counter it recorded — on this thread and on the `par` workers it
+/// spawned — then folds those totals into the enclosing scope (see the
+/// module header).
+pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Counts) {
+    let block: Arc<Block> = Arc::new(std::array::from_fn(|_| AtomicU64::new(0)));
+    let restore = Restore {
+        outer: install(Some(Arc::clone(&block))),
+        fold: Some(Arc::clone(&block)),
+    };
+    let out = f();
+    drop(restore);
+    (
+        out,
+        Counts(block.each_ref().map(|c| c.load(Ordering::Relaxed))),
+    )
+}
+
+/// Installs `scope` as the calling thread's current scope, returning the
+/// one it replaces (a no-op once the thread's locals are torn down: it
+/// runs from `Drop`, which must not panic).
+fn install(scope: Option<Arc<Block>>) -> Option<Arc<Block>> {
+    SCOPE.try_with(|s| s.replace(scope)).ok().flatten()
+}
+
+/// Puts the enclosing scope back when dropped — on return and on unwind
+/// alike — after adding `fold`'s totals into it.
+struct Restore {
+    outer: Option<Arc<Block>>,
+    fold: Option<Arc<Block>>,
+}
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        if let (Some(outer), Some(inner)) = (&self.outer, &self.fold) {
+            for (o, i) in outer.iter().zip(inner.iter()) {
+                o.fetch_add(i.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+        }
+        install(self.outer.take());
+    }
+}
+
+/// A thread's current scope, captured so another thread can record into
+/// it: how the `par` layer's workers count toward the `measure` that
+/// spawned them.
+#[derive(Clone)]
+pub(crate) struct Scope(Option<Arc<Block>>);
+
+impl Scope {
+    /// The calling thread's current scope.
+    pub(crate) fn current() -> Self {
+        Scope(SCOPE.try_with(|s| s.borrow().clone()).ok().flatten())
+    }
+
+    /// Runs `f` with this scope installed on the calling thread.
+    pub(crate) fn enter<T>(self, f: impl FnOnce() -> T) -> T {
+        let _restore = Restore {
+            outer: install(self.0),
+            fold: None,
+        };
+        f()
+    }
+}
+
+/// [`measure`], keeping one family's rows.
+fn project<T, P: From<Counts>>(f: impl FnOnce() -> T) -> (T, P) {
+    let (out, counts) = measure(f);
+    (out, P::from(counts))
+}
+
+/// Forward/inverse negacyclic NTT counts.
+pub mod ntt_stats {
+    use super::{Counter, Counts};
+
+    /// The NTT rows of one measured call.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct NttCounts {
+        /// Forward (Coeff→Eval) transforms.
+        pub forward: u64,
+        /// Inverse (Eval→Coeff) transforms.
+        pub inverse: u64,
+    }
+
+    impl From<Counts> for NttCounts {
+        fn from(c: Counts) -> Self {
+            Self {
+                forward: c[Counter::NttForward],
+                inverse: c[Counter::NttInverse],
+            }
+        }
+    }
+
+    /// [`super::measure`], keeping the NTT rows.
+    pub fn measure<T>(f: impl FnOnce() -> T) -> (T, NttCounts) {
+        super::project(f)
+    }
+}
+
+/// Rotation / key-switch counts: eager vs hoisted HRots and the digit
 /// decompositions feeding them.
 ///
 /// One **eager** rotation pays its own digit decomposition; a **hoisted**
@@ -105,66 +242,9 @@ pub mod ntt_stats {
 /// relinearizations alike), so `decompose ≪ eager + hoisted` is the proof
 /// that a schedule actually shares its source decompositions.
 pub mod rot_stats {
-    #[cfg(feature = "op-stats")]
-    mod imp {
-        use std::sync::atomic::{AtomicU64, Ordering};
+    use super::{Counter, Counts};
 
-        static EAGER: AtomicU64 = AtomicU64::new(0);
-        static HOISTED: AtomicU64 = AtomicU64::new(0);
-        static DECOMPOSE: AtomicU64 = AtomicU64::new(0);
-
-        #[inline]
-        pub fn record_eager() {
-            EAGER.fetch_add(1, Ordering::Relaxed);
-        }
-
-        #[inline]
-        pub fn record_hoisted() {
-            HOISTED.fetch_add(1, Ordering::Relaxed);
-        }
-
-        #[inline]
-        pub fn record_decompose() {
-            DECOMPOSE.fetch_add(1, Ordering::Relaxed);
-        }
-
-        pub fn eager_count() -> u64 {
-            EAGER.load(Ordering::Relaxed)
-        }
-
-        pub fn hoisted_count() -> u64 {
-            HOISTED.load(Ordering::Relaxed)
-        }
-
-        pub fn decompose_count() -> u64 {
-            DECOMPOSE.load(Ordering::Relaxed)
-        }
-    }
-
-    #[cfg(not(feature = "op-stats"))]
-    mod imp {
-        #[inline]
-        pub fn record_eager() {}
-        #[inline]
-        pub fn record_hoisted() {}
-        #[inline]
-        pub fn record_decompose() {}
-        pub fn eager_count() -> u64 {
-            0
-        }
-        pub fn hoisted_count() -> u64 {
-            0
-        }
-        pub fn decompose_count() -> u64 {
-            0
-        }
-    }
-
-    pub use imp::{
-        decompose_count, eager_count, hoisted_count, record_decompose, record_eager, record_hoisted,
-    };
-
-    /// Snapshot of the rotation counters, for before/after deltas.
+    /// The rotation rows of one measured call.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RotCounts {
         /// Rotations that paid their own digit decomposition.
@@ -182,80 +262,30 @@ pub mod rot_stats {
         }
     }
 
-    /// Reads all three counters at once.
-    pub fn snapshot() -> RotCounts {
-        RotCounts {
-            eager: eager_count(),
-            hoisted: hoisted_count(),
-            decompose: decompose_count(),
+    impl From<Counts> for RotCounts {
+        fn from(c: Counts) -> Self {
+            Self {
+                eager: c[Counter::RotEager],
+                hoisted: c[Counter::RotHoisted],
+                decompose: c[Counter::RotDecompose],
+            }
         }
     }
 
-    /// Runs `f` and returns its result together with the rotation counts it
-    /// incurred. Only meaningful when no other thread is rotating.
+    /// [`super::measure`], keeping the rotation rows.
     pub fn measure<T>(f: impl FnOnce() -> T) -> (T, RotCounts) {
-        let before = snapshot();
-        let out = f();
-        let after = snapshot();
-        (
-            out,
-            RotCounts {
-                eager: after.eager - before.eager,
-                hoisted: after.hoisted - before.hoisted,
-                decompose: after.decompose - before.decompose,
-            },
-        )
+        super::project(f)
     }
 }
 
-/// Tensor-lift counters for the CMult hot path: how many operand lifts into
+/// Tensor-lift counts for the CMult hot path: how many operand lifts into
 /// the extended multiplication basis were computed from scratch vs served
 /// from a cache (the CMult analogue of rotation hoisting — BSGS polynomial
 /// evaluation reuses the same powers across many products).
 pub mod lift_stats {
-    #[cfg(feature = "op-stats")]
-    mod imp {
-        use std::sync::atomic::{AtomicU64, Ordering};
+    use super::{Counter, Counts};
 
-        static COMPUTED: AtomicU64 = AtomicU64::new(0);
-        static REUSED: AtomicU64 = AtomicU64::new(0);
-
-        #[inline]
-        pub fn record_computed() {
-            COMPUTED.fetch_add(1, Ordering::Relaxed);
-        }
-
-        #[inline]
-        pub fn record_reused() {
-            REUSED.fetch_add(1, Ordering::Relaxed);
-        }
-
-        pub fn computed_count() -> u64 {
-            COMPUTED.load(Ordering::Relaxed)
-        }
-
-        pub fn reused_count() -> u64 {
-            REUSED.load(Ordering::Relaxed)
-        }
-    }
-
-    #[cfg(not(feature = "op-stats"))]
-    mod imp {
-        #[inline]
-        pub fn record_computed() {}
-        #[inline]
-        pub fn record_reused() {}
-        pub fn computed_count() -> u64 {
-            0
-        }
-        pub fn reused_count() -> u64 {
-            0
-        }
-    }
-
-    pub use imp::{computed_count, record_computed, record_reused, reused_count};
-
-    /// Snapshot of both lift counters.
+    /// The lift rows of one measured call.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct LiftCounts {
         /// Tensor lifts computed from scratch.
@@ -264,138 +294,36 @@ pub mod lift_stats {
         pub reused: u64,
     }
 
-    /// Reads both counters at once.
-    pub fn snapshot() -> LiftCounts {
-        LiftCounts {
-            computed: computed_count(),
-            reused: reused_count(),
+    impl From<Counts> for LiftCounts {
+        fn from(c: Counts) -> Self {
+            Self {
+                computed: c[Counter::LiftComputed],
+                reused: c[Counter::LiftReused],
+            }
         }
     }
 
-    /// Runs `f` and returns its result together with the lift counts it
-    /// incurred. Only meaningful when no other thread is lifting.
+    /// [`super::measure`], keeping the lift rows.
     pub fn measure<T>(f: impl FnOnce() -> T) -> (T, LiftCounts) {
-        let before = snapshot();
-        let out = f();
-        let after = snapshot();
-        (
-            out,
-            LiftCounts {
-                computed: after.computed - before.computed,
-                reused: after.reused - before.reused,
-            },
-        )
+        super::project(f)
     }
 }
 
-/// High-level homomorphic-operation counters: the measured counterpart of
-/// the analytic `OpCounts` the execution-plan IR carries per step.
+/// High-level homomorphic-operation counts: the measured counterpart of
+/// the analytic counts the execution-plan IR carries per step.
 ///
-/// Each counter is incremented exactly once per logical operation at the
-/// single choke point every code path funnels through (e.g. `hrot` in the
-/// shared decompose-then-permute key switch, so eager and hoisted rotations
-/// count alike). `sample_extract` counts extracted coefficients and
-/// `mod_switch` whole-ciphertext RLWE rescales; LWE-level arithmetic
-/// (additions, per-LWE modulus drops, dimension-switch MACs) is below this
-/// abstraction and deliberately uncounted, matching the analytic model.
+/// Each row is recorded exactly once per logical operation at the single
+/// choke point every code path funnels through (e.g. `hrot` in the shared
+/// decompose-then-permute key switch, so eager and hoisted rotations count
+/// alike). `sample_extract` counts extracted coefficients and `mod_switch`
+/// whole-ciphertext RLWE rescales; LWE-level arithmetic (additions,
+/// per-LWE modulus drops, dimension-switch MACs) is below this abstraction
+/// and deliberately uncounted, matching the analytic model.
 pub mod op_stats {
-    #[cfg(feature = "op-stats")]
-    mod imp {
-        use std::sync::atomic::{AtomicU64, Ordering};
+    use super::{Counter, Counts};
 
-        static PMULT: AtomicU64 = AtomicU64::new(0);
-        static CMULT: AtomicU64 = AtomicU64::new(0);
-        static SMULT: AtomicU64 = AtomicU64::new(0);
-        static HADD: AtomicU64 = AtomicU64::new(0);
-        static HROT: AtomicU64 = AtomicU64::new(0);
-        static SAMPLE_EXTRACT: AtomicU64 = AtomicU64::new(0);
-        static MOD_SWITCH: AtomicU64 = AtomicU64::new(0);
-
-        #[inline]
-        pub fn record_pmult() {
-            PMULT.fetch_add(1, Ordering::Relaxed);
-        }
-
-        #[inline]
-        pub fn record_cmult() {
-            CMULT.fetch_add(1, Ordering::Relaxed);
-        }
-
-        #[inline]
-        pub fn record_smult() {
-            SMULT.fetch_add(1, Ordering::Relaxed);
-        }
-
-        #[inline]
-        pub fn record_hadd() {
-            HADD.fetch_add(1, Ordering::Relaxed);
-        }
-
-        /// Bulk tally of a fused multiply–accumulate: `smults` logical
-        /// SMults and `hadds` logical HAdds it stands for.
-        #[inline]
-        pub fn record_lincomb(smults: u64, hadds: u64) {
-            SMULT.fetch_add(smults, Ordering::Relaxed);
-            HADD.fetch_add(hadds, Ordering::Relaxed);
-        }
-
-        #[inline]
-        pub fn record_hrot() {
-            HROT.fetch_add(1, Ordering::Relaxed);
-        }
-
-        #[inline]
-        pub fn record_sample_extract() {
-            SAMPLE_EXTRACT.fetch_add(1, Ordering::Relaxed);
-        }
-
-        #[inline]
-        pub fn record_mod_switch() {
-            MOD_SWITCH.fetch_add(1, Ordering::Relaxed);
-        }
-
-        pub fn raw() -> [u64; 7] {
-            [
-                PMULT.load(Ordering::Relaxed),
-                CMULT.load(Ordering::Relaxed),
-                SMULT.load(Ordering::Relaxed),
-                HADD.load(Ordering::Relaxed),
-                HROT.load(Ordering::Relaxed),
-                SAMPLE_EXTRACT.load(Ordering::Relaxed),
-                MOD_SWITCH.load(Ordering::Relaxed),
-            ]
-        }
-    }
-
-    #[cfg(not(feature = "op-stats"))]
-    mod imp {
-        #[inline]
-        pub fn record_pmult() {}
-        #[inline]
-        pub fn record_cmult() {}
-        #[inline]
-        pub fn record_smult() {}
-        #[inline]
-        pub fn record_hadd() {}
-        #[inline]
-        pub fn record_lincomb(_smults: u64, _hadds: u64) {}
-        #[inline]
-        pub fn record_hrot() {}
-        #[inline]
-        pub fn record_sample_extract() {}
-        #[inline]
-        pub fn record_mod_switch() {}
-        pub fn raw() -> [u64; 7] {
-            [0; 7]
-        }
-    }
-
-    pub use imp::{
-        record_cmult, record_hadd, record_hrot, record_lincomb, record_mod_switch, record_pmult,
-        record_sample_extract, record_smult,
-    };
-
-    /// Snapshot of every homomorphic-operation counter.
+    /// Counts of the seven high-level homomorphic operations — measured
+    /// here, and the unit of the plan's analytic per-step accounting.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct HomOpCounts {
         /// Plaintext-ciphertext multiplications.
@@ -440,108 +368,37 @@ pub mod op_stats {
         }
     }
 
-    /// Reads every counter at once.
-    pub fn snapshot() -> HomOpCounts {
-        let [pmult, cmult, smult, hadd, hrot, sample_extract, mod_switch] = imp::raw();
-        HomOpCounts {
-            pmult,
-            cmult,
-            smult,
-            hadd,
-            hrot,
-            sample_extract,
-            mod_switch,
+    impl From<Counts> for HomOpCounts {
+        fn from(c: Counts) -> Self {
+            Self {
+                pmult: c[Counter::Pmult],
+                cmult: c[Counter::Cmult],
+                smult: c[Counter::Smult],
+                hadd: c[Counter::Hadd],
+                hrot: c[Counter::Hrot],
+                sample_extract: c[Counter::SampleExtract],
+                mod_switch: c[Counter::ModSwitch],
+            }
         }
     }
 
-    /// Runs `f` and returns its result together with the operation counts
-    /// it incurred. Only meaningful when no other thread is evaluating
-    /// (worker threads spawned *by* `f` are counted — the counters are
-    /// process-global).
-    ///
-    /// Thread-count invariance: `par::parallel_*` workers are joined
-    /// before their entry point returns, so every bump a step's workers
-    /// make lands inside that step's bracket regardless of
-    /// `ATHENA_THREADS` — per-step deltas are identical at 1 and N
-    /// workers (pinned by `per_step_counts_are_thread_count_invariant` in
-    /// `athena-core`). Nested `measure()` calls double-attribute: the
-    /// inner bracket's counts also appear in the outer delta, so callers
-    /// composing brackets must subtract inner deltas themselves.
+    /// [`super::measure`], keeping the homomorphic-operation rows.
     pub fn measure<T>(f: impl FnOnce() -> T) -> (T, HomOpCounts) {
-        let before = snapshot();
-        let out = f();
-        (out, snapshot().sub(&before))
+        super::project(f)
     }
 }
 
-/// Limb-buffer allocation counters for the scratch arena
-/// (`crate::arena`): checkouts, fresh heap allocations (pool misses),
-/// recycles, and cap-driven frees.
+/// Limb-buffer allocation counts for the scratch arena (`crate::arena`):
+/// checkouts, fresh heap allocations (pool misses), recycles, and frees.
 ///
-/// Compiled in under the default-on `alloc-stats` feature (the pooling
-/// itself is always on — only the telemetry is gated). `takes` and
-/// `recycled` are schedule-independent and therefore thread-count
-/// invariant per plan step; the `fresh`/pooled split of a *cold* run
-/// depends on thread interleaving, so only the steady-state invariant
-/// `fresh == 0` (warm pool) is pinned across thread counts.
+/// `takes` and `recycled + freed` are schedule-independent and therefore
+/// thread-count invariant per plan step; the `fresh`/pooled split of a
+/// *cold* run depends on thread interleaving, so only the steady-state
+/// invariant `fresh == 0` (warm pool) is pinned across thread counts.
 pub mod alloc_stats {
-    #[cfg(feature = "alloc-stats")]
-    mod imp {
-        use std::sync::atomic::{AtomicU64, Ordering};
+    use super::{Counter, Counts};
 
-        static TAKES: AtomicU64 = AtomicU64::new(0);
-        static FRESH: AtomicU64 = AtomicU64::new(0);
-        static RECYCLED: AtomicU64 = AtomicU64::new(0);
-        static FREED: AtomicU64 = AtomicU64::new(0);
-
-        #[inline]
-        pub fn record_take() {
-            TAKES.fetch_add(1, Ordering::Relaxed);
-        }
-
-        #[inline]
-        pub fn record_fresh() {
-            FRESH.fetch_add(1, Ordering::Relaxed);
-        }
-
-        #[inline]
-        pub fn record_recycle() {
-            RECYCLED.fetch_add(1, Ordering::Relaxed);
-        }
-
-        #[inline]
-        pub fn record_freed() {
-            FREED.fetch_add(1, Ordering::Relaxed);
-        }
-
-        pub fn raw() -> [u64; 4] {
-            [
-                TAKES.load(Ordering::Relaxed),
-                FRESH.load(Ordering::Relaxed),
-                RECYCLED.load(Ordering::Relaxed),
-                FREED.load(Ordering::Relaxed),
-            ]
-        }
-    }
-
-    #[cfg(not(feature = "alloc-stats"))]
-    mod imp {
-        #[inline]
-        pub fn record_take() {}
-        #[inline]
-        pub fn record_fresh() {}
-        #[inline]
-        pub fn record_recycle() {}
-        #[inline]
-        pub fn record_freed() {}
-        pub fn raw() -> [u64; 4] {
-            [0; 4]
-        }
-    }
-
-    pub use imp::{record_freed, record_fresh, record_recycle, record_take};
-
-    /// Snapshot of every arena allocation counter.
+    /// The arena rows of one measured call.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct AllocCounts {
         /// Limb-buffer checkouts (pool hits *and* misses).
@@ -550,7 +407,7 @@ pub mod alloc_stats {
         pub fresh: u64,
         /// Buffers returned to the pool on drop.
         pub recycled: u64,
-        /// Buffers freed instead of pooled (retention cap reached).
+        /// Buffers freed instead of pooled.
         pub freed: u64,
     }
 
@@ -579,118 +436,203 @@ pub mod alloc_stats {
         }
     }
 
-    /// Reads every counter at once.
-    pub fn snapshot() -> AllocCounts {
-        let [takes, fresh, recycled, freed] = imp::raw();
-        AllocCounts {
-            takes,
-            fresh,
-            recycled,
-            freed,
+    impl From<Counts> for AllocCounts {
+        fn from(c: Counts) -> Self {
+            Self {
+                takes: c[Counter::AllocTake],
+                fresh: c[Counter::AllocFresh],
+                recycled: c[Counter::AllocRecycle],
+                freed: c[Counter::AllocFreed],
+            }
         }
     }
 
-    /// Runs `f` and returns its result together with the allocation counts
-    /// it incurred. Same bracket semantics as [`super::op_stats::measure`]: the
-    /// counters are process-global, workers spawned *by* `f` are joined
-    /// before it returns (so their bumps land inside the bracket), and
-    /// nested brackets double-attribute.
+    /// [`super::measure`], keeping the arena rows.
     pub fn measure<T>(f: impl FnOnce() -> T) -> (T, AllocCounts) {
-        let before = snapshot();
-        let out = f();
-        (out, snapshot().sub(&before))
+        super::project(f)
     }
 }
 
-#[cfg(all(test, feature = "alloc-stats"))]
-mod alloc_tests {
-    use super::alloc_stats;
-    use crate::arena::LimbVec;
+#[cfg(test)]
+mod tests {
+    use super::{lift_stats, measure, ntt_stats, op_stats, record, rot_stats};
+    use super::{Counter, Counts};
+    use crate::par;
+    use crate::poly::Ring;
+
+    /// What a row reads after recording `n` into it: `n`, or 0 with the
+    /// row's feature compiled out.
+    pub(super) fn seen(c: Counter, n: u64) -> u64 {
+        if c.enabled() {
+            n
+        } else {
+            0
+        }
+    }
 
     #[test]
-    fn alloc_counters_record_and_measure() {
-        // Counters are process-global and other tests allocate
-        // concurrently, so assert lower bounds only.
-        let ((), counts) = alloc_stats::measure(|| {
-            drop(LimbVec::take_raw(12353));
+    fn concurrent_scopes_count_only_their_own_thread() {
+        // Two threads record into the same row at the same time, different
+        // amounts each: either one seeing the other's work would show.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = [10_000u64, 20_000]
+                .map(|n| {
+                    let start = &start;
+                    (
+                        n,
+                        s.spawn(move || {
+                            start.wait();
+                            measure(|| (0..n).for_each(|_| record(Counter::Pmult, 1))).1
+                        }),
+                    )
+                })
+                .into_iter()
+                .collect();
+            for (n, w) in workers {
+                assert_eq!(w.join().unwrap()[Counter::Pmult], seen(Counter::Pmult, n));
+            }
         });
-        assert!(counts.takes >= 1);
-        assert!(counts.recycled + counts.freed >= 1);
-        let mut sum = counts;
-        sum.add(&counts);
-        assert_eq!(sum.takes, 2 * counts.takes);
-        assert_eq!(sum.sub(&counts), counts);
-        assert_eq!(counts.pooled(), counts.takes - counts.fresh);
     }
-}
 
-#[cfg(all(test, feature = "op-stats"))]
-mod tests {
-    use super::{lift_stats, ntt_stats, op_stats, rot_stats};
-    use crate::poly::Ring;
+    #[test]
+    fn outer_bracket_sees_inner_bracket_counts() {
+        let ((inner_ops, inner_ntt), outer) = measure(|| {
+            record(Counter::Hadd, 1);
+            let ((), ops) = op_stats::measure(|| record(Counter::Hadd, 2));
+            let ((), ntt) = ntt_stats::measure(|| record(Counter::NttForward, 3));
+            (ops, ntt)
+        });
+        assert_eq!(inner_ops.hadd, seen(Counter::Hadd, 2));
+        assert_eq!(inner_ntt.forward, seen(Counter::NttForward, 3));
+        assert_eq!(outer[Counter::Hadd], seen(Counter::Hadd, 3));
+        assert_eq!(outer[Counter::NttForward], seen(Counter::NttForward, 3));
+    }
+
+    #[test]
+    fn measure_counts_every_parallel_worker() {
+        let items: Vec<u64> = (1..=64).collect();
+        let (sums, counts) = measure(|| {
+            par::parallel_map_with(4, &items, |&x| {
+                record(Counter::Hrot, 1);
+                record(Counter::Smult, x);
+                x
+            })
+        });
+        assert_eq!(sums, items);
+        assert_eq!(counts[Counter::Hrot], seen(Counter::Hrot, 64));
+        assert_eq!(counts[Counter::Smult], seen(Counter::Smult, 64 * 65 / 2));
+    }
+
+    #[test]
+    fn caught_panic_restores_the_scope() {
+        let ((), outer) = measure(|| {
+            let caught = std::panic::catch_unwind(|| {
+                measure(|| {
+                    record(Counter::Cmult, 1);
+                    std::panic::resume_unwind(Box::new("step fault"));
+                })
+            });
+            assert!(caught.is_err());
+            // Lands in this scope again, not in the unwound one.
+            record(Counter::Cmult, 1);
+        });
+        // The unwound bracket folded its count before restoring.
+        assert_eq!(outer[Counter::Cmult], seen(Counter::Cmult, 2));
+        // No scope is left behind: outside every bracket nothing counts.
+        record(Counter::Cmult, 1);
+        assert_eq!(measure(|| ()).1, Counts::default());
+    }
 
     #[test]
     fn counts_forward_and_inverse_transforms() {
-        // Serialized implicitly: this is the only count-sensitive test in
-        // the athena-math binary that uses the ring below; use measure()
-        // deltas rather than absolute values to stay robust anyway.
         let ring = Ring::new(12289, 64);
         let a = ring.from_i64(&vec![1i64; 64]);
         let (_, counts) = ntt_stats::measure(|| {
             let e = ring.to_eval(&a);
             ring.to_coeff(&e)
         });
-        assert_eq!(counts.forward, 1);
-        assert_eq!(counts.inverse, 1);
+        assert_eq!(counts.forward, seen(Counter::NttForward, 1));
+        assert_eq!(counts.inverse, seen(Counter::NttInverse, 1));
     }
 
     #[test]
     fn rot_counters_record_and_measure() {
         let ((), counts) = rot_stats::measure(|| {
-            rot_stats::record_eager();
-            rot_stats::record_hoisted();
-            rot_stats::record_hoisted();
-            rot_stats::record_decompose();
+            record(Counter::RotEager, 1);
+            record(Counter::RotHoisted, 2);
+            record(Counter::RotDecompose, 1);
         });
-        assert_eq!(counts.eager, 1);
-        assert_eq!(counts.hoisted, 2);
-        assert_eq!(counts.decompose, 1);
-        assert_eq!(counts.rotations(), 3);
+        assert_eq!(counts.eager, seen(Counter::RotEager, 1));
+        assert_eq!(counts.hoisted, seen(Counter::RotHoisted, 2));
+        assert_eq!(counts.decompose, seen(Counter::RotDecompose, 1));
+        assert_eq!(counts.rotations(), seen(Counter::RotEager, 3));
     }
 
     #[test]
     fn op_counters_record_and_measure() {
         let ((), counts) = op_stats::measure(|| {
-            op_stats::record_pmult();
-            op_stats::record_pmult();
-            op_stats::record_cmult();
-            op_stats::record_smult();
-            op_stats::record_hadd();
-            op_stats::record_hrot();
-            op_stats::record_sample_extract();
-            op_stats::record_mod_switch();
+            record(Counter::Pmult, 2);
+            for c in [
+                Counter::Cmult,
+                Counter::Smult,
+                Counter::Hadd,
+                Counter::Hrot,
+                Counter::SampleExtract,
+                Counter::ModSwitch,
+            ] {
+                record(c, 1);
+            }
         });
-        assert_eq!(counts.pmult, 2);
-        assert_eq!(counts.cmult, 1);
-        assert_eq!(counts.smult, 1);
-        assert_eq!(counts.hadd, 1);
-        assert_eq!(counts.hrot, 1);
-        assert_eq!(counts.sample_extract, 1);
-        assert_eq!(counts.mod_switch, 1);
+        let one = seen(Counter::Pmult, 1);
+        assert_eq!(counts.pmult, 2 * one);
+        for n in [
+            counts.cmult,
+            counts.smult,
+            counts.hadd,
+            counts.hrot,
+            counts.sample_extract,
+            counts.mod_switch,
+        ] {
+            assert_eq!(n, one);
+        }
         let mut sum = counts;
         sum.add(&counts);
-        assert_eq!(sum.pmult, 4);
+        assert_eq!(sum.pmult, 4 * one);
         assert_eq!(sum.sub(&counts), counts);
     }
 
     #[test]
     fn lift_counters_record_and_measure() {
         let ((), counts) = lift_stats::measure(|| {
-            lift_stats::record_computed();
-            lift_stats::record_reused();
-            lift_stats::record_reused();
+            record(Counter::LiftComputed, 1);
+            record(Counter::LiftReused, 2);
         });
-        assert_eq!(counts.computed, 1);
-        assert_eq!(counts.reused, 2);
+        assert_eq!(counts.computed, seen(Counter::LiftComputed, 1));
+        assert_eq!(counts.reused, seen(Counter::LiftReused, 2));
+    }
+}
+
+#[cfg(test)]
+mod alloc_tests {
+    use super::tests::seen;
+    use super::{alloc_stats, Counter};
+    use crate::arena::LimbVec;
+
+    #[test]
+    fn alloc_counters_record_and_measure() {
+        // A concurrent shard-poison recovery would free into this thread's
+        // scope if this checkout probed the poisoned shard.
+        let _pool = crate::arena::test_lock();
+        let ((), counts) = alloc_stats::measure(|| {
+            drop(LimbVec::take_raw(12353));
+        });
+        assert_eq!(counts.takes, seen(Counter::AllocTake, 1));
+        assert_eq!(counts.recycled + counts.freed, seen(Counter::AllocFreed, 1));
+        let mut sum = counts;
+        sum.add(&counts);
+        assert_eq!(sum.takes, 2 * counts.takes);
+        assert_eq!(sum.sub(&counts), counts);
+        assert_eq!(counts.pooled(), counts.takes - counts.fresh);
     }
 }
