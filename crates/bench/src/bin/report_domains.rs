@@ -5,9 +5,8 @@
 //! Run once before the Eval-resident refactor to record the baseline
 //! (`reports/domain_ntt_baseline.txt`), and after it to produce
 //! `reports/domain_ntt.txt` with before/after deltas; counting uses the
-//! `op-stats` feature of `athena-math`. A `measure` counts exactly the call
-//! tree it wraps, parallel workers included, so the counts do not depend on
-//! the worker count; the bench still counts on one worker, as the report's
+//! `op-stats` feature of `athena-math`. Every operation runs on the calling
+//! thread, so the counts are those of a 1-worker run, as the report's
 //! header line states.
 
 use std::time::Duration;
@@ -19,7 +18,6 @@ use athena_fhe::bfv::BfvEvaluator;
 use athena_fhe::fbs::{fbs_apply, Lut};
 use athena_fhe::lwe::LweCiphertext;
 use athena_fhe::params::BfvParams;
-use athena_math::par;
 use athena_math::stats::ntt_stats;
 
 struct Row {
@@ -29,12 +27,9 @@ struct Row {
     latency: Duration,
 }
 
-/// Counts NTTs for one serial execution of `f`, then times it (counts and
-/// timing are separated so the timing run can use all workers).
+/// Counts NTTs for one execution of `f`, then times it.
 fn profile(opts: &BenchOpts, name: &str, mut f: impl FnMut()) -> Row {
-    par::set_threads(1);
     let ((), counts) = ntt_stats::measure(&mut f);
-    par::set_threads(0);
     let latency = run(opts, &mut f).median;
     Row {
         name: name.to_string(),

@@ -16,7 +16,6 @@ use athena_fhe::bfv::BfvEvaluator;
 use athena_fhe::fbs::{fbs_apply, Lut};
 use athena_fhe::lwe::LweCiphertext;
 use athena_fhe::params::BfvParams;
-use athena_math::par;
 use athena_math::stats::{lift_stats, ntt_stats, rot_stats};
 
 struct Row {
@@ -30,14 +29,10 @@ struct Row {
     latency: Duration,
 }
 
-/// Counts NTTs/rotations/lifts for one serial execution of `f`, then times
-/// it (counting and timing are separated so the timing run can use all
-/// workers).
+/// Counts NTTs/rotations/lifts for one execution of `f`, then times it.
 fn profile(opts: &BenchOpts, name: &str, mut f: impl FnMut()) -> Row {
-    par::set_threads(1);
     let ((((), lifts), rot), ntt) =
         ntt_stats::measure(|| rot_stats::measure(|| lift_stats::measure(&mut f)));
-    par::set_threads(0);
     let latency = run(opts, &mut f).median;
     Row {
         name: name.to_string(),

@@ -26,7 +26,6 @@ use athena_fhe::lwe::{lwe_mod_switch, LweCiphertext, LweKeySwitchKey, LweSecret}
 use athena_fhe::pack::{BsgsPackingKey, ColumnPackingKey};
 use athena_fhe::params::BfvParams;
 use athena_math::modops::Modulus;
-use athena_math::par;
 use athena_math::poly::Poly;
 use athena_math::sampler::Sampler;
 
@@ -373,10 +372,8 @@ impl AthenaEngine {
     }
 
     /// Step ③a alone — sample extraction of the requested coefficients
-    /// from a mod-switched ciphertext (still at RLWE dimension `N`).
-    /// Independent per position — the per-LWE loop the paper fans out
-    /// across FRU lanes — so it runs on the parallel layer (results stay
-    /// in position order).
+    /// from a mod-switched ciphertext (still at RLWE dimension `N`), in
+    /// position order.
     pub fn sample_extract(
         &self,
         small: &athena_fhe::extract::SmallRlwe,
@@ -384,14 +381,15 @@ impl AthenaEngine {
         stats: &mut PipelineStats,
     ) -> Vec<LweCiphertext> {
         stats.extracts += positions.len();
-        let threads = par::threads_for(positions.len(), self.ctx.n());
-        par::parallel_map_with(threads, positions, |&p| sample_extract_one(small, p))
+        positions
+            .iter()
+            .map(|&p| sample_extract_one(small, p))
+            .collect()
     }
 
     /// Step ③b alone — LWE dimension switch `N → n` at `q_mid`.
     pub fn dim_switch(&self, big: &[LweCiphertext], keys: &AthenaEvalKeys) -> Vec<LweCiphertext> {
-        let threads = par::threads_for(big.len(), keys.lwe_ksk.bytes() / 8);
-        par::parallel_map_with(threads, big, |c| keys.lwe_ksk.switch(c))
+        big.iter().map(|c| keys.lwe_ksk.switch(c)).collect()
     }
 
     /// Step ③c alone — the final LWE modulus drop to `t` (this rounding is

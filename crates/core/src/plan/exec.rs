@@ -66,10 +66,9 @@ pub struct StepReport {
     pub phase: Phase,
     /// Compile-time analytic counts.
     pub analytic: OpCounts,
-    /// Counter-measured counts of exactly this step's work — its own
-    /// thread and the `par` workers it spawned, never a request running
-    /// concurrently on another thread (zero when the `op-stats` feature is
-    /// off).
+    /// Counter-measured counts of exactly this step's work, never a
+    /// request running concurrently on another thread (zero when the
+    /// `op-stats` feature is off).
     pub measured: OpCounts,
     /// Arena limb-buffer allocation counts of the step, scoped like
     /// `measured` (zero when the `alloc-stats` feature is off).

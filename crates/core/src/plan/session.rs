@@ -406,7 +406,7 @@ impl InferenceSession {
             .map(|(i, _)| (i, sampler.fork(), None))
             .collect();
         let engine = &self.engine;
-        par::parallel_for_each_mut(&mut jobs, |(i, fork, out)| {
+        par::parallel_for_each_mut_with(par::num_threads(), &mut jobs, |(i, fork, out)| {
             // `run_one` already catches per-step unwinds and quarantines;
             // this outer catch is the backstop for a panic outside the
             // step loop, so a worker can never unwind through the pool —

@@ -86,70 +86,66 @@ fn session() -> InferenceSession {
 /// The acceptance invariant, exhaustively: a panic injected at *every*
 /// flat step index comes back as [`AthenaError::StepPanicked`] naming the
 /// right step, and a clean run right after on the *same* session is
-/// bit-identical to a never-faulted twin — at 1 and 4 workers.
+/// bit-identical to a never-faulted twin.
 #[test]
 fn panic_at_every_step_surfaces_typed_and_recovers() {
     let _g = lock();
     let model = model_with(-2);
-    for threads in [1usize, 4] {
-        par::set_threads(threads);
-        // The never-faulted twin (same key seed, same request sampler).
-        let clean_logits = {
-            let mut twin = session();
-            let mut sampler = Sampler::from_seed(9_999);
-            twin.run_encrypted(&model, &input(0), &mut sampler)
-                .expect("twin clean run")
-                .logits
-        };
+    // The never-faulted twin (same key seed, same request sampler).
+    let clean_logits = {
+        let mut twin = session();
+        let mut sampler = Sampler::from_seed(9_999);
+        twin.run_encrypted(&model, &input(0), &mut sampler)
+            .expect("twin clean run")
+            .logits
+    };
 
-        let mut chaotic = session();
-        let plan = chaotic.plan_for(&model, &[1, 5, 5]);
-        // (flat index → (node, step-in-node, label)) for the assertion.
-        let flat_steps: Vec<(usize, usize, &'static str)> = plan
-            .layers
-            .iter()
-            .flat_map(|l| {
-                l.steps
-                    .iter()
-                    .enumerate()
-                    .map(|(si, s)| (l.node, si, s.op.label()))
-            })
-            .collect();
-        drop(plan);
+    let mut chaotic = session();
+    let plan = chaotic.plan_for(&model, &[1, 5, 5]);
+    // (flat index → (node, step-in-node, label)) for the assertion.
+    let flat_steps: Vec<(usize, usize, &'static str)> = plan
+        .layers
+        .iter()
+        .flat_map(|l| {
+            l.steps
+                .iter()
+                .enumerate()
+                .map(|(si, s)| (l.node, si, s.op.label()))
+        })
+        .collect();
+    drop(plan);
 
-        for (k, &(node, si, label)) in flat_steps.iter().enumerate() {
-            let policy = RunPolicy::default().with_faults(FaultPlan::panic_at(k));
-            let mut sampler = Sampler::from_seed(1_000 + k as u64);
-            let err = chaotic
-                .run_encrypted_with(&model, &input(0), &mut sampler, &policy)
-                .expect_err("the injected panic must fail the request");
-            match err {
-                AthenaError::StepPanicked {
-                    node: n,
-                    step: s,
-                    label: l,
-                    payload,
-                } => {
-                    assert_eq!(
-                        (n, s, l),
-                        (node, si, label),
-                        "flat step {k}: wrong attribution"
-                    );
-                    assert!(payload.contains("injected fault"), "payload: {payload}");
-                }
-                other => panic!("flat step {k}: expected StepPanicked, got {other:?}"),
+    for (k, &(node, si, label)) in flat_steps.iter().enumerate() {
+        let policy = RunPolicy::default().with_faults(FaultPlan::panic_at(k));
+        let mut sampler = Sampler::from_seed(1_000 + k as u64);
+        let err = chaotic
+            .run_encrypted_with(&model, &input(0), &mut sampler, &policy)
+            .expect_err("the injected panic must fail the request");
+        match err {
+            AthenaError::StepPanicked {
+                node: n,
+                step: s,
+                label: l,
+                payload,
+            } => {
+                assert_eq!(
+                    (n, s, l),
+                    (node, si, label),
+                    "flat step {k}: wrong attribution"
+                );
+                assert!(payload.contains("injected fault"), "payload: {payload}");
             }
-
-            let mut sampler = Sampler::from_seed(9_999);
-            let recovered = chaotic
-                .run_encrypted(&model, &input(0), &mut sampler)
-                .expect("clean run after fault");
-            assert_eq!(
-                recovered.logits, clean_logits,
-                "flat step {k} at {threads} threads: the faulted attempt leaked state"
-            );
+            other => panic!("flat step {k}: expected StepPanicked, got {other:?}"),
         }
-        par::set_threads(0);
+
+        let mut sampler = Sampler::from_seed(9_999);
+        let recovered = chaotic
+            .run_encrypted(&model, &input(0), &mut sampler)
+            .expect("clean run after fault");
+        assert_eq!(
+            recovered.logits, clean_logits,
+            "flat step {k}: the faulted attempt leaked state"
+        );
     }
 }
 

@@ -162,7 +162,8 @@ fn run_batch_matches_sequential_at_any_thread_count() {
             .collect()
     };
 
-    for threads in [1usize, 4] {
+    // Uneven chunks (3 and 4 workers) and more workers than inputs (8).
+    for threads in [1usize, 3, 4, 8] {
         par::set_threads(threads);
         let mut session = InferenceSession::new(AthenaEngine::new(BfvParams::test_small()), 4, 77);
         let mut sampler = Sampler::from_seed(555);

@@ -62,7 +62,6 @@
 use athena_math::arena::LimbVec;
 use athena_math::bigint::UBig;
 use athena_math::modops::{lazy_mac_terms, Modulus};
-use athena_math::par;
 use athena_math::poly::{Domain, Poly};
 use athena_math::rns::{coeff_polys, signed_residue, BaseConverter, RnsBasis, RnsPoly};
 use athena_math::sampler::Sampler;
@@ -284,35 +283,35 @@ impl BfvContext {
             "digit decomposition needs coefficient form"
         );
         record(Counter::RotDecompose, 1);
-        // The per-digit lifts are independent — fan out like the limbs
-        // (each digit costs a full-basis lift plus NTTs).
-        let work = self.qb.len() * self.qb.n() * (self.qb.n().ilog2() as usize + 2);
-        par::parallel_map_range_with(par::threads_for(self.qb.len(), work), self.qb.len(), |i| {
-            // Lift limb i of d to the full basis, centered: |value| ≤ q_i/2.
-            let qi = self.qb.rings()[i].modulus().value();
-            let half = qi / 2;
-            let vals = d.limbs()[i].values();
-            let lifted_limbs: Vec<Poly> = self
-                .qb
-                .rings()
-                .iter()
-                .map(|r| {
-                    let m = r.modulus();
-                    let mut out = LimbVec::take_raw(vals.len());
-                    for (o, &v) in out.iter_mut().zip(vals) {
-                        *o = if v <= half {
-                            m.reduce(v)
-                        } else {
-                            m.neg(m.reduce(qi - v))
-                        };
-                    }
-                    Poly::from_limbs(out, Domain::Coeff)
-                })
-                .collect();
-            let mut lifted = RnsPoly::from_limbs(lifted_limbs);
-            self.qb.poly_to_eval_inplace(&mut lifted);
-            lifted
-        })
+        let rings = self.qb.rings();
+        rings
+            .iter()
+            .zip(d.limbs())
+            .map(|(ri, limb)| {
+                // Lift limb i of d to the full basis, centered: |value| ≤ q_i/2.
+                let qi = ri.modulus().value();
+                let half = qi / 2;
+                let vals = limb.values();
+                let lifted_limbs: Vec<Poly> = rings
+                    .iter()
+                    .map(|r| {
+                        let m = r.modulus();
+                        let mut out = LimbVec::take_raw(vals.len());
+                        for (o, &v) in out.iter_mut().zip(vals) {
+                            *o = if v <= half {
+                                m.reduce(v)
+                            } else {
+                                m.neg(m.reduce(qi - v))
+                            };
+                        }
+                        Poly::from_limbs(out, Domain::Coeff)
+                    })
+                    .collect();
+                let mut lifted = RnsPoly::from_limbs(lifted_limbs);
+                self.qb.poly_to_eval_inplace(&mut lifted);
+                lifted
+            })
+            .collect()
     }
 
     fn sample_error(&self, sampler: &mut Sampler) -> RnsPoly {
@@ -550,17 +549,11 @@ impl KeySwitchKey {
     /// Panics unless there is exactly one digit per key pair.
     pub fn apply_digits(&self, ctx: &BfvContext, digits: &[RnsPoly]) -> (RnsPoly, RnsPoly) {
         assert_eq!(digits.len(), self.pairs.len(), "one digit per key pair");
-        // The per-digit products are independent — fan out like the limbs
-        // (two Eval-form RNS multiplications per digit).
-        let work = 2 * ctx.qb.len() * ctx.qb.n();
-        let threads = par::threads_for(digits.len(), work);
-        let terms: Vec<(RnsPoly, RnsPoly)> =
-            par::parallel_map_range_with(threads, digits.len(), |i| {
-                (
-                    ctx.qb.mul_poly(&digits[i], &self.pairs[i].0),
-                    ctx.qb.mul_poly(&digits[i], &self.pairs[i].1),
-                )
-            });
+        let terms: Vec<(RnsPoly, RnsPoly)> = digits
+            .iter()
+            .zip(&self.pairs)
+            .map(|(digit, (k0, k1))| (ctx.qb.mul_poly(digit, k0), ctx.qb.mul_poly(digit, k1)))
+            .collect();
         // Fold from the first term (0 + x = x exactly, so this is
         // bit-identical to seeding with zero polynomials but skips two
         // accumulator allocations and a full pass).
@@ -1193,11 +1186,10 @@ impl<'a> BfvEvaluator<'a> {
     ) -> BfvCiphertext {
         let ctx = self.ctx;
         record(Counter::Hrot, 1);
-        let permuted: Vec<RnsPoly> = par::parallel_map_range_with(
-            par::threads_for(digits.len(), ctx.qb.len() * ctx.qb.n()),
-            digits.len(),
-            |i| ctx.qb.automorphism_poly(&digits[i], g),
-        );
+        let permuted: Vec<RnsPoly> = digits
+            .iter()
+            .map(|digit| ctx.qb.automorphism_poly(digit, g))
+            .collect();
         let (mut p0, p1) = key.apply_digits(ctx, &permuted);
         ctx.qb
             .add_assign_poly(&mut p0, &ctx.qb.automorphism_poly(c0_eval, g));

@@ -204,52 +204,13 @@ pub struct FbsStats {
     pub hadd: usize,
 }
 
-/// Evaluates the LUT homomorphically on a slot-encoded ciphertext:
-/// every slot `x` becomes `LUT(x)` (Alg. 2). Returns the result and the
-/// operation counts.
-///
-/// # Panics
-///
-/// Panics if the LUT modulus differs from the context's `t`.
-pub fn fbs_apply(
-    ctx: &BfvContext,
-    ct: &BfvCiphertext,
-    lut: &Lut,
-    rlk: &RelinKey,
-) -> (BfvCiphertext, FbsStats) {
-    assert_eq!(lut.t(), ctx.t(), "LUT modulus must match context t");
-    fbs_apply_interpolated(ctx, ct, lut.coeffs(), rlk)
-}
-
-/// Evaluates a batch of independent FBS over the same LUT: the LUT is
-/// interpolated at most once (not at all when it comes out of a compiled
-/// plan), then the per-ciphertext BSGS evaluations run on the parallel
-/// layer (they are fully independent — this is the loop the paper's FRU
-/// array spreads across hardware units). Results are in input order and
-/// bit-identical for any thread count.
-///
-/// # Panics
-///
-/// Panics if the LUT modulus differs from the context's `t`.
-pub fn fbs_apply_batch(
-    ctx: &BfvContext,
-    cts: &[BfvCiphertext],
-    lut: &Lut,
-    rlk: &RelinKey,
-) -> Vec<(BfvCiphertext, FbsStats)> {
-    assert_eq!(lut.t(), ctx.t(), "LUT modulus must match context t");
-    let coeffs = lut.coeffs();
-    athena_math::par::parallel_map(cts, |ct| fbs_apply_interpolated(ctx, ct, coeffs, rlk))
-}
-
 /// A BSGS operand carrying a shared, lazily computed tensor-basis lift.
 ///
 /// The schedule reuses the same baby/giant powers across many CMults, so
 /// each power pays its forced-Coeff lift into the extended basis **once**
 /// (the CMult analogue of rotation hoisting; `lift_stats` counts computed
-/// vs reused lifts). The `Rc` never crosses a thread: each
-/// [`fbs_apply_interpolated`] call builds and drops its own operand graph,
-/// and the batch parallelism is at the whole-call level.
+/// vs reused lifts). The `Rc` never crosses a thread: each [`fbs_apply`]
+/// call builds and drops its own operand graph.
 #[derive(Clone)]
 struct FbsOperand {
     ct: BfvCiphertext,
@@ -273,13 +234,21 @@ impl FbsOperand {
     }
 }
 
-/// Alg. 2 on pre-interpolated LUT coefficients (shared across a batch).
-fn fbs_apply_interpolated(
+/// Evaluates the LUT homomorphically on a slot-encoded ciphertext:
+/// every slot `x` becomes `LUT(x)` (Alg. 2). Returns the result and the
+/// operation counts.
+///
+/// # Panics
+///
+/// Panics if the LUT modulus differs from the context's `t`.
+pub fn fbs_apply(
     ctx: &BfvContext,
     ct: &BfvCiphertext,
-    coeffs: &[u64],
+    lut: &Lut,
     rlk: &RelinKey,
 ) -> (BfvCiphertext, FbsStats) {
+    assert_eq!(lut.t(), ctx.t(), "LUT modulus must match context t");
+    let coeffs = lut.coeffs();
     let ev = BfvEvaluator::new(ctx);
     // Polynomial evaluation is CMult-dominated, and every CMult tensors
     // through the centered CRT lift — a forced-Coeff boundary — so an

@@ -59,35 +59,51 @@ impl HomLinearTransform {
             groups,
             diag_cache: Vec::new(),
         };
-        let enc = ctx.encoder();
-        let diag_cache = par::parallel_map_range(groups * split.baby * 2, |idx| {
-            let bi = idx % 2;
-            let k2 = (idx / 2) % split.baby;
-            let g = idx / 2 / split.baby;
-            let shift = g * split.baby;
-            let k = shift + k2;
-            if k >= row {
-                return None;
-            }
-            let dv = tmp.diagonal(ctx, k, bi == 1);
-            if dv.iter().all(|&x| x == 0) {
-                return None;
-            }
-            // Pre-rotate the diagonal right by `shift` per row so the one
-            // giant rotation at the end restores alignment.
-            let pre: Vec<u64> = (0..n)
-                .map(|i| {
-                    let r = i / row;
-                    let c = i % row;
-                    dv[r * row + (c + row - (shift % row)) % row]
-                })
-                .collect();
-            Some(
-                ctx.q_basis()
-                    .poly_to_eval(&ctx.lift_plaintext(&enc.encode(&pre))),
-            )
+        // Building the cache is `k + 1` NTTs for each of `2·groups·baby`
+        // diagonals, once per transform (the S2C one is built with every
+        // engine). Run inline, engine set-up took +21 % on the
+        // `fc_nofbs_t257` benchmark workload (2 hardware threads), so this
+        // is the one fan-out kept besides `run_batch`'s.
+        let mut slots: Vec<(usize, Option<RnsPoly>)> = (0..groups * split.baby * 2)
+            .map(|idx| (idx, None))
+            .collect();
+        par::parallel_for_each_mut_with(par::num_threads(), &mut slots, |(idx, out)| {
+            *out = tmp.cached_operand(ctx, *idx)
         });
+        let diag_cache = slots.into_iter().map(|(_, op)| op).collect();
         Self { diag_cache, ..tmp }
+    }
+
+    /// Entry `idx` of the diagonal cache (see the `diag_cache` field).
+    fn cached_operand(&self, ctx: &BfvContext, idx: usize) -> Option<RnsPoly> {
+        let n = ctx.n();
+        let row = ctx.encoder().row_size();
+        let baby = self.split.baby;
+        let bi = idx % 2;
+        let k2 = (idx / 2) % baby;
+        let g = idx / 2 / baby;
+        let shift = g * baby;
+        let k = shift + k2;
+        if k >= row {
+            return None;
+        }
+        let dv = self.diagonal(ctx, k, bi == 1);
+        if dv.iter().all(|&x| x == 0) {
+            return None;
+        }
+        // Pre-rotate the diagonal right by `shift` per row so the one
+        // giant rotation at the end restores alignment.
+        let pre: Vec<u64> = (0..n)
+            .map(|i| {
+                let r = i / row;
+                let c = i % row;
+                dv[r * row + (c + row - (shift % row)) % row]
+            })
+            .collect();
+        Some(
+            ctx.q_basis()
+                .poly_to_eval(&ctx.lift_plaintext(&ctx.encoder().encode(&pre))),
+        )
     }
 
     /// The Galois elements the BSGS schedule needs (generate keys for
@@ -208,47 +224,49 @@ impl HomLinearTransform {
         let hoisted = ev.hoist(ct);
         let swapped = ev.hoist(&hoisted.swap_rows(ctx, gk));
         let sources = [&hoisted, &swapped];
-        // Baby rotations of both sources — 2·baby independent digit
-        // permutations, run on the parallel layer (flat index
-        // = bi * baby + k).
-        let baby_flat: Vec<BfvCiphertext> = par::parallel_map_range(2 * self.split.baby, |idx| {
-            let (bi, k) = (idx / self.split.baby, idx % self.split.baby);
-            if k == 0 {
-                sources[bi].ciphertext().clone()
-            } else {
-                sources[bi].rotate_rows(ctx, k, gk)
-            }
-        });
-        let baby: Vec<&[BfvCiphertext]> = baby_flat.chunks(self.split.baby).collect();
-        // The giant groups are independent; compute them in parallel and fold
-        // in order (exact modular arithmetic — bit-identical for any thread
-        // count).
-        let groups: Vec<Option<BfvCiphertext>> = par::parallel_map_range(self.groups, |g| {
-            let shift = g * self.split.baby;
-            let mut inner: Option<BfvCiphertext> = None;
-            for (bi, chunk) in baby.iter().enumerate() {
-                for (k2, src) in chunk.iter().enumerate() {
-                    let Some(lifted) = &self.diag_cache[(shift + k2) * 2 + bi] else {
-                        continue;
-                    };
-                    let term = ev.mul_plain_lifted(src, lifted);
-                    inner = Some(match inner {
-                        None => term,
-                        Some(mut a) => {
-                            ev.add_assign(&mut a, &term);
-                            a
-                        }
-                    });
-                }
-            }
-            inner.map(|inn| {
-                if shift == 0 {
-                    inn
+        // Baby rotations of both sources — 2·baby digit permutations
+        // (flat index = bi * baby + k).
+        let baby_flat: Vec<BfvCiphertext> = (0..2 * self.split.baby)
+            .map(|idx| {
+                let (bi, k) = (idx / self.split.baby, idx % self.split.baby);
+                if k == 0 {
+                    sources[bi].ciphertext().clone()
                 } else {
-                    ev.rotate_rows(&inn, shift, gk)
+                    sources[bi].rotate_rows(ctx, k, gk)
                 }
             })
-        });
+            .collect();
+        let baby: Vec<&[BfvCiphertext]> = baby_flat.chunks(self.split.baby).collect();
+        // Each giant group is the inner diagonal sum plus one output
+        // rotation; the groups are folded in order below.
+        let groups: Vec<Option<BfvCiphertext>> = (0..self.groups)
+            .map(|g| {
+                let shift = g * self.split.baby;
+                let mut inner: Option<BfvCiphertext> = None;
+                for (bi, chunk) in baby.iter().enumerate() {
+                    for (k2, src) in chunk.iter().enumerate() {
+                        let Some(lifted) = &self.diag_cache[(shift + k2) * 2 + bi] else {
+                            continue;
+                        };
+                        let term = ev.mul_plain_lifted(src, lifted);
+                        inner = Some(match inner {
+                            None => term,
+                            Some(mut a) => {
+                                ev.add_assign(&mut a, &term);
+                                a
+                            }
+                        });
+                    }
+                }
+                inner.map(|inn| {
+                    if shift == 0 {
+                        inn
+                    } else {
+                        ev.rotate_rows(&inn, shift, gk)
+                    }
+                })
+            })
+            .collect();
         let mut acc: Option<BfvCiphertext> = None;
         for rotated in groups.into_iter().flatten() {
             acc = Some(match acc {

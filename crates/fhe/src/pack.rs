@@ -15,7 +15,6 @@
 //!   Table 3 complexity (`O(C)` PMult, `O(C)` HRot via BSGS \[7\]).
 
 use athena_math::bsgs::BsgsSplit;
-use athena_math::par;
 use athena_math::poly::Domain;
 use athena_math::sampler::Sampler;
 use athena_math::stats::op_stats::HomOpCounts;
@@ -128,22 +127,22 @@ impl ColumnPackingKey {
         check_pack_operands(lwes, n_slots, n_lwe, ctx.t());
         let ev = BfvEvaluator::new(ctx);
         let enc = ctx.encoder();
-        // The per-coordinate terms col_j ⊙ Enc(s'_j) are independent, so they
-        // run on the parallel layer; the fold below is exact modular
-        // arithmetic, so the result is bit-identical for any thread count.
-        let work = 2 * ctx.q_basis().len() * n_slots;
-        let terms = par::parallel_map_range_with(par::threads_for(n_lwe, work), n_lwe, |j| {
-            let mut col = vec![0u64; n_slots];
-            let mut all_zero = true;
-            for (i, ct) in lwes.iter().enumerate() {
-                col[i] = ct.a()[j];
-                all_zero &= col[i] == 0;
-            }
-            if all_zero {
-                return None;
-            }
-            Some(ev.mul_plain(&self.keys[j], &enc.encode(&col)))
-        });
+        // One term col_j ⊙ Enc(s'_j) per LWE coordinate; all-zero columns
+        // contribute nothing and are skipped.
+        let terms: Vec<Option<BfvCiphertext>> = (0..n_lwe)
+            .map(|j| {
+                let mut col = vec![0u64; n_slots];
+                let mut all_zero = true;
+                for (i, ct) in lwes.iter().enumerate() {
+                    col[i] = ct.a()[j];
+                    all_zero &= col[i] == 0;
+                }
+                if all_zero {
+                    return None;
+                }
+                Some(ev.mul_plain(&self.keys[j], &enc.encode(&col)))
+            })
+            .collect();
         // The Eval-resident keys make every term Eval; the whole fold stays
         // NTT-free and the packed ciphertext is handed on in Eval form.
         let mut acc = BfvCiphertext::zero_in(ctx, Domain::Eval);
@@ -330,59 +329,61 @@ impl BsgsPackingKey {
                 .collect()
         };
         // Baby rotations of the key are hoisted: each permutes the digit
-        // cache computed once at `generate` — no NTTs, one worker each.
+        // cache computed once at `generate` — no NTTs.
         let key = &self.key;
-        let baby_keys: Vec<BfvCiphertext> = par::parallel_map_range(self.split.baby, |b| {
-            if b == 0 {
-                key.ciphertext().clone()
-            } else {
-                key.rotate_rows(ctx, b, gk)
-            }
-        });
-        // Each giant group — the inner diagonal sum plus one output rotation
-        // — is independent of the others; run the groups on the parallel
-        // layer, then fold in order (exact arithmetic, so the grouping does
-        // not change the result).
-        let groups: Vec<Option<BfvCiphertext>> = par::parallel_map_range(self.groups, |g| {
-            let shift = g * self.split.baby;
-            // inner = Σ_b rot_{-shift}(diag_{shift+b}) ⊙ rot_b(key)
-            let mut inner: Option<BfvCiphertext> = None;
-            for (b, baby_key) in baby_keys.iter().enumerate() {
-                let d = shift + b;
-                if d >= n_lwe {
-                    break;
-                }
-                let dv = diag(d);
-                if dv.iter().all(|&x| x == 0) {
-                    continue;
-                }
-                // Rotate the diagonal right by `shift` so that the final
-                // left-rotation by `shift` restores alignment:
-                // inv_rot[c] = dv[c - shift] (per row).
-                let inv_rot: Vec<u64> = (0..n_slots)
-                    .map(|i| {
-                        let r = i / row;
-                        let c = i % row;
-                        dv[r * row + (c + row - (shift % row)) % row]
-                    })
-                    .collect();
-                let term = ev.mul_plain(baby_key, &enc.encode(&inv_rot));
-                inner = Some(match inner {
-                    None => term,
-                    Some(mut a) => {
-                        ev.add_assign(&mut a, &term);
-                        a
-                    }
-                });
-            }
-            inner.map(|inn| {
-                if shift == 0 {
-                    inn
+        let baby_keys: Vec<BfvCiphertext> = (0..self.split.baby)
+            .map(|b| {
+                if b == 0 {
+                    key.ciphertext().clone()
                 } else {
-                    ev.rotate_rows(&inn, shift, gk)
+                    key.rotate_rows(ctx, b, gk)
                 }
             })
-        });
+            .collect();
+        // Each giant group is the inner diagonal sum plus one output
+        // rotation; the groups are folded in order below.
+        let groups: Vec<Option<BfvCiphertext>> = (0..self.groups)
+            .map(|g| {
+                let shift = g * self.split.baby;
+                // inner = Σ_b rot_{-shift}(diag_{shift+b}) ⊙ rot_b(key)
+                let mut inner: Option<BfvCiphertext> = None;
+                for (b, baby_key) in baby_keys.iter().enumerate() {
+                    let d = shift + b;
+                    if d >= n_lwe {
+                        break;
+                    }
+                    let dv = diag(d);
+                    if dv.iter().all(|&x| x == 0) {
+                        continue;
+                    }
+                    // Rotate the diagonal right by `shift` so that the final
+                    // left-rotation by `shift` restores alignment:
+                    // inv_rot[c] = dv[c - shift] (per row).
+                    let inv_rot: Vec<u64> = (0..n_slots)
+                        .map(|i| {
+                            let r = i / row;
+                            let c = i % row;
+                            dv[r * row + (c + row - (shift % row)) % row]
+                        })
+                        .collect();
+                    let term = ev.mul_plain(baby_key, &enc.encode(&inv_rot));
+                    inner = Some(match inner {
+                        None => term,
+                        Some(mut a) => {
+                            ev.add_assign(&mut a, &term);
+                            a
+                        }
+                    });
+                }
+                inner.map(|inn| {
+                    if shift == 0 {
+                        inn
+                    } else {
+                        ev.rotate_rows(&inn, shift, gk)
+                    }
+                })
+            })
+            .collect();
         let mut acc: Option<BfvCiphertext> = None;
         for rotated in groups.into_iter().flatten() {
             acc = Some(match acc {

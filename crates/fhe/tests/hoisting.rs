@@ -1,25 +1,17 @@
 //! Hoisted-rotation invariants: decompose-once/rotate-many is bit-identical
-//! to the eager path, deterministic under any worker count, noise-neutral,
-//! and actually shares the digit decomposition (one per source, not one per
-//! rotation — proved with the `op-stats` counters).
+//! to the eager path, noise-neutral, and actually shares the digit
+//! decomposition (one per source, not one per rotation — proved with the
+//! `op-stats` counters).
 //!
 //! Each `measure` counts only its own call tree, so the tests run
-//! concurrently; only the two that set the process-wide worker count
-//! (`par::set_threads`) take turns, so each runs its serial and parallel
-//! legs as labelled.
-
-use std::sync::Mutex;
+//! concurrently.
 
 use athena_fhe::bfv::{BfvContext, BfvEvaluator, GaloisKeys, SecretKey};
 use athena_fhe::linear::HomLinearTransform;
 use athena_fhe::lwe::{LweCiphertext, LweSecret};
 use athena_fhe::pack::BsgsPackingKey;
 use athena_fhe::params::BfvParams;
-use athena_math::par;
 use athena_math::sampler::Sampler;
-
-/// Held by the tests that set `par::set_threads`.
-static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
 
 struct Fx {
     ctx: BfvContext,
@@ -46,11 +38,9 @@ fn schedule_keys(f: &mut Fx, max_rot: usize) -> GaloisKeys {
 }
 
 /// Hoisted rotation output is bit-identical to the eager path for every
-/// Galois element of a BSGS schedule, at one worker and at the default
-/// worker count (and the two runs agree with each other bit-for-bit).
+/// Galois element of a BSGS schedule.
 #[test]
 fn hoisted_matches_eager_for_every_element_any_thread_count() {
-    let _threads = THREAD_OVERRIDE.lock().unwrap();
     let mut f = setup();
     let gk = schedule_keys(&mut f, 8);
     let ev = BfvEvaluator::new(&f.ctx);
@@ -58,32 +48,15 @@ fn hoisted_matches_eager_for_every_element_any_thread_count() {
     let vals: Vec<u64> = (0..f.ctx.n() as u64).map(|i| (i * 9 + 4) % 257).collect();
     let ct = ev.encrypt_sk(&enc.encode(&vals), &f.sk, &mut f.sampler);
 
-    let mut runs: Vec<Vec<athena_fhe::bfv::BfvCiphertext>> = Vec::new();
-    for threads in [1usize, 0] {
-        par::set_threads(threads);
-        let hoisted = ev.hoist(&ct);
-        let mut outs = Vec::new();
-        for k in 1..=8usize {
-            let eager = ev.rotate_rows(&ct, k, &gk);
-            let fast = hoisted.rotate_rows(&f.ctx, k, &gk);
-            assert_eq!(eager.parts(), fast.parts(), "k={k}, threads={threads}");
-            outs.push(fast);
-        }
-        let eager_swap = ev.swap_rows(&ct, &gk);
-        let fast_swap = hoisted.swap_rows(&f.ctx, &gk);
-        assert_eq!(
-            eager_swap.parts(),
-            fast_swap.parts(),
-            "row swap, threads={threads}"
-        );
-        outs.push(fast_swap);
-        runs.push(outs);
+    let hoisted = ev.hoist(&ct);
+    for k in 1..=8usize {
+        let eager = ev.rotate_rows(&ct, k, &gk);
+        let fast = hoisted.rotate_rows(&f.ctx, k, &gk);
+        assert_eq!(eager.parts(), fast.parts(), "k={k}");
     }
-    par::set_threads(0);
-    // Serial and parallel runs are bit-identical too.
-    for (i, (a, b)) in runs[0].iter().zip(&runs[1]).enumerate() {
-        assert_eq!(a.parts(), b.parts(), "serial vs parallel, output {i}");
-    }
+    let eager_swap = ev.swap_rows(&ct, &gk);
+    let fast_swap = hoisted.swap_rows(&f.ctx, &gk);
+    assert_eq!(eager_swap.parts(), fast_swap.parts(), "row swap");
 }
 
 /// The trivial rotation (`k ≡ 0 mod row`) returns the source unchanged.
@@ -139,7 +112,6 @@ fn hoisted_rotation_noise_budget_matches_eager() {
 #[test]
 fn hoisted_schedule_shares_one_decomposition() {
     use athena_math::stats::{ntt_stats, rot_stats};
-    let _threads = THREAD_OVERRIDE.lock().unwrap();
     let mut f = setup();
     const R: usize = 5;
     let gk = schedule_keys(&mut f, R);
@@ -151,7 +123,6 @@ fn hoisted_schedule_shares_one_decomposition() {
         .to_eval(&f.ctx);
     let k = f.ctx.q_basis().len() as u64;
 
-    par::set_threads(1);
     let (rots, (ntt, rot)) = {
         let ((out, rot), ntt) = ntt_stats::measure(|| {
             rot_stats::measure(|| {
@@ -163,7 +134,6 @@ fn hoisted_schedule_shares_one_decomposition() {
         });
         (out, (ntt, rot))
     };
-    par::set_threads(0);
 
     assert_eq!(rot.decompose, 1, "one decomposition for the whole schedule");
     assert_eq!(rot.hoisted, R as u64);

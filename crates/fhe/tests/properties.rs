@@ -173,44 +173,6 @@ fn encoder_rotation_group_structure() {
 }
 
 #[test]
-fn batched_fbs_parallel_matches_serial() {
-    // fbs_apply_batch must agree with per-ciphertext fbs_apply, and must be
-    // bit-identical for any worker count (the par layer reassembles chunks
-    // in input order).
-    use athena_fhe::fbs::{fbs_apply, fbs_apply_batch};
-    use athena_math::par;
-    let f = fixture();
-    let ev = BfvEvaluator::new(&f.ctx);
-    let enc = f.ctx.encoder();
-    let lut = Lut::from_signed_fn(f.ctx.t(), |x| x.max(0));
-    let mut rng = Prng::seed_from_u64(0x29);
-    let mut s = Sampler::from_seed(rng.next_u64());
-    let cts: Vec<_> = (0..4)
-        .map(|_| ev.encrypt_sk(&enc.encode(&slot_values(&mut rng)), &f.sk, &mut s))
-        .collect();
-
-    let singles: Vec<_> = cts
-        .iter()
-        .map(|ct| fbs_apply(&f.ctx, ct, &lut, &f.rlk))
-        .collect();
-    par::set_threads(1);
-    let batch_1 = fbs_apply_batch(&f.ctx, &cts, &lut, &f.rlk);
-    par::set_threads(4);
-    let batch_4 = fbs_apply_batch(&f.ctx, &cts, &lut, &f.rlk);
-    par::set_threads(0);
-
-    assert_eq!(batch_1.len(), cts.len());
-    assert_eq!(batch_4.len(), cts.len());
-    for (i, (single, stats)) in singles.iter().enumerate() {
-        let want = ev.decrypt(single, &f.sk);
-        assert_eq!(ev.decrypt(&batch_1[i].0, &f.sk), want, "ct {i} (1 thread)");
-        assert_eq!(ev.decrypt(&batch_4[i].0, &f.sk), want, "ct {i} (4 threads)");
-        assert_eq!(batch_1[i].1, *stats);
-        assert_eq!(batch_4[i].1, *stats);
-    }
-}
-
-#[test]
 fn noise_budget_decreases_under_mul() {
     let f = fixture();
     let ev = BfvEvaluator::new(&f.ctx);
@@ -285,7 +247,6 @@ use athena_fhe::bfv::BfvCiphertext;
 use athena_fhe::extract::mod_switch_rlwe;
 use athena_fhe::fbs::fbs_apply;
 use athena_math::bsgs::lincomb_by_terms;
-use athena_math::par;
 use athena_math::poly::{Domain, Poly};
 use athena_math::prime::ntt_primes;
 use athena_math::rns::RnsPoly;
@@ -423,44 +384,36 @@ fn kernel_mul_no_relin_matches_its_reference_body() {
     let f = fixture();
     let ev = BfvEvaluator::new(&f.ctx);
     let zoo = ciphertext_zoo(f);
-    for threads in [1usize, 4] {
-        par::set_threads(threads);
-        for (na, a) in &zoo {
-            for (nb, b) in &zoo {
-                let want = ev.mul_no_relin_reference(a, b);
-                let (got, big) = ev.mul_no_relin_counted(a, b);
-                assert_eq!(got.parts(), want.parts(), "{na} × {nb}, {threads} threads");
-                assert_eq!(big, 0, "{na} × {nb}: guard band fired");
-                // Eval-resident operands are brought down lazily.
-                let got_eval = ev.mul_no_relin(&a.to_eval(&f.ctx), &b.to_eval(&f.ctx));
-                assert_eq!(got_eval.parts(), want.parts(), "{na} × {nb} (Eval)");
-            }
+    for (na, a) in &zoo {
+        for (nb, b) in &zoo {
+            let want = ev.mul_no_relin_reference(a, b);
+            let (got, big) = ev.mul_no_relin_counted(a, b);
+            assert_eq!(got.parts(), want.parts(), "{na} × {nb}");
+            assert_eq!(big, 0, "{na} × {nb}: guard band fired");
+            // Eval-resident operands are brought down lazily.
+            let got_eval = ev.mul_no_relin(&a.to_eval(&f.ctx), &b.to_eval(&f.ctx));
+            assert_eq!(got_eval.parts(), want.parts(), "{na} × {nb} (Eval)");
         }
     }
-    par::set_threads(0);
 }
 
 #[test]
 fn kernel_mod_switch_matches_its_reference_body() {
     let f = fixture();
     let qb = f.ctx.q_basis();
-    for threads in [1usize, 4] {
-        par::set_threads(threads);
-        for (name, ct) in ciphertext_zoo(f) {
-            for input in [ct.to_coeff(&f.ctx), ct.to_eval(&f.ctx)] {
-                // Every limb is a word-sized target; t is not a limb and
-                // stays on the reference path.
-                for target in qb.moduli().into_iter().chain([f.ctx.t()]) {
-                    let got = mod_switch_rlwe(&f.ctx, &input, target);
-                    let coeff = input.to_coeff(&f.ctx);
-                    let b = qb.scale_round_reference(&coeff.parts()[0], target, target);
-                    let a = qb.scale_round_reference(&coeff.parts()[1], target, target);
-                    assert_eq!((got.b, got.a), (b, a), "{name} → {target}");
-                }
+    for (name, ct) in ciphertext_zoo(f) {
+        for input in [ct.to_coeff(&f.ctx), ct.to_eval(&f.ctx)] {
+            // Every limb is a word-sized target; t is not a limb and
+            // stays on the reference path.
+            for target in qb.moduli().into_iter().chain([f.ctx.t()]) {
+                let got = mod_switch_rlwe(&f.ctx, &input, target);
+                let coeff = input.to_coeff(&f.ctx);
+                let b = qb.scale_round_reference(&coeff.parts()[0], target, target);
+                let a = qb.scale_round_reference(&coeff.parts()[1], target, target);
+                assert_eq!((got.b, got.a), (b, a), "{name} → {target}");
             }
         }
     }
-    par::set_threads(0);
 }
 
 /// A seeded `test_small` CMult chain: 36 tensor products, 1280 coefficient

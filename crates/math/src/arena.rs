@@ -13,14 +13,16 @@
 //!
 //! The pool is split into [`N_SHARDS`] shards. Each thread is assigned a
 //! shard on first use (round-robin), checks buffers out of — and returns
-//! them to — *its own* shard, so the workers of a `par` scoped region
-//! normally never contend on a lock. Only when a thread's shard has no
-//! buffer of the right size does it *steal* from the other shards, and only
-//! when every shard misses does it fall back to a fresh allocation. The
+//! them to — *its own* shard, so the workers of a `par` region (the
+//! concurrent requests of a `run_batch`) normally never contend on a
+//! lock. Only when a thread's shard has no buffer of the right size does
+//! it *steal* from the other shards, and only when every shard misses does
+//! it fall back to a fresh allocation. The
 //! steal pass is what keeps the steady-state zero-miss guarantee
-//! independent of `ATHENA_THREADS`: `par` spawns fresh OS threads per
-//! region, so a buffer released by one region's worker must be reachable
-//! from the next region's differently-assigned workers.
+//! independent of `ATHENA_THREADS`: every `par` region spawns fresh OS
+//! threads, so a buffer released by one batch's worker must be reachable
+//! from the next batch's differently-assigned workers, and from the
+//! caller's thread.
 //!
 //! # Determinism
 //!
@@ -39,8 +41,8 @@
 //! bytes plus the process-wide [`ArenaLease`] reservation; buffers
 //! released above the cap are freed (counted in the `AllocFreed` row of
 //! [`crate::stats`]). The bound is global, not per shard,
-//! because `par` spawns fresh OS threads per region and each takes the
-//! next shard round-robin: a batch run walks all the shards, and a
+//! because every `par` region spawns fresh OS threads and each takes the
+//! next shard round-robin: successive batches walk all the shards, and a
 //! per-shard cap let retention (hence peak RSS) grow with the number of
 //! batches served until every shard had filled. A long-lived owner with a
 //! known working set — the plan cache entry of an `InferenceSession` —

@@ -118,13 +118,6 @@ impl Ring {
         self.n
     }
 
-    /// Estimated coefficient-op cost of one NTT over this ring
-    /// (`n·(log₂n + 1)` butterflies) — the work hint fed to
-    /// [`crate::par::threads_for`] by the batch converters.
-    fn ntt_work(&self) -> usize {
-        self.n * (self.n.ilog2() as usize + 1)
-    }
-
     /// Coefficient modulus.
     pub fn modulus(&self) -> &Modulus {
         &self.modulus
@@ -199,22 +192,6 @@ impl Ring {
             self.ntt.inverse(&mut p.values);
             p.domain = Domain::Coeff;
         }
-    }
-
-    /// Converts a batch of polynomials to evaluation form in place, one
-    /// forward NTT per element, distributed over the parallel layer (the
-    /// transforms are independent; order and results are deterministic for
-    /// any thread count).
-    pub fn to_eval_batch(&self, polys: &mut [Poly]) {
-        let threads = crate::par::threads_for(polys.len(), self.ntt_work());
-        crate::par::parallel_for_each_mut_with(threads, polys, |p| self.to_eval_inplace(p));
-    }
-
-    /// Converts a batch of polynomials to coefficient form in place, one
-    /// inverse NTT per element, distributed over the parallel layer.
-    pub fn to_coeff_batch(&self, polys: &mut [Poly]) {
-        let threads = crate::par::threads_for(polys.len(), self.ntt_work());
-        crate::par::parallel_for_each_mut_with(threads, polys, |p| self.to_coeff_inplace(p));
     }
 
     fn zip(&self, a: &Poly, b: &Poly, f: impl Fn(&Modulus, u64, u64) -> u64) -> Poly {
@@ -417,20 +394,6 @@ mod tests {
         let a = r.from_i64(&(0..16).map(|i| i - 8).collect::<Vec<_>>());
         let b = r.to_coeff(&r.to_eval(&a));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn batch_domain_conversion_matches_serial() {
-        let r = ring();
-        let mut batch: Vec<Poly> = (0..9i64)
-            .map(|s| r.from_i64(&(0..16).map(|i| i * s - 7).collect::<Vec<_>>()))
-            .collect();
-        let orig = batch.clone();
-        let serial: Vec<Poly> = batch.iter().map(|p| r.to_eval(p)).collect();
-        r.to_eval_batch(&mut batch);
-        assert_eq!(batch, serial);
-        r.to_coeff_batch(&mut batch);
-        assert_eq!(batch, orig);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 use crate::arena::LimbVec;
 use crate::bigint::{IBig, UBig};
 use crate::modops::{lazy_mac_terms, Modulus};
-use crate::par;
 use crate::poly::{Domain, Poly, Ring};
 use std::ops::DerefMut;
 
@@ -497,31 +496,16 @@ impl RnsBasis {
             .collect()
     }
 
-    /// Per-coefficient work of a linear (add/sub/scalar) limb op.
-    fn lin_work(&self) -> usize {
-        self.n()
-    }
-
-    /// Per-limb work of an NTT-bearing op (`n·(log₂n + 1)` butterflies).
-    fn ntt_work(&self) -> usize {
-        self.n() * (self.n().ilog2() as usize + 1)
-    }
-
-    /// Maps a unary per-limb operation, one worker per limb (the limbs are
-    /// independent — this is exactly the parallelism the FRU array
-    /// exploits). `work` estimates one limb's cost in coefficient ops so
-    /// tiny rings run inline (see [`par::threads_for`]).
-    fn map_limbs(
-        &self,
-        a: &RnsPoly,
-        work: usize,
-        f: impl Fn(&Ring, &Poly) -> Poly + Sync,
-    ) -> RnsPoly {
+    /// Maps a unary per-limb operation over the limbs.
+    fn map_limbs(&self, a: &RnsPoly, f: impl Fn(&Ring, &Poly) -> Poly) -> RnsPoly {
         assert_eq!(a.limb_count(), self.len());
-        let threads = par::threads_for(self.len(), work);
-        RnsPoly::from_limbs(par::parallel_map_range_with(threads, self.len(), |i| {
-            f(&self.rings[i], &a.limbs[i])
-        }))
+        RnsPoly::from_limbs(
+            self.rings
+                .iter()
+                .zip(&a.limbs)
+                .map(|(r, x)| f(r, x))
+                .collect(),
+        )
     }
 
     /// Debug-checked domain agreement for element-wise (additive) zip ops.
@@ -550,15 +534,15 @@ impl RnsBasis {
         &self,
         a: &RnsPoly,
         b: &RnsPoly,
-        work: usize,
-        f: impl Fn(&Ring, &Poly, &Poly) -> Poly + Sync,
+        f: impl Fn(&Ring, &Poly, &Poly) -> Poly,
     ) -> RnsPoly {
         assert_eq!(a.limb_count(), self.len());
         assert_eq!(b.limb_count(), self.len());
-        let threads = par::threads_for(self.len(), work);
-        RnsPoly::from_limbs(par::parallel_map_range_with(threads, self.len(), |i| {
-            f(&self.rings[i], &a.limbs[i], &b.limbs[i])
-        }))
+        RnsPoly::from_limbs(
+            (0..self.len())
+                .map(|i| f(&self.rings[i], &a.limbs[i], &b.limbs[i]))
+                .collect(),
+        )
     }
 
     /// Element-wise addition.
@@ -568,7 +552,7 @@ impl RnsBasis {
     /// Debug builds panic if the operands are in different domains.
     pub fn add_poly(&self, a: &RnsPoly, b: &RnsPoly) -> RnsPoly {
         self.debug_check_zip_domains(a, b, "add_poly");
-        self.zip_polys(a, b, self.lin_work(), Ring::add)
+        self.zip_polys(a, b, Ring::add)
     }
 
     /// Element-wise subtraction.
@@ -578,21 +562,15 @@ impl RnsBasis {
     /// Debug builds panic if the operands are in different domains.
     pub fn sub_poly(&self, a: &RnsPoly, b: &RnsPoly) -> RnsPoly {
         self.debug_check_zip_domains(a, b, "sub_poly");
-        self.zip_polys(a, b, self.lin_work(), Ring::sub)
+        self.zip_polys(a, b, Ring::sub)
     }
 
-    /// In-place element-wise combination over the parallel layer, limbs
-    /// being independent (shared impl of the `*_assign` zip ops).
-    fn zip_assign_polys(
-        &self,
-        a: &mut RnsPoly,
-        b: &RnsPoly,
-        f: impl Fn(&Ring, &mut Poly, &Poly) + Sync,
-    ) {
-        let threads = par::threads_for(self.len(), self.lin_work());
-        par::parallel_zip_mut_with(threads, &mut a.limbs, &b.limbs, |i, x, y| {
-            f(&self.rings[i], x, y)
-        });
+    /// In-place element-wise combination, limb by limb (shared impl of
+    /// the `*_assign` zip ops).
+    fn zip_assign_polys(&self, a: &mut RnsPoly, b: &RnsPoly, f: impl Fn(&Ring, &mut Poly, &Poly)) {
+        for ((r, x), y) in self.rings.iter().zip(a.limbs.iter_mut()).zip(&b.limbs) {
+            f(r, x, y);
+        }
     }
 
     /// In-place addition.
@@ -617,36 +595,32 @@ impl RnsBasis {
 
     /// Negation.
     pub fn neg_poly(&self, a: &RnsPoly) -> RnsPoly {
-        self.map_limbs(a, self.lin_work(), Ring::neg)
+        self.map_limbs(a, Ring::neg)
     }
 
     /// Polynomial multiplication (result in `Eval` domain).
     pub fn mul_poly(&self, a: &RnsPoly, b: &RnsPoly) -> RnsPoly {
-        self.zip_polys(a, b, self.ntt_work(), Ring::mul)
+        self.zip_polys(a, b, Ring::mul)
     }
 
     /// Multiplication by a small scalar (applied per limb).
     pub fn scalar_mul_poly(&self, a: &RnsPoly, c: u64) -> RnsPoly {
-        self.map_limbs(a, self.lin_work(), |r, x| r.scalar_mul(x, c))
+        self.map_limbs(a, |r, x| r.scalar_mul(x, c))
     }
 
     /// Multiplication by a signed scalar.
     pub fn scalar_mul_poly_i64(&self, a: &RnsPoly, c: i64) -> RnsPoly {
-        self.map_limbs(a, self.lin_work(), |r, x| {
-            r.scalar_mul(x, r.modulus().from_i64(c))
-        })
+        self.map_limbs(a, |r, x| r.scalar_mul(x, r.modulus().from_i64(c)))
     }
 
-    /// Converts all limbs to evaluation domain (one NTT per limb, run on the
-    /// parallel layer — the per-limb transforms are independent).
+    /// Converts all limbs to evaluation domain (one NTT per limb).
     pub fn poly_to_eval(&self, a: &RnsPoly) -> RnsPoly {
-        self.map_limbs(a, self.ntt_work(), Ring::to_eval)
+        self.map_limbs(a, Ring::to_eval)
     }
 
-    /// Converts all limbs to coefficient domain (one inverse NTT per limb,
-    /// run on the parallel layer).
+    /// Converts all limbs to coefficient domain (one inverse NTT per limb).
     pub fn poly_to_coeff(&self, a: &RnsPoly) -> RnsPoly {
-        self.map_limbs(a, self.ntt_work(), Ring::to_coeff)
+        self.map_limbs(a, Ring::to_coeff)
     }
 
     /// In-place conversion of all limbs to evaluation domain: transforms
@@ -655,20 +629,18 @@ impl RnsBasis {
     /// callers that own their operand).
     pub fn poly_to_eval_inplace(&self, a: &mut RnsPoly) {
         assert_eq!(a.limb_count(), self.len());
-        let threads = par::threads_for(self.len(), self.ntt_work());
-        par::parallel_zip_mut_with(threads, a.limbs_mut(), &self.rings, |_, p, r| {
-            r.to_eval_inplace(p)
-        });
+        for (p, r) in a.limbs_mut().iter_mut().zip(&self.rings) {
+            r.to_eval_inplace(p);
+        }
     }
 
     /// In-place conversion of all limbs to coefficient domain (see
     /// [`RnsBasis::poly_to_eval_inplace`]).
     pub fn poly_to_coeff_inplace(&self, a: &mut RnsPoly) {
         assert_eq!(a.limb_count(), self.len());
-        let threads = par::threads_for(self.len(), self.ntt_work());
-        par::parallel_zip_mut_with(threads, a.limbs_mut(), &self.rings, |_, p, r| {
-            r.to_coeff_inplace(p)
-        });
+        for (p, r) in a.limbs_mut().iter_mut().zip(&self.rings) {
+            r.to_coeff_inplace(p);
+        }
     }
 
     /// Applies the Galois automorphism `X → X^k` per limb (any domain).
@@ -678,12 +650,10 @@ impl RnsBasis {
     /// not recomputed per limb.
     pub fn automorphism_poly(&self, a: &RnsPoly, k: usize) -> RnsPoly {
         match a.domain() {
-            Domain::Coeff => self.map_limbs(a, self.lin_work(), |r, x| r.automorphism_coeff(x, k)),
+            Domain::Coeff => self.map_limbs(a, |r, x| r.automorphism_coeff(x, k)),
             Domain::Eval => {
                 let perm = self.rings[0].automorphism_permutation(k);
-                self.map_limbs(a, self.lin_work(), |r, x| {
-                    r.automorphism_eval_perm(x, &perm)
-                })
+                self.map_limbs(a, |r, x| r.automorphism_eval_perm(x, &perm))
             }
         }
     }
@@ -990,17 +960,12 @@ mod tests {
         let y = b.poly_from_i64(&(0..16).map(|i| 7 - i as i64).collect::<Vec<_>>());
         let want_add = b.add_poly(&x, &y);
         let want_sub = b.sub_poly(&x, &y);
-        let _threads = par::override_lock();
-        for threads in [1usize, 2, 4, 8] {
-            par::set_threads(threads);
-            let mut a = x.clone();
-            b.add_assign_poly(&mut a, &y);
-            assert_eq!(a, want_add, "add threads={threads}");
-            let mut s = x.clone();
-            b.sub_assign_poly(&mut s, &y);
-            assert_eq!(s, want_sub, "sub threads={threads}");
-        }
-        par::set_threads(0);
+        let mut a = x.clone();
+        b.add_assign_poly(&mut a, &y);
+        assert_eq!(a, want_add, "add");
+        let mut s = x.clone();
+        b.sub_assign_poly(&mut s, &y);
+        assert_eq!(s, want_sub, "sub");
     }
 
     #[test]
@@ -1029,27 +994,6 @@ mod tests {
                 "k={k} roundtrip"
             );
         }
-    }
-
-    #[test]
-    fn automorphism_poly_serial_matches_parallel() {
-        let b = basis(16, 3);
-        let a = b.poly_from_i64(
-            &(0..16)
-                .map(|i| i as i64 * i as i64 - 50)
-                .collect::<Vec<_>>(),
-        );
-        let ae = b.poly_to_eval(&a);
-        let _threads = par::override_lock();
-        par::set_threads(1);
-        let serial_c = b.automorphism_poly(&a, 9);
-        let serial_e = b.automorphism_poly(&ae, 9);
-        par::set_threads(4);
-        let par_c = b.automorphism_poly(&a, 9);
-        let par_e = b.automorphism_poly(&ae, 9);
-        par::set_threads(0);
-        assert_eq!(serial_c, par_c, "Coeff domain");
-        assert_eq!(serial_e, par_e, "Eval domain");
     }
 
     #[test]

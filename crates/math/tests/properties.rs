@@ -241,38 +241,6 @@ fn negacyclic_identity_xn_is_minus_one() {
 }
 
 #[test]
-fn parallel_rns_ops_match_serial() {
-    // The RNS limb operations must be bit-identical for any worker count
-    // (the par layer reassembles chunks in order; modular arithmetic is
-    // exact, so there is no tolerance here).
-    use athena_math::par;
-    let mut rng = Prng::seed_from_u64(0x1E);
-    let basis = RnsBasis::new(&ntt_primes(40, 64, 4), 64);
-    let v1: Vec<i64> = (0..64).map(|_| rng.next_i64_in(-50_000, 50_000)).collect();
-    let v2: Vec<i64> = (0..64).map(|_| rng.next_i64_in(-50_000, 50_000)).collect();
-    let a = basis.poly_from_i64(&v1);
-    let b = basis.poly_from_i64(&v2);
-    let dst = RnsBasis::new(&ntt_primes(39, 64, 2), 64);
-
-    par::set_threads(1);
-    let mul_1 = basis.mul_poly(&a, &b);
-    let eval_1 = basis.poly_to_eval(&a);
-    let coeff_1 = basis.poly_to_coeff(&eval_1);
-    let conv_1 = basis.fast_base_convert(&a, &dst);
-    par::set_threads(4);
-    let mul_4 = basis.mul_poly(&a, &b);
-    let eval_4 = basis.poly_to_eval(&a);
-    let coeff_4 = basis.poly_to_coeff(&eval_4);
-    let conv_4 = basis.fast_base_convert(&a, &dst);
-    par::set_threads(0);
-
-    assert_eq!(mul_1, mul_4);
-    assert_eq!(eval_1, eval_4);
-    assert_eq!(coeff_1, coeff_4);
-    assert_eq!(conv_1, conv_4);
-}
-
-#[test]
 fn ntt_tables_reject_bad_congruence() {
     // q = 12289 supports 2n | 12288 only up to n = 2048.
     assert!(std::panic::catch_unwind(|| NttTables::new(12289, 4096)).is_err());
@@ -458,28 +426,24 @@ fn kernel_scale_round_matches_its_reference_body() {
             k => band_census(&xs, &rest, k - 1),
         };
         assert!(primes.len() == 1 || sure >= 7, "{name}: planted values");
-        for threads in [1usize, 4] {
-            athena_math::par::set_threads(threads);
-            for (i, &target) in primes.iter().enumerate() {
-                let (got, big) = basis.scale_round_counted(&p, target, target);
-                let want = basis.scale_round_reference(&p, target, target);
-                assert_eq!(got, want, "{name}: drop to limb {i}");
-                assert_eq!(basis.scale_round(&p, target, target), want);
-                if i == 0 {
-                    assert!(
-                        (sure..=sure + maybe).contains(&big),
-                        "{name}: {big} fallbacks, {sure} sure + {maybe} borderline"
-                    );
-                }
-            }
-            // Off the word-sized arm: a non-limb target, and num != target.
-            for (num, target) in [(257u64, 257u64), (primes[0], 65537)] {
-                let (got, big) = basis.scale_round_counted(&p, num, target);
-                assert_eq!(got, basis.scale_round_reference(&p, num, target));
-                assert_eq!(big, 128, "{name}: reference path counts every coefficient");
+        for (i, &target) in primes.iter().enumerate() {
+            let (got, big) = basis.scale_round_counted(&p, target, target);
+            let want = basis.scale_round_reference(&p, target, target);
+            assert_eq!(got, want, "{name}: drop to limb {i}");
+            assert_eq!(basis.scale_round(&p, target, target), want);
+            if i == 0 {
+                assert!(
+                    (sure..=sure + maybe).contains(&big),
+                    "{name}: {big} fallbacks, {sure} sure + {maybe} borderline"
+                );
             }
         }
-        athena_math::par::set_threads(0);
+        // Off the word-sized arm: a non-limb target, and num != target.
+        for (num, target) in [(257u64, 257u64), (primes[0], 65537)] {
+            let (got, big) = basis.scale_round_counted(&p, num, target);
+            assert_eq!(got, basis.scale_round_reference(&p, num, target));
+            assert_eq!(big, 128, "{name}: reference path counts every coefficient");
+        }
     }
 }
 
