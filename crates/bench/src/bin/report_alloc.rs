@@ -1,19 +1,15 @@
-//! Allocation telemetry of the plan executor: limb-buffer checkout
-//! counters (`athena_math::stats::alloc_stats`) for a cold and a warm
-//! encrypted run of the reference model, whole-run and per step.
+//! Allocation telemetry of the plan executor: the limb buffers
+//! (`athena_math::stats::alloc_stats`) one encrypted run of the reference
+//! model allocates, per step and in total.
 //!
-//! Writes `reports/alloc.txt`. Only **thread-count-invariant** values are
-//! printed — checkout and drop totals are determined by the executed ops,
-//! and the warm-run invariant `fresh == 0` is scheduling-independent — so
-//! CI regenerates this file in both `ATHENA_THREADS` legs and fails on
-//! any diff against the committed copy. (The `fresh`/pooled split of the
-//! *cold* run depends on thread interleaving and is deliberately
-//! omitted.)
+//! Writes `reports/alloc.txt`. The counts are determined by the executed
+//! ops, so they are the same at any thread count: CI regenerates this file
+//! in both `ATHENA_THREADS` legs and fails on any diff against the
+//! committed copy.
 
 use athena_bench::render_table;
 use athena_core::pipeline::AthenaEngine;
 use athena_core::plan;
-use athena_core::plan::InferenceSession;
 use athena_fhe::params::BfvParams;
 use athena_math::sampler::Sampler;
 use athena_math::stats::alloc_stats;
@@ -66,63 +62,21 @@ fn reference_model() -> QModel {
 fn main() {
     let model = reference_model();
     let input = ITensor::from_vec(&[1, 5, 5], (0..25).map(|i| ((i % 5) as i64) - 2).collect());
-    let mut out = String::new();
-    out.push_str("Scratch-arena allocation telemetry (params: test_small)\n");
-    out.push_str(
-        "Thread-invariant values only: checkout/drop totals are determined by\n\
-         the executed ops; the fresh/pooled split of a cold run depends on\n\
-         thread interleaving and is not printed.\n\n",
-    );
-
-    // Session-level reservation: the arena lease each cached plan holds.
-    {
-        let mut session = InferenceSession::new(AthenaEngine::new(BfvParams::test_small()), 4, 42);
-        session.plan_for(&model, input.shape());
-        out.push_str(&format!(
-            "arena reservation per cached plan: {} bytes\n\n",
-            session.stats().arena_reserved
-        ));
-    }
-
     let engine = AthenaEngine::new(BfvParams::test_small());
     let compiled = plan::compile(&engine, &model, input.shape());
     let mut sampler = Sampler::from_seed(777);
     let (secrets, keys) = engine.keygen_for_plan(&compiled, &mut sampler);
-
-    let (cold, cold_counts) = alloc_stats::measure(|| {
+    let (run, counts) = alloc_stats::measure(|| {
         plan::execute(&engine, &secrets, &keys, &compiled, &input, &mut sampler)
     });
-    let (warm, warm_counts) = alloc_stats::measure(|| {
-        plan::execute(&engine, &secrets, &keys, &compiled, &input, &mut sampler)
-    });
-    drop(cold);
 
-    out.push_str("== whole-run limb-buffer counters ==\n\n");
-    out.push_str(&render_table(
-        &["run", "takes", "fresh", "drops"],
-        &[
-            vec![
-                "cold".into(),
-                cold_counts.takes.to_string(),
-                "(not pinned)".into(),
-                (cold_counts.recycled + cold_counts.freed).to_string(),
-            ],
-            vec![
-                "warm".into(),
-                warm_counts.takes.to_string(),
-                warm_counts.fresh.to_string(),
-                (warm_counts.recycled + warm_counts.freed).to_string(),
-            ],
-        ],
-    ));
-    out.push_str(&format!(
-        "\nsteady-state invariant: warm fresh == 0 ({} of {} checkouts pooled)\n\n",
-        warm_counts.pooled(),
-        warm_counts.takes
-    ));
-
-    out.push_str("== per-step checkout totals (warm run) ==\n\n");
-    let rows: Vec<Vec<String>> = warm
+    let mut out = String::new();
+    out.push_str("Limb-buffer allocations per plan step (params: test_small)\n");
+    out.push_str(
+        "Every `Poly` built or cloned counts once. The counts are determined\n\
+         by the executed ops, so they are the same at any thread count.\n\n",
+    );
+    let rows: Vec<Vec<String>> = run
         .steps
         .iter()
         .map(|s| {
@@ -131,19 +85,15 @@ fn main() {
                 s.label.to_string(),
                 s.phase.name().to_string(),
                 s.alloc.takes.to_string(),
-                s.alloc.fresh.to_string(),
             ]
         })
         .collect();
-    out.push_str(&render_table(
-        &["step", "op", "phase", "takes", "fresh"],
-        &rows,
-    ));
-    let step_takes: u64 = warm.steps.iter().map(|s| s.alloc.takes).sum();
-    let step_fresh: u64 = warm.steps.iter().map(|s| s.alloc.fresh).sum();
+    out.push_str(&render_table(&["step", "op", "phase", "limbs"], &rows));
+    let step_takes: u64 = run.steps.iter().map(|s| s.alloc.takes).sum();
     out.push_str(&format!(
-        "\nstep totals: takes {step_takes}, fresh {step_fresh} \
-         (input encryption accounts for the whole-run remainder)\n"
+        "\nstep total {step_takes}, whole run {} \
+         (input encryption accounts for the remainder)\n",
+        counts.takes
     ));
 
     print!("{out}");

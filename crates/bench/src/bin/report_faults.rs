@@ -244,10 +244,6 @@ fn taxonomy_table(out: &mut String) {
             label: "mod_switch",
             payload: "injected fault".into(),
         },
-        AthenaError::PoolPoisoned {
-            recoveries: 1,
-            payload: "injected fault".into(),
-        },
     ];
     let rows: Vec<Vec<String>> = samples
         .iter()

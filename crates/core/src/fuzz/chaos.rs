@@ -11,8 +11,8 @@
 //!    e.g. a sub-deadline sleep) or fail with the *typed*
 //!    [`AthenaError`] the fault kind predicts — never a raw panic,
 //! 3. a **recovery** clean run with the same sampler seed — which must
-//!    be bit-identical to the baseline, proving the quarantined arena
-//!    leaked nothing from the faulted attempt into pooled state.
+//!    be bit-identical to the baseline, proving the faulted attempt left
+//!    nothing behind that a later run could observe.
 //!
 //! Every case additionally sweeps the plan through the wrapped
 //! [`NoiseSimBackend`](crate::plan::NoiseSimBackend) and
@@ -191,7 +191,6 @@ fn run_chaos_case(
             }
             report.typed_errors += 1;
         }
-        (FaultKind::Panic, Err(AthenaError::PoolPoisoned { .. })) => report.typed_errors += 1,
         // A 10k+-bit spike always dwarfs the budget: typed exhaustion,
         // wherever in the chain it was injected.
         (FaultKind::NoiseSpike { .. }, Err(AthenaError::NoiseExhausted(_))) => {
@@ -224,8 +223,8 @@ fn run_chaos_case(
         }
     }
 
-    // Recovery: a clean run on the same (quarantined) engine must be
-    // bit-identical to the baseline.
+    // Recovery: a clean run on the same engine must be bit-identical to
+    // the baseline.
     let recovered = clean_run(entry)
         .map_err(|e| fail(case, fault, format!("recovery clean run failed: {e}")))?;
     if recovered.logits != baseline.logits {

@@ -33,7 +33,7 @@
 //! An orthogonal sweep dimension is chaos fuzzing ([`run_chaos`]): the
 //! same generated cases run under seeded fault plans
 //! ([`crate::plan::FaultPlan`]) through the resilient executor, pinning
-//! the serving path's typed-error and quarantine-recovery invariants
+//! the serving path's typed-error and clean-recovery invariants
 //! (see the module docs of [`chaos`](self)).
 
 mod bound;

@@ -5,9 +5,9 @@
 //! executor ([`super::execute_resilient`]) can observe is an
 //! [`AthenaError`] — a typed value naming the offending plan step, never a
 //! raw panic payload. The taxonomy splits along one axis that matters for
-//! serving: [`AthenaError::is_transient`]. Transient faults (a worker
-//! panic, a poisoned scratch pool) may succeed on a retry with fresh
-//! encryption randomness; deterministic faults (a compile rejection, a
+//! serving: [`AthenaError::is_transient`]. A transient fault (an untyped
+//! worker panic) may succeed on a retry with fresh encryption randomness;
+//! deterministic faults (a compile rejection, a
 //! shape mismatch, analytic noise exhaustion, missing key material) will
 //! fail identically every time and are never retried.
 
@@ -75,8 +75,7 @@ pub enum AthenaError {
         /// The deadline that expired.
         deadline: Duration,
     },
-    /// A step panicked with a payload the executor could not type; the
-    /// scratch arena was quarantined before returning.
+    /// A step panicked with a payload the executor could not type.
     StepPanicked {
         /// Source node index of the panicking step.
         node: usize,
@@ -85,15 +84,6 @@ pub enum AthenaError {
         /// Step label.
         label: &'static str,
         /// Stringified panic payload.
-        payload: String,
-    },
-    /// A scratch-pool shard's lock was poisoned by a panicking holder;
-    /// the pool recovered (flushing the shard) but the in-flight request
-    /// was abandoned.
-    PoolPoisoned {
-        /// Shard-lock recoveries observed during the failed attempt.
-        recoveries: usize,
-        /// Stringified panic payload of the step that observed it.
         payload: String,
     },
 }
@@ -149,13 +139,6 @@ impl fmt::Display for AthenaError {
                 f,
                 "step panicked at node {node} step {step} ({label}): {payload}"
             ),
-            AthenaError::PoolPoisoned {
-                recoveries,
-                payload,
-            } => write!(
-                f,
-                "scratch pool poisoned ({recoveries} shard recoveries): {payload}"
-            ),
         }
     }
 }
@@ -198,13 +181,12 @@ impl AthenaError {
     /// succeed. Compile rejections, shape mismatches, noise exhaustion,
     /// missing keys, substrate precondition faults, and expired deadlines
     /// are deterministic — the same request fails the same way every time
-    /// — so the retry loop fails fast on them. Panics and pool poisoning
-    /// are environmental and worth one more attempt.
+    /// — so the retry loop fails fast on them. An untyped panic is the
+    /// one transient kind: an attempt owns every buffer it touched, so
+    /// nothing of the faulted attempt reaches the retry, which runs with
+    /// fresh randomness.
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            AthenaError::StepPanicked { .. } | AthenaError::PoolPoisoned { .. }
-        )
+        matches!(self, AthenaError::StepPanicked { .. })
     }
 
     /// A stable short name of the variant, for reports and log lines.
@@ -217,7 +199,6 @@ impl AthenaError {
             AthenaError::Fhe { .. } => "fhe",
             AthenaError::DeadlineExceeded { .. } => "deadline-exceeded",
             AthenaError::StepPanicked { .. } => "step-panicked",
-            AthenaError::PoolPoisoned { .. } => "pool-poisoned",
         }
     }
 }
@@ -295,18 +276,12 @@ mod tests {
 
     #[test]
     fn transience_splits_the_taxonomy() {
-        let transient = [
-            AthenaError::StepPanicked {
-                node: 0,
-                step: 1,
-                label: "pack",
-                payload: "boom".into(),
-            },
-            AthenaError::PoolPoisoned {
-                recoveries: 1,
-                payload: "boom".into(),
-            },
-        ];
+        let transient = [AthenaError::StepPanicked {
+            node: 0,
+            step: 1,
+            label: "pack",
+            payload: "boom".into(),
+        }];
         for e in &transient {
             assert!(e.is_transient(), "{e}");
         }

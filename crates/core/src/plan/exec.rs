@@ -19,27 +19,21 @@
 //!   ([`super::CountingBackend`]), which `compile` uses to backfill
 //!   [`super::PlanStep::analytic`].
 //!
-//! ## Panic safety and quarantine
+//! ## Panic safety
 //!
-//! [`drive`] wraps every step in `catch_unwind`. When a step unwinds, it
-//! quarantines the scratch arena ([`athena_math::arena::quarantine`])
-//! *before* constructing the typed error: the generation bump means every
-//! limb buffer checked out by the faulted request — including
-//! partially-written ones still held by the executor state — is freed on
-//! drop instead of recycled into the pool, so a faulted request can never
-//! leak scratch state into a later run. The caught payload is downcast
-//! back into the taxonomy: a typed [`athena_fhe::FheError`] becomes
-//! [`AthenaError::KeyMissing`] or [`AthenaError::Fhe`], a panic that
-//! poisoned a pool shard becomes [`AthenaError::PoolPoisoned`], and
-//! anything else [`AthenaError::StepPanicked`] — callers never see a raw
-//! unwind.
+//! [`drive`] wraps every step in `catch_unwind` and classifies what it
+//! catches: a typed [`athena_fhe::FheError`] becomes
+//! [`AthenaError::KeyMissing`] or [`AthenaError::Fhe`], and anything else
+//! [`AthenaError::StepPanicked`] — callers never see a raw unwind. A step
+//! shares no mutable state with later runs (its limb buffers are owned by
+//! the attempt and freed as it unwinds), so there is nothing to clean up
+//! before the error is returned.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use athena_fhe::fbs::Lut;
 use athena_fhe::FheError;
-use athena_math::arena;
 use athena_math::sampler::Sampler;
 use athena_math::stats::{self, alloc_stats};
 use athena_nn::tensor::ITensor;
@@ -70,12 +64,8 @@ pub struct StepReport {
     /// request running concurrently on another thread (zero when the
     /// `op-stats` feature is off).
     pub measured: OpCounts,
-    /// Arena limb-buffer allocation counts of the step, scoped like
-    /// `measured` (zero when the `alloc-stats` feature is off).
-    /// `takes` and the drop total are schedule-independent; the
-    /// `fresh`/pooled split of a *cold* step depends on thread
-    /// interleaving, so only the warm-pool invariant `fresh == 0` is
-    /// meaningful across thread counts.
+    /// Limb buffers the step allocated, scoped like `measured` (zero when
+    /// the `alloc-stats` feature is off).
     pub alloc: alloc_stats::AllocCounts,
     /// Compile-time analytic noise charge in bits
     /// ([`super::PlanStep::noise_bits`]).
@@ -408,15 +398,11 @@ fn probe_step<B: PlanBackend>(
 }
 
 /// Classifies a caught panic payload into the [`AthenaError`] taxonomy.
-/// `recoveries` is the number of poisoned arena-shard locks recovered
-/// during the attempt (a nonzero count means the panic crossed — or
-/// another holder of — a shard lock, so the pool itself was implicated).
 fn classify_panic(
     payload: Box<dyn std::any::Any + Send>,
     node: usize,
     step: usize,
     label: &'static str,
-    recoveries: usize,
 ) -> AthenaError {
     if let Some(fhe) = payload.downcast_ref::<FheError>() {
         return match fhe.clone() {
@@ -435,19 +421,11 @@ fn classify_panic(
             },
         };
     }
-    let payload = panic_text(payload.as_ref());
-    if recoveries > 0 {
-        AthenaError::PoolPoisoned {
-            recoveries,
-            payload,
-        }
-    } else {
-        AthenaError::StepPanicked {
-            node,
-            step,
-            label,
-            payload,
-        }
+    AthenaError::StepPanicked {
+        node,
+        step,
+        label,
+        payload: panic_text(payload.as_ref()),
     }
 }
 
@@ -471,8 +449,8 @@ pub(crate) struct Driven {
 ///
 /// * a wrong-shaped input is a typed [`AthenaError::ShapeMismatch`]
 ///   (`batch_input` names it), never a panic;
-/// * the encryption and every step run inside `catch_unwind`, with the
-///   scratch arena quarantined before the payload is classified;
+/// * the encryption and every step run inside `catch_unwind`, and a
+///   caught payload is classified into a typed error;
 /// * the policy's cooperative deadline is checked before each step;
 /// * one [`stats::measure`] bracket per step fills
 ///   [`StepReport::measured`] and [`StepReport::alloc`];
@@ -506,16 +484,6 @@ pub(crate) fn drive<B: PlanBackend>(
         });
     }
     let start = Instant::now();
-    let poison_base = arena::poison_recoveries();
-    // Quarantine-then-classify on every caught unwind: the generation
-    // bump must land before the executor state (and its in-flight limb
-    // checkouts) drops, so nothing the faulted attempt touched is pooled.
-    let caught =
-        |payload: Box<dyn std::any::Any + Send>, node: usize, step: usize, label: &'static str| {
-            arena::quarantine();
-            let recoveries = arena::poison_recoveries() - poison_base;
-            classify_panic(payload, node, step, label, recoveries)
-        };
 
     // The flat input activations, at the plan's input-layout coefficient
     // positions.
@@ -525,7 +493,7 @@ pub(crate) fn drive<B: PlanBackend>(
     }
     let first_node = plan.layers.first().map_or(0, |l| l.node);
     let encrypted = catch_unwind(AssertUnwindSafe(|| backend.encrypt_input(&coeffs)))
-        .map_err(|p| caught(p, first_node, 0, "encrypt"))?;
+        .map_err(|p| classify_panic(p, first_node, 0, "encrypt"))?;
 
     let spikes = policy.faults.as_ref().is_some_and(|fp| {
         fp.faults
@@ -573,7 +541,7 @@ pub(crate) fn drive<B: PlanBackend>(
                     run_step(backend, plan, &step.op, &mut st)
                 })
             }))
-            .map_err(|p| caught(p, layer.node, si, label))?;
+            .map_err(|p| classify_panic(p, layer.node, si, label))?;
             flat += 1;
             tallied.push(backend.take_counts());
             carry_spike += i64::from(backend.take_spike());

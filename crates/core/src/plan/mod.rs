@@ -48,7 +48,7 @@
 //! `Output` (client-side decrypt + dequantize).
 //!
 //! The serving path is *resilient*: the driver isolates every step behind
-//! `catch_unwind` with scratch-arena quarantine on unwind, enforces a
+//! `catch_unwind`, enforces a
 //! cooperative [`RunPolicy`] deadline, samples the measured noise budget
 //! when the policy's probe flag is on, and surfaces every failure as a
 //! typed [`AthenaError`] through [`execute_resilient`]; the seeded

@@ -15,8 +15,8 @@
 //!
 //! Every request runs through [`super::execute_resilient`]: failures come
 //! back as typed [`AthenaError`] values (never a raw panic), a faulted
-//! attempt quarantines the scratch arena so no partially-written state
-//! survives into later requests, and a [`RunPolicy`] can add a
+//! attempt leaves no state behind for later requests (its buffers are its
+//! own and are freed as it unwinds), and a [`RunPolicy`] can add a
 //! cooperative deadline and a retry budget. Retries re-encrypt with a
 //! *fresh* sampler fork — the first attempt draws directly on the
 //! request's fork (preserving bit-identity with the no-retry path), and
@@ -26,7 +26,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use athena_math::arena::{self, ArenaLease};
 use athena_math::par;
 use athena_math::sampler::Sampler;
 use athena_nn::qmodel::{QModel, QOp};
@@ -159,56 +158,16 @@ fn fingerprint_model(model: &QModel) -> u64 {
     h.finish()
 }
 
-/// Scratch-arena sizing for one cached plan: how much limb-pool retention
-/// (`athena_math::arena`) the steady-state working set of an execution
-/// needs beyond the base cap — the `k²` hoisted digit-lift polynomials
-/// (`k` limbs each) plus headroom for the in-flight ciphertext parts of a
-/// step. Derived deterministically from the engine's parameter set, so it
-/// can be fingerprinted into the cache key before compilation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ArenaConfig {
-    /// Limb length in words (the ring degree `N`).
-    limb_len: usize,
-    /// RNS limb count `k` of the `Q` basis.
-    limb_count: usize,
-    /// Bytes of pool retention reserved on top of the base cap.
-    reserve_bytes: usize,
-}
-
-impl ArenaConfig {
-    fn for_engine(engine: &AthenaEngine) -> Self {
-        let p = engine.context().params();
-        let (n, k) = (p.n, p.q_primes.len());
-        Self {
-            limb_len: n,
-            limb_count: k,
-            reserve_bytes: 8 * n * k * (k * k + 8),
-        }
-    }
-
-    fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.usize(self.limb_len);
-        h.usize(self.limb_count);
-        h.usize(self.reserve_bytes);
-        h.finish()
-    }
-}
-
-type CacheKey = (u64, u64, Vec<usize>, u64);
+type CacheKey = (u64, u64, Vec<usize>);
 
 /// One cached compiled artifact: the plan and the key material generated
-/// for it, shared out to callers by `Arc` — plus the arena reservation
-/// that keeps the plan's scratch working set pooled. Evicting the entry
-/// (once every shared `Arc` is gone) drops the lease, which releases the
-/// reservation and trims the pool back to cap.
+/// for it, shared out to callers by `Arc`.
 #[derive(Clone)]
 struct CacheEntry {
     key: CacheKey,
     plan: Arc<ExecutionPlan>,
     secrets: Arc<AthenaSecrets>,
     keys: Arc<AthenaEvalKeys>,
-    arena: Arc<ArenaLease>,
 }
 
 /// Cache counters of a session.
@@ -220,8 +179,8 @@ pub struct SessionStats {
     pub misses: u64,
     /// Plans currently cached.
     pub entries: usize,
-    /// Bytes of scratch-pool retention reserved by the cached plans'
-    /// arena leases (see `athena_math::arena`).
+    /// Always 0: limb buffers come from the system allocator, so no plan
+    /// reserves memory. Kept only because the benchmark package reads it.
     pub arena_reserved: usize,
 }
 
@@ -286,7 +245,7 @@ impl InferenceSession {
             hits: self.hits,
             misses: self.misses,
             entries: self.entries.len(),
-            arena_reserved: self.entries.iter().map(|e| e.arena.bytes()).sum(),
+            arena_reserved: 0,
         }
     }
 
@@ -319,9 +278,9 @@ impl InferenceSession {
     /// Forks `sampler` for the request's encryption draws, so a sequence
     /// of calls consumes exactly one fork per call — the property that
     /// makes [`InferenceSession::run_batch`] bit-identical to a sequential
-    /// loop. Failures are typed [`AthenaError`] values; a faulted request
-    /// quarantines the scratch arena, so the next clean request on this
-    /// session is bit-identical to one on a session that never faulted.
+    /// loop. Failures are typed [`AthenaError`] values, and the next clean
+    /// request on this session is bit-identical to one on a session that
+    /// never faulted.
     pub fn run_encrypted(
         &mut self,
         model: &QModel,
@@ -361,10 +320,9 @@ impl InferenceSession {
     /// The outer `Result` fails for whole-batch problems (a shape
     /// mismatch, a compile rejection) before any ciphertext work; each
     /// inner `Result` is its input's own outcome, so one faulted item
-    /// never poisons its neighbors — the faulted worker routes through
-    /// the same arena-quarantine path as
-    /// [`InferenceSession::run_encrypted`], and the other items' logits
-    /// are bit-identical to an unfaulted batch.
+    /// never affects its neighbors — the faulted worker classifies its
+    /// failure as [`InferenceSession::run_encrypted`] does, and the other
+    /// items' logits are bit-identical to an unfaulted batch.
     pub fn run_batch(
         &mut self,
         model: &QModel,
@@ -407,16 +365,14 @@ impl InferenceSession {
             .collect();
         let engine = &self.engine;
         par::parallel_for_each_mut_with(par::num_threads(), &mut jobs, |(i, fork, out)| {
-            // `run_one` already catches per-step unwinds and quarantines;
-            // this outer catch is the backstop for a panic outside the
-            // step loop, so a worker can never unwind through the pool —
-            // and it, too, quarantines before reporting.
+            // `run_one` already catches per-step unwinds; this outer catch
+            // is the backstop for a panic outside the step loop, so a
+            // worker can never unwind through the batch.
             *out = Some(
                 catch_unwind(AssertUnwindSafe(|| {
                     run_one(engine, &entry, &inputs[*i], fork, policy, Some(*i))
                 }))
                 .unwrap_or_else(|payload| {
-                    arena::quarantine();
                     Err(AthenaError::StepPanicked {
                         node: 0,
                         step: 0,
@@ -446,12 +402,10 @@ impl InferenceSession {
         model: &QModel,
         input_shape: &[usize],
     ) -> Result<CacheEntry, CompileError> {
-        let arena_cfg = ArenaConfig::for_engine(&self.engine);
         let key: CacheKey = (
             self.params_fp,
             fingerprint_model(model),
             input_shape.to_vec(),
-            arena_cfg.fingerprint(),
         );
         if let Some(pos) = self.entries.iter().position(|e| e.key == key) {
             let entry = self.entries.remove(pos);
@@ -468,7 +422,6 @@ impl InferenceSession {
             plan,
             secrets: Arc::new(secrets),
             keys: Arc::new(keys),
-            arena: Arc::new(ArenaLease::reserve(arena_cfg.reserve_bytes)),
         };
         if self.entries.len() == self.capacity {
             self.entries.remove(0);

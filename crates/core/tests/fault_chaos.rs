@@ -1,11 +1,13 @@
 //! Chaos suite for the resilient serving path: every injectable fault at
 //! every step index surfaces as a typed [`AthenaError`] — never a raw
 //! panic — and the next clean run on the same session is bit-identical
-//! to a session that never faulted (the arena-quarantine contract), at
-//! both `ATHENA_THREADS` legs.
+//! to a session that never faulted (a faulted attempt owns every buffer
+//! it touched, so it leaves nothing behind), at both `ATHENA_THREADS`
+//! legs.
 //!
-//! The arena's pool, generation and retention cap are process-global, so
-//! every test in this binary serializes behind one lock.
+//! The worker-count override `par::set_threads` is process-global: one
+//! test here sets it while others serve batches, so every test in this
+//! binary serializes behind one lock.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -149,44 +151,10 @@ fn panic_at_every_step_surfaces_typed_and_recovers() {
     }
 }
 
-/// After a faulted (quarantined) attempt the pool is empty — the next run
-/// refills it (fresh checkouts), and the one after is warm again. The
-/// quarantine trades one cold run for the guarantee that nothing the
-/// faulted attempt touched is ever recycled.
-#[cfg(feature = "alloc-stats")]
-#[test]
-fn quarantine_costs_one_cold_run_then_warms() {
-    use athena_math::stats::alloc_stats;
-    let _g = lock();
-    let model = model_with(-2);
-    let mut chaotic = session();
-    let mut sampler = Sampler::from_seed(555);
-    chaotic
-        .run_encrypted(&model, &input(0), &mut sampler)
-        .expect("warm-up run");
-
-    let policy = RunPolicy::default().with_faults(FaultPlan::panic_at(3));
-    chaotic
-        .run_encrypted_with(&model, &input(0), &mut sampler, &policy)
-        .expect_err("fault fires");
-
-    let (first, cold) =
-        alloc_stats::measure(|| chaotic.run_encrypted(&model, &input(0), &mut sampler));
-    first.expect("first run after quarantine");
-    assert!(
-        cold.fresh > 0,
-        "the quarantined pool must be refilled, not recycled"
-    );
-    let (second, warm) =
-        alloc_stats::measure(|| chaotic.run_encrypted(&model, &input(0), &mut sampler));
-    second.expect("second run after quarantine");
-    assert_eq!(warm.fresh, 0, "steady state must return after one refill");
-}
-
-/// One faulted batch item never poisons its neighbors: item 1 fails typed,
+/// One faulted batch item never affects its neighbors: item 1 fails typed,
 /// items 0 and 2 stay bit-identical to an unfaulted batch — the
-/// regression test for `run_batch` routing workers through the same
-/// quarantine path as single requests.
+/// regression test for `run_batch` classifying a worker's failure the way
+/// single requests do.
 #[test]
 fn batch_item_fault_is_isolated() {
     let _g = lock();
@@ -337,34 +305,6 @@ fn corrupt_limb_is_caught_by_the_probe() {
         .run_encrypted_with(&model_with(-2), &input(0), &mut sampler, &policy)
         .expect_err("corruption must collapse the measured budget");
     assert_eq!(err.kind(), "noise-exhausted", "got {err:?}");
-}
-
-/// A panic caught while a poisoned shard lock was recovered is reported
-/// as [`AthenaError::PoolPoisoned`] — the pool itself was implicated, not
-/// just the one step.
-#[test]
-fn poisoned_shard_lock_reports_pool_poisoned() {
-    let _g = lock();
-    let mut s = session();
-    // Compile + keygen first (both touch the arena): the poison must be
-    // in place during the *attempt*, not recovered by setup work.
-    s.plan_for(&model_with(-2), &[1, 5, 5]);
-    athena_math::arena::poison_shard_lock_for_test(0);
-    let mut sampler = Sampler::from_seed(13);
-    let policy = RunPolicy::default().with_faults(FaultPlan::panic_at(1));
-    let err = s
-        .run_encrypted_with(&model_with(-2), &input(0), &mut sampler, &policy)
-        .expect_err("fault fires");
-    match err {
-        AthenaError::PoolPoisoned { recoveries, .. } => {
-            assert!(recoveries > 0);
-        }
-        other => panic!("expected PoolPoisoned, got {other:?}"),
-    }
-    // The pool recovered: a clean run succeeds.
-    let mut sampler = Sampler::from_seed(13);
-    s.run_encrypted(&model_with(-2), &input(0), &mut sampler)
-        .expect("pool must have recovered");
 }
 
 /// A wrong-shaped input is a typed error at every public entry that can

@@ -24,10 +24,11 @@
 #![cfg(feature = "op-stats")]
 
 use athena_core::pipeline::{AthenaEngine, PackingMethod};
-use athena_core::plan;
+use athena_core::plan::{self, InferenceSession};
 use athena_core::trace::{self, OpCounts, TraceParams};
 use athena_fhe::params::BfvParams;
 use athena_math::sampler::Sampler;
+use athena_math::stats::alloc_stats;
 use athena_nn::qmodel::{Activation, QLinear, QModel, QNode, QOp, QuantConfig};
 use athena_nn::tensor::ITensor;
 
@@ -275,7 +276,7 @@ fn s2c_factorization_drift_is_documented() {
 /// and logits — the CI `ATHENA_THREADS={1,4}` matrix relies on this.
 #[cfg(feature = "op-stats")]
 #[test]
-fn per_step_counts_are_thread_count_invariant() {
+fn per_step_counts_are_rerun_invariant() {
     let model = conv_model();
     let input = ITensor::from_vec(&[1, 5, 5], (0..25).map(|i| ((i % 5) as i64) - 2).collect());
     let run = || {
@@ -299,10 +300,34 @@ fn per_step_counts_are_thread_count_invariant() {
     assert_eq!(first.logits, second.logits, "a rerun changed arithmetic");
 }
 
+/// The limb-buffer allocation total of one inference is determined by the
+/// executed ops: identical on every rerun of the same request.
+#[cfg(feature = "alloc-stats")]
+#[test]
+fn limb_allocation_totals_are_rerun_invariant() {
+    let model = conv_model();
+    let input = ITensor::from_vec(&[1, 5, 5], (0..25).map(|i| ((i % 5) as i64) - 2).collect());
+    let mut session = InferenceSession::new(AthenaEngine::new(BfvParams::test_small()), 4, 77);
+    let mut sampler = Sampler::from_seed(555);
+    // Compile and keygen first, so both measured runs serve the cached plan.
+    session
+        .run_encrypted(&model, &input, &mut sampler)
+        .expect("first run");
+    let mut takes = Vec::new();
+    for _ in 0..2 {
+        let (run, counts) =
+            alloc_stats::measure(|| session.run_encrypted(&model, &input, &mut sampler));
+        run.expect("measured run");
+        takes.push(counts.takes);
+    }
+    assert!(takes[0] > 0, "a run must allocate limb buffers");
+    assert_eq!(takes[0], takes[1], "limb allocation totals must not drift");
+}
+
 /// Counts are per request: eight requests served at once on four workers
 /// (the shape of `run_batch`) each report exactly their own steps. Every
-/// step's measured counts equal its analytic counts, and its arena
-/// checkouts equal those of the same request run alone — nothing a
+/// step's measured counts equal its analytic counts, and its limb
+/// allocations equal those of the same request run alone — nothing a
 /// neighbouring request did leaks into either.
 #[test]
 fn concurrent_requests_count_only_their_own_steps() {
@@ -340,7 +365,7 @@ fn concurrent_requests_count_only_their_own_steps() {
                 st.node, st.step, st.label
             );
             assert_eq!(st.measured, st.analytic, "{at}: measured != analytic");
-            assert_eq!(st.alloc.takes, sa.alloc.takes, "{at}: arena takes");
+            assert_eq!(st.alloc.takes, sa.alloc.takes, "{at}: limb allocations");
         }
     }
 }

@@ -59,7 +59,6 @@
 //! [`rotate_rows`]: BfvEvaluator::rotate_rows
 //! [`mul_no_relin`]: BfvEvaluator::mul_no_relin
 
-use athena_math::arena::LimbVec;
 use athena_math::bigint::UBig;
 use athena_math::modops::{lazy_mac_terms, Modulus};
 use athena_math::poly::{Domain, Poly};
@@ -237,11 +236,8 @@ impl BfvContext {
             .zip(&self.delta_mod_qi)
             .map(|(r, &dq)| {
                 let q = r.modulus();
-                let mut vals = LimbVec::take_raw(m.values().len());
-                for (o, &v) in vals.iter_mut().zip(m.values()) {
-                    *o = q.mul(dq, q.reduce(v));
-                }
-                Poly::from_limbs(vals, Domain::Coeff)
+                let vals = m.values().iter().map(|&v| q.mul(dq, q.reduce(v))).collect();
+                Poly::from_values(vals, Domain::Coeff)
             })
             .collect();
         RnsPoly::from_limbs(limbs)
@@ -296,15 +292,17 @@ impl BfvContext {
                     .iter()
                     .map(|r| {
                         let m = r.modulus();
-                        let mut out = LimbVec::take_raw(vals.len());
-                        for (o, &v) in out.iter_mut().zip(vals) {
-                            *o = if v <= half {
-                                m.reduce(v)
-                            } else {
-                                m.neg(m.reduce(qi - v))
-                            };
-                        }
-                        Poly::from_limbs(out, Domain::Coeff)
+                        let out = vals
+                            .iter()
+                            .map(|&v| {
+                                if v <= half {
+                                    m.reduce(v)
+                                } else {
+                                    m.neg(m.reduce(qi - v))
+                                }
+                            })
+                            .collect();
+                        Poly::from_values(out, Domain::Coeff)
                     })
                     .collect();
                 let mut lifted = RnsPoly::from_limbs(lifted_limbs);
@@ -809,8 +807,7 @@ impl<'a> BfvEvaluator<'a> {
             ctx.qb.poly_to_eval_inplace(&mut d);
         }
         // Build the result directly: part 0 is the sum, the rest are
-        // (pooled) copies — no whole-ciphertext clone followed by an
-        // in-place add.
+        // copies — no whole-ciphertext clone followed by an in-place add.
         let mut parts = Vec::with_capacity(a.size());
         parts.push(ctx.qb.add_poly(&a.parts[0], &d));
         parts.extend(a.parts[1..].iter().cloned());
@@ -928,11 +925,8 @@ impl<'a> BfvEvaluator<'a> {
                             *lane = m.reduce_u128(*lane) as u128;
                         }
                     }
-                    let mut out = LimbVec::take_raw(n);
-                    for (o, &lane) in out.iter_mut().zip(&lanes) {
-                        *o = lane as u64;
-                    }
-                    Poly::from_limbs(out, domain)
+                    let out = lanes.iter().map(|&lane| lane as u64).collect();
+                    Poly::from_values(out, domain)
                 });
                 RnsPoly::from_limbs(limbs.collect())
             })
@@ -965,14 +959,14 @@ impl<'a> BfvEvaluator<'a> {
         let ctx = self.ctx;
         ctx.mb.poly_to_coeff_inplace(&mut e);
         let (k, n) = (ctx.qb.len(), ctx.params.n);
-        let mut out = LimbVec::take_raw_many(k, n);
+        let mut out = vec![vec![0; n]; k];
         let mut ambiguous: Vec<usize> = if reference {
             (0..n).collect()
         } else {
             let limbs = e.slices();
             let (x_q, x_p) = limbs.split_at(k);
             // w = −r·Q^{-1} (the converter's output) + x·t·Q^{-1}.
-            let mut w = LimbVec::take_raw_many(x_p.len(), n);
+            let mut w = vec![vec![0; n]; x_p.len()];
             let mut ambiguous = ctx.scale_down.convert_centered(x_q, &mut w);
             let consts = ctx.scale_down.dst().iter().zip(&ctx.t_q_inv);
             for ((w, x), (p, &(c, c_shoup))) in w.iter_mut().zip(x_p).zip(consts) {
@@ -1003,7 +997,7 @@ impl<'a> BfvEvaluator<'a> {
         e: &RnsPoly,
         c: usize,
         residues: &mut [u64],
-        out: &mut [LimbVec],
+        out: &mut [Vec<u64>],
     ) {
         let ctx = self.ctx;
         e.gather(c, residues);

@@ -40,7 +40,7 @@ fn schedule_keys(f: &mut Fx, max_rot: usize) -> GaloisKeys {
 /// Hoisted rotation output is bit-identical to the eager path for every
 /// Galois element of a BSGS schedule.
 #[test]
-fn hoisted_matches_eager_for_every_element_any_thread_count() {
+fn hoisted_matches_eager_for_every_element() {
     let mut f = setup();
     let gk = schedule_keys(&mut f, 8);
     let ev = BfvEvaluator::new(&f.ctx);

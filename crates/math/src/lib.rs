@@ -24,7 +24,6 @@
 //! assert_eq!(c.values().len(), 64);
 //! ```
 
-pub mod arena;
 pub mod bigint;
 pub mod bsgs;
 pub mod modops;
@@ -37,7 +36,6 @@ pub mod rns;
 pub mod sampler;
 pub mod stats;
 
-pub use arena::{ArenaLease, LimbVec};
 pub use bigint::{IBig, UBig};
 pub use modops::Modulus;
 pub use poly::{Domain, Poly, Ring};

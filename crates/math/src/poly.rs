@@ -4,10 +4,14 @@
 //! A [`Poly`] is tagged with its [`Domain`]: `Coeff` (coefficient vector) or
 //! `Eval` (NTT/evaluation form). Multiplication is pointwise in `Eval` form;
 //! automorphisms are supported in both forms.
+//!
+//! Limbs are plain `Vec<u64>` buffers from the system allocator. Every one
+//! is built through [`Poly::from_values`] (or [`Poly`]'s `Clone`), which
+//! records it in the `AllocTake` row of [`crate::stats`].
 
-use crate::arena::LimbVec;
 use crate::modops::Modulus;
 use crate::ntt::NttTables;
+use crate::stats::{record, Counter};
 
 /// Representation domain of a polynomial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,31 +24,18 @@ pub enum Domain {
 
 /// A residue polynomial: `N` values mod a single prime `q`, in one of two
 /// domains.
-///
-/// Backing storage is a pool-checked-out [`LimbVec`]: dropping a `Poly`
-/// recycles its buffer into the scratch arena (see [`crate::arena`]), and
-/// the [`Ring`] operations below check their result buffers out of the
-/// same pool — so steady-state ring arithmetic performs no heap
-/// allocation once the pool is warm.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Poly {
-    values: LimbVec,
+    values: Vec<u64>,
     domain: Domain,
 }
 
 impl Poly {
     /// Wraps raw values (each must already be reduced mod the ring modulus).
-    /// The vector's allocation is adopted into the scratch arena.
+    /// The one constructor every limb buffer goes through, so it is where
+    /// limb allocations are counted.
     pub fn from_values(values: Vec<u64>, domain: Domain) -> Self {
-        Self {
-            values: LimbVec::from_vec(values),
-            domain,
-        }
-    }
-
-    /// Wraps an arena buffer directly (the zero-copy constructor the
-    /// [`Ring`] hot paths use).
-    pub fn from_limbs(values: LimbVec, domain: Domain) -> Self {
+        record(Counter::AllocTake, 1);
         Self { values, domain }
     }
 
@@ -58,10 +49,9 @@ impl Poly {
         &mut self.values
     }
 
-    /// Consumes the polynomial and returns its values as a plain vector
-    /// (the buffer escapes the arena and is not recycled).
+    /// Consumes the polynomial and returns its values.
     pub fn into_values(self) -> Vec<u64> {
-        self.values.into_vec()
+        self.values
     }
 
     /// The representation domain.
@@ -77,6 +67,13 @@ impl Poly {
     /// Whether the polynomial has no values (never true for ring elements).
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
+    }
+}
+
+/// Counted like every other limb buffer: a clone allocates one.
+impl Clone for Poly {
+    fn clone(&self) -> Self {
+        Self::from_values(self.values.clone(), self.domain)
     }
 }
 
@@ -130,28 +127,22 @@ impl Ring {
 
     /// The zero polynomial in the given domain.
     pub fn zero(&self, domain: Domain) -> Poly {
-        Poly::from_limbs(LimbVec::take_zeroed(self.n), domain)
+        Poly::from_values(vec![0; self.n], domain)
     }
 
     /// Builds a coefficient-domain polynomial from signed coefficients.
     pub fn from_i64(&self, coeffs: &[i64]) -> Poly {
         assert_eq!(coeffs.len(), self.n, "coefficient count must equal N");
-        let mut out = LimbVec::take_raw(self.n);
-        for (o, &c) in out.iter_mut().zip(coeffs) {
-            *o = self.modulus.from_i64(c);
-        }
-        Poly::from_limbs(out, Domain::Coeff)
+        let out = coeffs.iter().map(|&c| self.modulus.from_i64(c)).collect();
+        Poly::from_values(out, Domain::Coeff)
     }
 
     /// Builds a coefficient-domain polynomial from unsigned values
     /// (reduced mod q).
     pub fn from_u64(&self, coeffs: &[u64]) -> Poly {
         assert_eq!(coeffs.len(), self.n, "coefficient count must equal N");
-        let mut out = LimbVec::take_raw(self.n);
-        for (o, &c) in out.iter_mut().zip(coeffs) {
-            *o = self.modulus.reduce(c);
-        }
-        Poly::from_limbs(out, Domain::Coeff)
+        let out = coeffs.iter().map(|&c| self.modulus.reduce(c)).collect();
+        Poly::from_values(out, Domain::Coeff)
     }
 
     /// Converts to evaluation domain (no-op if already there).
@@ -159,9 +150,9 @@ impl Ring {
         match p.domain {
             Domain::Eval => p.clone(),
             Domain::Coeff => {
-                let mut v = LimbVec::take_copy(&p.values);
+                let mut v = p.values.clone();
                 self.ntt.forward(&mut v);
-                Poly::from_limbs(v, Domain::Eval)
+                Poly::from_values(v, Domain::Eval)
             }
         }
     }
@@ -171,9 +162,9 @@ impl Ring {
         match p.domain {
             Domain::Coeff => p.clone(),
             Domain::Eval => {
-                let mut v = LimbVec::take_copy(&p.values);
+                let mut v = p.values.clone();
                 self.ntt.inverse(&mut v);
-                Poly::from_limbs(v, Domain::Coeff)
+                Poly::from_values(v, Domain::Coeff)
             }
         }
     }
@@ -198,11 +189,13 @@ impl Ring {
         assert_eq!(a.domain, b.domain, "domain mismatch");
         assert_eq!(a.len(), self.n);
         assert_eq!(b.len(), self.n);
-        let mut out = LimbVec::take_raw(self.n);
-        for (o, (&x, &y)) in out.iter_mut().zip(a.values.iter().zip(b.values.iter())) {
-            *o = f(&self.modulus, x, y);
-        }
-        Poly::from_limbs(out, a.domain)
+        let out = a
+            .values
+            .iter()
+            .zip(&b.values)
+            .map(|(&x, &y)| f(&self.modulus, x, y))
+            .collect();
+        Poly::from_values(out, a.domain)
     }
 
     /// Element-wise addition (same domain required).
@@ -233,22 +226,20 @@ impl Ring {
 
     /// Negation.
     pub fn neg(&self, a: &Poly) -> Poly {
-        let mut out = LimbVec::take_raw(a.len());
-        for (o, &x) in out.iter_mut().zip(a.values.iter()) {
-            *o = self.modulus.neg(x);
-        }
-        Poly::from_limbs(out, a.domain)
+        let out = a.values.iter().map(|&x| self.modulus.neg(x)).collect();
+        Poly::from_values(out, a.domain)
     }
 
     /// Scalar multiplication by `c ∈ Z_q` (domain preserved).
     pub fn scalar_mul(&self, a: &Poly, c: u64) -> Poly {
         let c = self.modulus.reduce(c);
         let c_shoup = self.modulus.shoup(c);
-        let mut out = LimbVec::take_raw(a.len());
-        for (o, &x) in out.iter_mut().zip(a.values.iter()) {
-            *o = self.modulus.mul_shoup(x, c, c_shoup);
-        }
-        Poly::from_limbs(out, a.domain)
+        let out = a
+            .values
+            .iter()
+            .map(|&x| self.modulus.mul_shoup(x, c, c_shoup))
+            .collect();
+        Poly::from_values(out, a.domain)
     }
 
     /// Pointwise multiplication of two `Eval`-domain polynomials.
@@ -294,7 +285,7 @@ impl Ring {
         );
         assert!(k % 2 == 1, "Galois element must be odd");
         let two_n = 2 * self.n;
-        let mut out = LimbVec::take_zeroed(self.n);
+        let mut out = vec![0; self.n];
         for i in 0..self.n {
             let e = (i * k) % two_n;
             let v = a.values[i];
@@ -304,7 +295,7 @@ impl Ring {
                 out[e - self.n] = self.modulus.sub(out[e - self.n], v);
             }
         }
-        Poly::from_limbs(out, Domain::Coeff)
+        Poly::from_values(out, Domain::Coeff)
     }
 
     /// Galois automorphism in evaluation domain (a pure index permutation).
@@ -334,11 +325,8 @@ impl Ring {
             "automorphism_eval needs Eval domain"
         );
         assert_eq!(perm.len(), self.n, "permutation length must equal N");
-        let mut out = LimbVec::take_raw(self.n);
-        for (o, &src) in out.iter_mut().zip(perm) {
-            *o = a.values[src];
-        }
-        Poly::from_limbs(out, Domain::Eval)
+        let out = perm.iter().map(|&src| a.values[src]).collect();
+        Poly::from_values(out, Domain::Eval)
     }
 
     /// For output index `j`, the input index whose evaluation point maps to

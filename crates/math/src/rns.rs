@@ -4,11 +4,9 @@
 //! form (`x + α·B`) and the **exact** centred form the request path runs
 //! on ([`BaseConverter`]).
 
-use crate::arena::LimbVec;
 use crate::bigint::{IBig, UBig};
 use crate::modops::{lazy_mac_terms, Modulus};
 use crate::poly::{Domain, Poly, Ring};
-use std::ops::DerefMut;
 
 /// Word-sized tables converting a value from a source basis `B = ∏ b_i`
 /// to target moduli `c_j` — the FRU's `BConv` datapath (§4.2): one Shoup
@@ -145,11 +143,7 @@ impl BaseConverter {
     /// (and, when `EXACT`, the overflow count `α`) are gathered into one
     /// `k + 1`-word vector and every output word is its inner product
     /// with a table row. Returns the coefficients whose `α` is ambiguous.
-    fn run<const EXACT: bool, D: DerefMut<Target = [u64]>>(
-        &self,
-        src: &[&[u64]],
-        dst: &mut [D],
-    ) -> Vec<usize> {
+    fn run<const EXACT: bool>(&self, src: &[&[u64]], dst: &mut [Vec<u64>]) -> Vec<usize> {
         let k = self.src.len();
         assert_eq!(src.len(), k, "one residue slice per source modulus");
         assert_eq!(dst.len(), self.dst.len(), "one slice per target modulus");
@@ -193,8 +187,8 @@ impl BaseConverter {
 
     /// Fast (approximate) conversion: `dst[j][c] = v_c + α·B mod c_j` for
     /// some overflow `0 ≤ α ≤ k` — the classic `BConv`.
-    pub fn convert_fast<D: DerefMut<Target = [u64]>>(&self, src: &[&[u64]], dst: &mut [D]) {
-        self.run::<false, D>(src, dst);
+    pub fn convert_fast(&self, src: &[&[u64]], dst: &mut [Vec<u64>]) {
+        self.run::<false>(src, dst);
     }
 
     /// Exact centred conversion: `dst[j][c] = v_c mod c_j` for the centred
@@ -202,12 +196,8 @@ impl BaseConverter {
     /// whose overflow estimate fell inside the guard band: their words are
     /// unspecified and the caller must recompute them exactly.
     #[must_use = "ambiguous coefficients must be recomputed through the exact route"]
-    pub fn convert_centered<D: DerefMut<Target = [u64]>>(
-        &self,
-        src: &[&[u64]],
-        dst: &mut [D],
-    ) -> Vec<usize> {
-        self.run::<true, D>(src, dst)
+    pub fn convert_centered(&self, src: &[&[u64]], dst: &mut [Vec<u64>]) -> Vec<usize> {
+        self.run::<true>(src, dst)
     }
 }
 
@@ -624,9 +614,9 @@ impl RnsBasis {
     }
 
     /// In-place conversion of all limbs to evaluation domain: transforms
-    /// inside the existing limb buffers — zero checkouts, zero copies
-    /// (the write-into-scratch variant of [`RnsBasis::poly_to_eval`] for
-    /// callers that own their operand).
+    /// inside the existing limb buffers — no allocation, no copy (the
+    /// variant of [`RnsBasis::poly_to_eval`] for callers that own their
+    /// operand).
     pub fn poly_to_eval_inplace(&self, a: &mut RnsPoly) {
         assert_eq!(a.limb_count(), self.len());
         for (p, r) in a.limbs_mut().iter_mut().zip(&self.rings) {
@@ -768,7 +758,7 @@ impl RnsBasis {
             "base conversion needs Coeff domain"
         );
         let conv = self.converter_to(&other.moduli());
-        let mut out = LimbVec::take_raw_many(other.len(), self.n());
+        let mut out = vec![vec![0; self.n()]; other.len()];
         conv.convert_fast(&p.slices(), &mut out);
         RnsPoly::from_limbs(coeff_polys(out))
     }
@@ -786,7 +776,7 @@ impl RnsBasis {
     /// Panics if `p` is not in coefficient domain.
     pub fn convert_centered(&self, p: &RnsPoly, conv: &BaseConverter) -> (Vec<Poly>, usize) {
         assert_eq!(p.domain(), Domain::Coeff, "CRT lift reads coefficients");
-        let mut out = LimbVec::take_raw_many(conv.dst().len(), self.n());
+        let mut out = vec![vec![0; self.n()]; conv.dst().len()];
         let ambiguous = conv.convert_centered(&p.slices(), &mut out);
         let mut residues = vec![0u64; self.len()];
         for &c in &ambiguous {
@@ -800,7 +790,7 @@ impl RnsBasis {
     /// fallback and the oracle it is tested against.
     pub fn convert_centered_reference(&self, p: &RnsPoly, dst: &[Modulus]) -> Vec<Poly> {
         assert_eq!(p.domain(), Domain::Coeff, "CRT lift reads coefficients");
-        let mut out = LimbVec::take_raw_many(dst.len(), self.n());
+        let mut out = vec![vec![0; self.n()]; dst.len()];
         let mut residues = vec![0u64; self.len()];
         for c in 0..self.n() {
             self.convert_coeff_reference(p, c, dst, &mut residues, &mut out);
@@ -816,7 +806,7 @@ impl RnsBasis {
         c: usize,
         dst: &[Modulus],
         residues: &mut [u64],
-        out: &mut [LimbVec],
+        out: &mut [Vec<u64>],
     ) {
         p.gather(c, residues);
         let x = self.crt_reconstruct_centered(residues);
@@ -844,10 +834,10 @@ pub fn signed_residue(neg: bool, mag: &UBig, m: &Modulus) -> u64 {
 }
 
 /// Wraps conversion outputs as coefficient-form limbs.
-pub fn coeff_polys(limbs: Vec<LimbVec>) -> Vec<Poly> {
+pub fn coeff_polys(limbs: Vec<Vec<u64>>) -> Vec<Poly> {
     limbs
         .into_iter()
-        .map(|l| Poly::from_limbs(l, Domain::Coeff))
+        .map(|l| Poly::from_values(l, Domain::Coeff))
         .collect()
 }
 
@@ -954,7 +944,7 @@ mod tests {
     }
 
     #[test]
-    fn add_assign_matches_add_for_all_thread_counts() {
+    fn add_assign_matches_add() {
         let b = basis(16, 3);
         let x = b.poly_from_i64(&(0..16).map(|i| 3 * i as i64 - 20).collect::<Vec<_>>());
         let y = b.poly_from_i64(&(0..16).map(|i| 7 - i as i64).collect::<Vec<_>>());

@@ -2,14 +2,13 @@
 //!
 //! Every counter the workspace keeps is one row of [`Counter`] — NTT
 //! transforms, rotation key switches, tensor lifts, homomorphic operations
-//! and arena limb-buffer traffic — and every call site bumps its row with
-//! the one [`record`]. The arena rows are compiled in under the default-on
-//! `alloc-stats` feature, every other row under the default-on `op-stats`
-//! feature; with a row's feature off, `record` compiles to nothing for it
-//! and every `measure` reads zero there. These counters let tests and
-//! benches *prove* a schedule's budget (NTT round-trips gone, one digit
-//! decomposition per hoisted source, zero fresh buffers in a warm run)
-//! rather than merely time it.
+//! and limb-buffer allocations — and every call site bumps its row with
+//! the one [`record`]. The allocation row is compiled in under the
+//! default-on `alloc-stats` feature, every other row under the default-on
+//! `op-stats` feature; with a row's feature off, `record` compiles to
+//! nothing for it and every `measure` reads zero there. These counters let
+//! tests and benches *prove* a schedule's budget (NTT round-trips gone,
+//! one digit decomposition per hoisted source) rather than merely time it.
 //!
 //! **Scope rule.** [`measure`] runs a closure with a fresh, zeroed block
 //! installed as the calling thread's current scope, and returns what was
@@ -68,30 +67,18 @@ pub enum Counter {
     SampleExtract,
     /// Whole-ciphertext RLWE modulus switches.
     ModSwitch,
-    /// Limb-buffer checkouts (pool hits *and* misses).
+    /// Limb buffers allocated: every [`crate::poly::Poly`] built or cloned.
     AllocTake,
-    /// Checkouts that missed the pool and hit the heap allocator.
-    AllocFresh,
-    /// Buffers returned to the pool on drop.
-    AllocRecycle,
-    /// Buffers freed instead of pooled (retention cap, quarantine, poison
-    /// recovery).
-    AllocFreed,
 }
 
-const ROWS: usize = Counter::AllocFreed as usize + 1;
+const ROWS: usize = Counter::AllocTake as usize + 1;
 
 impl Counter {
-    /// Whether this row is compiled in: the arena rows under
+    /// Whether this row is compiled in: the allocation row under
     /// `alloc-stats`, every other row under `op-stats`.
     const fn enabled(self) -> bool {
         match self {
-            Counter::AllocTake
-            | Counter::AllocFresh
-            | Counter::AllocRecycle
-            | Counter::AllocFreed => {
-                cfg!(feature = "alloc-stats")
-            }
+            Counter::AllocTake => cfg!(feature = "alloc-stats"),
             _ => cfg!(feature = "op-stats"),
         }
     }
@@ -122,7 +109,7 @@ thread_local! {
 
 /// Adds `n` to row `c` of the calling thread's current scope. A no-op when
 /// the row's feature is off, outside every scope, and while the thread's
-/// locals are being torn down (limb buffers can drop then).
+/// locals are being torn down.
 #[inline]
 pub fn record(c: Counter, n: u64) {
     if c.enabled() {
@@ -388,51 +375,27 @@ pub mod op_stats {
     }
 }
 
-/// Limb-buffer allocation counts for the scratch arena (`crate::arena`):
-/// checkouts, fresh heap allocations (pool misses), recycles, and frees.
-///
-/// `takes` and `recycled + freed` are schedule-independent and therefore
-/// thread-count invariant per plan step; the `fresh`/pooled split of a
-/// *cold* run depends on thread interleaving, so only the steady-state
-/// invariant `fresh == 0` (warm pool) is pinned across thread counts.
+/// Limb-buffer allocation counts: how many [`crate::poly::Poly`] buffers
+/// a call allocated (built or cloned). Schedule-independent, hence the
+/// same at any worker count.
 pub mod alloc_stats {
     use super::{Counter, Counts};
 
-    /// The arena rows of one measured call.
+    /// The allocation row of one measured call.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct AllocCounts {
-        /// Limb-buffer checkouts (pool hits *and* misses).
+        /// Limb buffers allocated.
         pub takes: u64,
-        /// Checkouts that missed the pool and hit the heap allocator.
+        /// Equal to `takes`: every buffer comes from the system allocator.
+        /// Kept only because the benchmark package reads it.
         pub fresh: u64,
-        /// Buffers returned to the pool on drop.
-        pub recycled: u64,
-        /// Buffers freed instead of pooled.
-        pub freed: u64,
     }
 
     impl AllocCounts {
-        /// Component-wise sum.
-        pub fn add(&mut self, o: &AllocCounts) {
-            self.takes += o.takes;
-            self.fresh += o.fresh;
-            self.recycled += o.recycled;
-            self.freed += o.freed;
-        }
-
-        /// Component-wise difference (saturating).
-        pub fn sub(&self, o: &AllocCounts) -> AllocCounts {
-            AllocCounts {
-                takes: self.takes.saturating_sub(o.takes),
-                fresh: self.fresh.saturating_sub(o.fresh),
-                recycled: self.recycled.saturating_sub(o.recycled),
-                freed: self.freed.saturating_sub(o.freed),
-            }
-        }
-
-        /// Checkouts served from the pool.
+        /// Always 0: no buffer is served from a pool. Kept only because
+        /// the benchmark package reads it.
         pub fn pooled(&self) -> u64 {
-            self.takes - self.fresh
+            0
         }
     }
 
@@ -440,14 +403,12 @@ pub mod alloc_stats {
         fn from(c: Counts) -> Self {
             Self {
                 takes: c[Counter::AllocTake],
-                fresh: c[Counter::AllocFresh],
-                recycled: c[Counter::AllocRecycle],
-                freed: c[Counter::AllocFreed],
+                fresh: c[Counter::AllocTake],
             }
         }
     }
 
-    /// [`super::measure`], keeping the arena rows.
+    /// [`super::measure`], keeping the allocation row.
     pub fn measure<T>(f: impl FnOnce() -> T) -> (T, AllocCounts) {
         super::project(f)
     }
@@ -615,22 +576,20 @@ mod tests {
 mod alloc_tests {
     use super::tests::seen;
     use super::{alloc_stats, Counter};
-    use crate::arena::LimbVec;
+    use crate::poly::{Domain, Ring};
 
     #[test]
     fn alloc_counters_record_and_measure() {
-        // A concurrent shard-poison recovery would free into this thread's
-        // scope if this checkout probed the poisoned shard.
-        let _pool = crate::arena::test_lock();
+        let ring = Ring::new(12289, 64);
         let ((), counts) = alloc_stats::measure(|| {
-            drop(LimbVec::take_raw(12353));
+            // Two built by `from_i64`, one by `add`, one clone.
+            let a = ring.from_i64(&[1; 64]);
+            let b = ring.from_i64(&[2; 64]);
+            let c = ring.add(&a, &b);
+            assert_eq!(c.clone().domain(), Domain::Coeff);
         });
-        assert_eq!(counts.takes, seen(Counter::AllocTake, 1));
-        assert_eq!(counts.recycled + counts.freed, seen(Counter::AllocFreed, 1));
-        let mut sum = counts;
-        sum.add(&counts);
-        assert_eq!(sum.takes, 2 * counts.takes);
-        assert_eq!(sum.sub(&counts), counts);
-        assert_eq!(counts.pooled(), counts.takes - counts.fresh);
+        assert_eq!(counts.takes, seen(Counter::AllocTake, 4));
+        assert_eq!(counts.fresh, counts.takes);
+        assert_eq!(counts.pooled(), 0);
     }
 }
