@@ -21,7 +21,7 @@
 
 use athena_fhe::bfv::{BfvCiphertext, BfvEvaluator};
 use athena_fhe::extract::SmallRlwe;
-use athena_fhe::fbs::{expected_stats, FbsStats, Lut};
+use athena_fhe::fbs::{expected_stats, Lut};
 use athena_fhe::lwe::LweCiphertext;
 use athena_math::modops::Modulus;
 use athena_math::sampler::Sampler;
@@ -371,23 +371,17 @@ impl PlanBackend for NoiseSimBackend {
 }
 
 /// Analytic counts of one FBS step: the dry-run BSGS schedule of the
-/// interpolated LUT, the final constant add (paid whenever the evaluation
-/// is non-trivial), and the non-valid-slot mask PMult when needed.
+/// interpolated LUT (its constant included) and the non-valid-slot mask
+/// PMult when needed.
 pub(crate) fn fbs_analytic(lut: &Lut, mask: bool) -> OpCounts {
     let es = expected_stats(lut);
-    let mut c = OpCounts {
+    OpCounts {
         cmult: es.cmult as u64,
         smult: es.smult as u64,
         hadd: es.hadd as u64,
+        pmult: u64::from(mask),
         ..OpCounts::default()
-    };
-    if es != FbsStats::default() {
-        c.hadd += 1; // the constant-coefficient add_plain
     }
-    if mask {
-        c.pmult += 1;
-    }
-    c
 }
 
 /// Value-free dry run: every primitive tallies the [`OpCounts`] of the

@@ -23,6 +23,7 @@
 use athena_core::pipeline::{AthenaEngine, PackingMethod};
 use athena_core::plan::{self, AthenaError, RunPolicy, StepReport};
 use athena_fhe::params::BfvParams;
+use athena_math::prime::ntt_primes;
 use athena_math::sampler::Sampler;
 use athena_nn::qmodel::{Activation, QLinear, QModel, QNode, QOp, QuantConfig};
 use athena_nn::tensor::ITensor;
@@ -120,9 +121,19 @@ fn run_probed(
     method: PackingMethod,
     seed: u64,
 ) -> plan::PlanRun {
+    run_probed_at(BfvParams::test_small(), model, in_shape, method, seed)
+}
+
+fn run_probed_at(
+    params: BfvParams,
+    model: &QModel,
+    in_shape: &[usize],
+    method: PackingMethod,
+    seed: u64,
+) -> plan::PlanRun {
     let len: usize = in_shape.iter().product();
     let input = ITensor::from_vec(in_shape, (0..len).map(|i| ((i % 5) as i64) - 2).collect());
-    let engine = AthenaEngine::with_packing(BfvParams::test_small(), method);
+    let engine = AthenaEngine::with_packing(params, method);
     let compiled = plan::compile(&engine, model, in_shape);
     let mut sampler = Sampler::from_seed(seed);
     let (secrets, keys) = engine.keygen_for_plan(&compiled, &mut sampler);
@@ -240,6 +251,26 @@ fn analytic_noise_charge_covers_measured_consumption() {
         let run = run_probed(&residual_model(), &[1, 5, 5], method, 5_052);
         assert_telemetry_contract(&run, &format!("residual/{method:?}"));
     }
+}
+
+/// The same pin at the paper's `t = 65537` (the `cnn_t65537` benchmark's
+/// 12 × 50-bit `Q`), where one FBS is a 17-deep, 518-CMult tree: its
+/// charge must still cover what the probe measures.
+#[test]
+fn analytic_noise_charge_covers_measured_consumption_at_paper_t() {
+    let params = BfvParams {
+        q_primes: ntt_primes(50, 128, 12),
+        t: 65537,
+        ..BfvParams::test_small()
+    };
+    let run = run_probed_at(
+        params,
+        &conv_model(),
+        &[1, 5, 5],
+        PackingMethod::Bsgs,
+        5_053,
+    );
+    assert_telemetry_contract(&run, "conv/Bsgs/t=65537");
 }
 
 /// Probing is observation only: logits bit-identical with the probe on or

@@ -2,7 +2,13 @@
 //!
 //! A lookup table over `Z_t` is interpolated into the polynomial `FBS(x)`
 //! with `FBS(k) = LUT(k)` for every `k ∈ Z_t` (t prime), then evaluated on a
-//! slot-encoded BFV ciphertext with the BSGS schedule of Alg. 2. Because the
+//! slot-encoded BFV ciphertext with the BSGS schedule of Alg. 2
+//! ([`bsgs_polynomial_eval`]: baby powers `x^1..x^bs`, one multiply–
+//! accumulate per leaf of `bs` coefficients, and the outer sum as a
+//! balanced tree of `X^{2^j}` products — ≈ 2√t CMults, 34 at `t = 257` and
+//! 518 at `t = 65537`, at depth `⌈log₂ bs⌉ + ⌈log₂ gs⌉`). Every CMult
+//! operand's tensor-basis lift lives only as long as the schedule still
+//! multiplies by it (see `Lifted`). Because the
 //! packing step produced a *fresh* ciphertext at full modulus `Q`, the LUT
 //! evaluation simultaneously (a) applies an arbitrary non-linear function,
 //! (b) performs the quantization remap, and (c) refreshes the noise — the
@@ -15,8 +21,7 @@
 //! memoises the polynomial, the plan compiler's dry run
 //! ([`expected_stats`]) warms it, and a served request never interpolates.
 
-use std::cell::{Cell, OnceCell};
-use std::rc::Rc;
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 use athena_math::bsgs::{bsgs_polynomial_eval, BsgsSplit};
@@ -204,33 +209,30 @@ pub struct FbsStats {
     pub hadd: usize,
 }
 
-/// A BSGS operand carrying a shared, lazily computed tensor-basis lift.
-///
-/// The schedule reuses the same baby/giant powers across many CMults, so
-/// each power pays its forced-Coeff lift into the extended basis **once**
-/// (the CMult analogue of rotation hoisting; `lift_stats` counts computed
-/// vs reused lifts). The `Rc` never crosses a thread: each [`fbs_apply`]
-/// call builds and drops its own operand graph.
-#[derive(Clone)]
-struct FbsOperand {
-    ct: BfvCiphertext,
-    lift: Rc<OnceCell<TensorOperand>>,
+/// A power's tensor-basis lift, the `L` of [`bsgs_polynomial_eval`]: the
+/// schedule decides how long it lives (a baby power only while it is a
+/// factor of a higher one, each giant `X^{2^j}` for the whole tree, each
+/// node's `hi` for its single product), so each is computed once and
+/// every further product against it counts as a reused lift.
+struct Lifted {
+    op: TensorOperand,
+    used: Cell<bool>,
 }
 
-impl FbsOperand {
-    fn new(ct: BfvCiphertext) -> Self {
+impl Lifted {
+    fn new(ev: &BfvEvaluator, ct: &BfvCiphertext) -> Self {
         Self {
-            ct,
-            lift: Rc::new(OnceCell::new()),
+            op: ev.lift_for_mul(ct),
+            used: Cell::new(false),
         }
     }
 
-    /// The cached tensor lift, computed on first use.
-    fn tensor(&self, ev: &BfvEvaluator) -> &TensorOperand {
-        if self.lift.get().is_some() {
+    /// The lift as a CMult operand.
+    fn operand(&self) -> &TensorOperand {
+        if self.used.replace(true) {
             record(Counter::LiftReused, 1);
         }
-        self.lift.get_or_init(|| ev.lift_for_mul(&self.ct))
+        &self.op
     }
 }
 
@@ -248,46 +250,46 @@ pub fn fbs_apply(
     rlk: &RelinKey,
 ) -> (BfvCiphertext, FbsStats) {
     assert_eq!(lut.t(), ctx.t(), "LUT modulus must match context t");
-    let coeffs = lut.coeffs();
     let ev = BfvEvaluator::new(ctx);
+    let constant = |c: u64| ctx.encoder().encode(&vec![c; ctx.n()]);
+    let tally = Tally::default();
     // Polynomial evaluation is CMult-dominated, and every CMult tensors
     // through the centered CRT lift — a forced-Coeff boundary — so an
     // Eval-resident input (e.g. fresh out of packing) is normalized to
     // coefficient form once here instead of inside every product.
-    let ct = FbsOperand::new(ct.to_coeff(ctx));
-    let tally = Tally::default();
-    let result = {
-        let mut mul = |a: &FbsOperand, b: &FbsOperand| {
+    let out = bsgs_polynomial_eval(
+        lut.coeffs(),
+        ct.to_coeff(ctx),
+        &mut |x: &BfvCiphertext| Lifted::new(&ev, x),
+        &mut |a: &Lifted, b: &Lifted| {
             tally.mul();
-            let tensored = ev.mul_no_relin_lifted(a.tensor(&ev), b.tensor(&ev));
-            FbsOperand::new(ev.relinearize(&tensored, rlk))
-        };
-        // A block's inner sum is one in-place MAC writing one ciphertext,
-        // tallied as the per-term SMult/HAdd chain it stands for.
-        let mut lincomb = |xs: &[FbsOperand], cs: &[u64]| {
-            tally.lincomb(cs);
-            ev.linear_combination(xs.iter().map(|x| &x.ct).zip(cs.iter().copied()))
-                .map(FbsOperand::new)
-        };
-        let mut add = |a: &FbsOperand, b: &FbsOperand| {
+            let tensored = ev.mul_no_relin_lifted(a.operand(), b.operand());
+            ev.relinearize(&tensored, rlk)
+        },
+        // A leaf is one in-place MAC writing one ciphertext plus its
+        // boundary coefficient as a plaintext constant, tallied as the
+        // per-term SMult/HAdd chain it stands for.
+        &mut |xs: &[BfvCiphertext], cs: &[u64], c: u64| {
+            tally.lincomb(cs, c);
+            match ev.linear_combination(xs.iter().zip(cs.iter().copied())) {
+                None => BfvCiphertext::trivial(ctx, &constant(c)),
+                Some(sum) if c == 0 => sum,
+                Some(sum) => ev.add_plain(&sum, &constant(c)),
+            }
+        },
+        &mut |a: &BfvCiphertext, b: &BfvCiphertext| {
             tally.add();
-            FbsOperand::new(ev.add(&a.ct, &b.ct))
-        };
-        bsgs_polynomial_eval(coeffs, &ct, &mut mul, &mut lincomb, &mut add)
-    };
-    // Add the constant term c_0 = LUT(0) in plaintext (all slots).
-    let constant = ctx.encoder().encode(&vec![coeffs[0] % ctx.t(); ctx.n()]);
-    let out = match result {
-        Some(r) => ev.add_plain(&r.ct, &constant),
-        None => BfvCiphertext::trivial(ctx, &constant),
-    };
+            ev.add(a, b)
+        },
+    );
     (out, tally.stats())
 }
 
 /// The logical op tally of Alg. 2's schedule, shared by the ciphertext
 /// run and the [`expected_stats`] dry run so the two cannot count by
-/// different rules: a block inner sum is one SMult per evaluated (non-zero)
-/// term and one HAdd between terms, however the algebra fuses it.
+/// different rules: a leaf is one SMult per evaluated (non-zero) term, one
+/// HAdd between terms and one HAdd for a non-zero constant, however the
+/// algebra fuses it; a constant alone is a trivial ciphertext, no op.
 #[derive(Default)]
 struct Tally {
     cmult: Cell<usize>,
@@ -300,12 +302,14 @@ impl Tally {
         self.cmult.set(self.cmult.get() + 1);
     }
 
-    /// Tallies a block inner sum; returns how many terms it evaluates.
-    fn lincomb(&self, cs: &[u64]) -> usize {
+    /// Tallies `c + Σ cs[k]·xs[k]`.
+    fn lincomb(&self, cs: &[u64], c: u64) {
         let terms = cs.iter().filter(|&&c| c != 0).count();
-        self.smult.set(self.smult.get() + terms);
-        self.hadd.set(self.hadd.get() + terms.saturating_sub(1));
-        terms
+        if terms > 0 {
+            self.smult.set(self.smult.get() + terms);
+            self.hadd
+                .set(self.hadd.get() + terms - 1 + usize::from(c != 0));
+        }
     }
 
     fn add(&self) {
@@ -329,31 +333,22 @@ pub fn fbs_split(t: u64) -> BsgsSplit {
 /// Exact operation counts one [`fbs_apply`] of this LUT will incur,
 /// computed by dry-running Alg. 2's schedule over a unit algebra (the same
 /// [`bsgs_polynomial_eval`] drives both, so zero-coefficient skipping — the
-/// data-dependent part of the count — is reproduced exactly).
-///
-/// The returned stats mirror the [`FbsStats`] of the real call; the final
-/// plaintext constant add (`c_0`) is *not* included, matching the real
-/// path's accounting (it shows up as one extra measured HAdd).
+/// data-dependent part of the count — is reproduced exactly). The
+/// constant `c_0 = LUT(0)` is part of the schedule (the first leaf's
+/// plaintext constant), so these are all of the call's ops.
 ///
 /// Reads — and on a cold `Lut`, fills — the memoised polynomial, so the
 /// plan compiler's dry run over a step's own `Lut` is what spares every
 /// later request the interpolation.
 pub fn expected_stats(lut: &Lut) -> FbsStats {
-    #[derive(Clone)]
-    struct Unit;
     let tally = Tally::default();
-    let _ = bsgs_polynomial_eval(
+    bsgs_polynomial_eval(
         lut.coeffs(),
-        &Unit,
-        &mut |_: &Unit, _: &Unit| {
-            tally.mul();
-            Unit
-        },
-        &mut |_: &[Unit], cs: &[u64]| (tally.lincomb(cs) > 0).then_some(Unit),
-        &mut |_: &Unit, _: &Unit| {
-            tally.add();
-            Unit
-        },
+        (),
+        &mut |_: &()| (),
+        &mut |_: &(), _: &()| tally.mul(),
+        &mut |_: &[()], cs: &[u64], c: u64| tally.lincomb(cs, c),
+        &mut |_: &(), _: &()| tally.add(),
     );
     tally.stats()
 }
@@ -362,6 +357,7 @@ pub fn expected_stats(lut: &Lut) -> FbsStats {
 mod tests {
     use super::*;
     use crate::bfv::SecretKey;
+    use crate::noise::StepDepths;
     use crate::params::BfvParams;
     use athena_math::sampler::Sampler;
 
@@ -388,6 +384,52 @@ mod tests {
         assert_ne!(warm, Lut::from_signed_fn(257, |x| x.min(0)));
         expected_stats(&cold);
         assert!(cold.is_interpolated());
+    }
+
+    #[test]
+    fn relu_remap_schedule_is_pinned() {
+        // (bs−1) + (⌈log₂ gs⌉−1) + (gs−1) CMults: the LUT polynomial's few
+        // zero coefficients (1 at t = 257, 3 at t = 65537) never empty a
+        // leaf. One SMult per non-zero coefficient off the leaf
+        // boundaries `c_{g·bs}` (those are plaintext constants).
+        for (t, cmult) in [(257u64, 34usize), (65537, 518)] {
+            let lut = Lut::from_signed_fn(t, |x| if x > 0 { (x + 2) / 4 } else { 0 });
+            let bs = fbs_split(t).baby;
+            let off_boundary = lut.coeffs().iter().enumerate();
+            let smult = off_boundary
+                .filter(|&(i, &c)| c != 0 && i % bs != 0)
+                .count();
+            let stats = expected_stats(&lut);
+            assert_eq!((stats.cmult, stats.smult), (cmult, smult), "t={t}");
+        }
+    }
+
+    #[test]
+    fn schedule_depth_fits_table4_fbs_row() {
+        // The CMult depth of Alg. 2's tree on a dense LUT polynomial is
+        // ⌈log₂ bs⌉ + ⌈log₂ gs⌉, within the depth Table 4 charges FBS.
+        let ceil_log2 = |v: usize| v.next_power_of_two().ilog2();
+        for t in [17u64, 257, 65537] {
+            let lut = Lut::from_signed_fn(t, |x| x.max(0));
+            let depth = bsgs_polynomial_eval(
+                lut.coeffs(),
+                0u32,
+                &mut |d: &u32| *d,
+                &mut |a: &u32, b: &u32| a.max(b) + 1,
+                &mut |xs: &[u32], cs: &[u64], _: u64| {
+                    let used = xs.iter().zip(cs).filter(|(_, &c)| c != 0);
+                    used.map(|(d, _)| *d).max().unwrap_or(0)
+                },
+                &mut |a: &u32, b: &u32| *a.max(b),
+            );
+            let split = fbs_split(t);
+            assert_eq!(
+                depth,
+                ceil_log2(split.baby) + ceil_log2(split.giant),
+                "t={t}"
+            );
+            assert!(depth <= StepDepths::fbs(t).cmult, "t={t}: depth {depth}");
+        }
     }
 
     #[test]

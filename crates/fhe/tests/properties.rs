@@ -300,27 +300,30 @@ fn fbs_golden(params: BfvParams) -> Vec<u64> {
 }
 
 // Goldens: recorded by running `fbs_golden` above, verbatim, at the
-// parent commit 289a151 (per-coefficient `UBig` CRT in the CMult lift and
-// scale-down, per-term `mul_scalar`/`add` inner sums, per-call LUT
-// interpolation), at `ATHENA_THREADS` unset and `=4` (identical). Every
-// limb of the output ciphertext must still hash to the same value: the
-// word-sized path is bit-identical, not approximately right.
+// commit that made Alg. 2's outer sum a balanced tree (leaf constants
+// `c_{g·bs}` as plaintext adds, `X^{2^j}` products instead of one giant
+// power per block), at `ATHENA_THREADS` unset and `=4` (identical). That
+// schedule multiplies different ciphertexts than the one before it, so
+// the bits moved on purpose; what pins its values is
+// `kernel_fbs_matches_lut_on_every_residue` below. Every limb of the
+// output ciphertext must still hash to the same value: the request path
+// is bit-identical run to run, not approximately right.
 
 #[test]
 fn kernel_golden_fbs_test_small() {
     assert_eq!(
         fbs_golden(BfvParams::test_small()),
         [
-            0x8088f3f21f9ebb28,
-            0x52576657316f7755,
-            0x4d0a2f7b1dbd1d12,
-            0x824403a67633c191,
-            0x31f57ac95bced037,
-            0x6866b2600587cade,
-            0x4ca9629ef4d67c63,
-            0x0e4ffe26cd6b41e0,
-            0x84401a2b0a2127cc,
-            0x75ee1857b1b64c92,
+            0xf4d1a0b956657939,
+            0x8e74a3b7e5227bcf,
+            0xa880d90e9b2b0904,
+            0x36453fc870553592,
+            0xb5583dca53a1d9ad,
+            0xbd0f5266b13744d1,
+            0xb1efe1fc0234d53a,
+            0xf3aa22e11b51a462,
+            0xbfda2d0839ce28e6,
+            0xdebe562e8959b890,
         ]
     );
 }
@@ -330,30 +333,30 @@ fn kernel_golden_fbs_paper_t_12_limbs() {
     assert_eq!(
         fbs_golden(paper_t_params()),
         [
-            0xcd425bb8c9daf759,
-            0x313cf0fec1e14b18,
-            0x1720cf720c201451,
-            0x262442a0abfd85ef,
-            0x2f731bffeeacd9d6,
-            0x5a44397c2bfb01ab,
-            0x233cbcaa612f49fa,
-            0xa78d0d0e54b73242,
-            0x7d32624df5bf1e9d,
-            0xf71b64239e71a6db,
-            0x721b330992335e9a,
-            0x0814148d15f50055,
-            0x99a5ff3f0179953d,
-            0x128476d851634692,
-            0x071fdd1b63cb0336,
-            0xde884c4a62f9d224,
-            0xfa4d3c3b0ba9c5a7,
-            0x036ef7a09d1f504a,
-            0x78fd94082586fdd9,
-            0x59019b0900dc7edc,
-            0x33f7ac2c613cc6da,
-            0x02bbc49e13f8871d,
-            0xb14c9309207154b6,
-            0xf127b80fcec8d633,
+            0xa5d4be6b8e5ca687,
+            0x32526ded09857929,
+            0xf0fe5b070c0fad0f,
+            0x1254e0842bc60a32,
+            0x9e26fcce4d1c7a41,
+            0x346fbe0a5a4e228e,
+            0xef26da47d2139463,
+            0x360c178233d012f8,
+            0xf9aa698d8a96967d,
+            0x09a524a4d51ed661,
+            0x327cae81a36130dc,
+            0x1d5c9f18c7112b9d,
+            0x7efe00ad34f513ae,
+            0x57a8d2234e495ee7,
+            0xfb20b4ebb34b666b,
+            0xbad57d28a60d6dc4,
+            0x170c98960fc43b32,
+            0x3829cab2e7cb50ca,
+            0x9ec8f2a0f0caca27,
+            0x15b9917d5fc69def,
+            0xf9c01b546822143f,
+            0x3800cfef4b99ebe5,
+            0x47c9cc722c519114,
+            0x591aadf5fe99f276,
         ]
     );
 }
@@ -478,7 +481,10 @@ fn kernel_cmult_guard_band_coefficients_fall_back_and_still_match() {
 }
 
 /// FBS against the plain LUT over **all** of `Z_257` (three ciphertexts of
-/// 128 slots), for a ReLU-remap, a sign and a constant LUT.
+/// 128 slots), for a ReLU-remap, a sign and a constant LUT, and two
+/// monomial LUTs that reach the sparse corners of the outer tree: `x^255 + 3`
+/// (one non-constant leaf under constant subtrees) and `x^240` (the top
+/// leaf is its lone boundary coefficient, an SMult of `X`).
 #[test]
 fn kernel_fbs_matches_lut_on_every_residue() {
     let f = fixture();
@@ -490,6 +496,8 @@ fn kernel_fbs_matches_lut_on_every_residue() {
         Lut::from_signed_fn(t, |x| if x > 0 { (x + 2) / 4 } else { 0 }),
         Lut::from_signed_fn(t, |x| x.signum()),
         Lut::from_fn(t, |_| 42),
+        Lut::from_fn(t, |k| (Modulus::new(t).pow(k, t - 2) + 3) % t),
+        Lut::from_fn(t, |k| Modulus::new(t).pow(k, t - 17)),
     ];
     for (li, lut) in luts.iter().enumerate() {
         for base in [0u64, 128, 256] {

@@ -1,6 +1,8 @@
 //! Baby-step/giant-step decompositions used throughout Athena: polynomial
-//! evaluation (Alg. 2 of the paper, after Paterson–Stockmeyer) and
-//! matrix-vector rotation schedules.
+//! evaluation (Alg. 2 of the paper, after Paterson–Stockmeyer, with the
+//! outer sum as a balanced tree) and matrix-vector rotation schedules.
+
+use std::collections::VecDeque;
 
 /// A baby-step/giant-step split of a problem of size `total`:
 /// `total <= baby * giant`, with `baby = ceil(sqrt(total))` by default.
@@ -70,97 +72,214 @@ impl BsgsSplit {
     }
 }
 
-/// Evaluates the **non-constant part** `Σ_{i>=1} c_i x^i` (degree <
-/// `coeffs.len()`) over any "ciphertext-like" algebra supplied via closures,
-/// using the BSGS schedule of Alg. 2; the constant `c_0` is the caller's
-/// responsibility (FBS adds `LUT(0)` in plaintext).
+/// Evaluates the polynomial `Σ_i c_i x^i` (degree < `coeffs.len()`) over
+/// any "ciphertext-like" algebra supplied via closures, using the BSGS
+/// schedule of Alg. 2 with a balanced outer tree.
 ///
-/// Baby/giant structure:
-/// baby powers `x^1..x^baby` are combined with scalar multiplications, giant
-/// powers `x^(baby·k)` with full multiplications.
+/// With `bs = ⌈√(d+1)⌉` for the top non-zero degree `d`, `X = x^bs` and the
+/// leaves `leaf_g(x) = Σ_{k<bs} c_{g·bs+k} x^k`, the polynomial is
+/// `Σ_g leaf_g(x)·X^g`:
 ///
-/// `mul` is the expensive ciphertext×ciphertext product. `lincomb(xs, cs)`
-/// is one block's whole inner sum `Σ_k cs[k]·xs[k]` over the **non-zero**
-/// `cs[k]` — logically one scalar multiplication per term and one addition
-/// between terms, handed over as a single call so the algebra can run it
-/// as one in-place multiply–accumulate (the FRU's modular-MAC datapath,
-/// §4.2) instead of materialising every term; it returns `None` when
-/// every `cs[k]` is zero. `add` sums two block results. Returns `None`
-/// when all coefficients are zero.
+/// * the baby powers `x^1..x^bs` are built by the half-split tree
+///   (`x^m = x^⌈m/2⌉·x^⌊m/2⌋`, multiplicative depth `⌈log₂ bs⌉`);
+/// * each leaf is one `lincomb` of the baby powers whose constant is the
+///   leaf's boundary coefficient `c_{g·bs}`;
+/// * the outer sum over the `gs` leaves is a balanced tree walked
+///   depth-first, each node `lo + X^{2^j}·hi` with `2^j` leaves under `lo`.
+///   It needs only the squarings `X², X⁴, …` up to `X^{2^{⌈log₂ gs⌉−1}}`
+///   and one `mul` per node whose `hi` is not a constant; a constant `hi`
+///   is a scalar multiple of `X^{2^j}` (one `lincomb` term).
+///
+/// For a dense polynomial that is `(bs−1) + (⌈log₂ gs⌉−1) + (gs−1)`
+/// multiplications (≈ 2√d) at multiplicative depth
+/// `⌈log₂ bs⌉ + ⌈log₂ gs⌉`.
+///
+/// The closures are the algebra. `lift` prepares a value as a `mul`
+/// operand, `mul` is the expensive product of two lifted operands (for
+/// BFV, a lift is the tensor-basis conversion of a CMult operand). The
+/// schedule lifts each value right before its uses and drops the lift
+/// after its last one: a baby power only while it is a factor of a higher
+/// baby power, each `X^{2^j}` once, and each node's `hi` once. At most
+/// `bs` baby powers plus `O(log gs)` giants, lifts and partial sums are
+/// alive at any moment.
+///
+/// `lincomb(xs, cs, c)` is `c + Σ_k cs[k]·xs[k]` over the non-zero
+/// `cs[k]`: logically one scalar multiplication per term, one addition
+/// between terms and one constant addition, handed over as a single call
+/// so the algebra can run it as one in-place multiply–accumulate (the
+/// FRU's modular-MAC datapath, §4.2). With no non-zero `cs[k]` it must
+/// return the constant `c` as a value. `add` sums two values.
 ///
 /// The closure design lets the exact same schedule drive (a) real BFV
 /// ciphertexts, (b) plain modular integers in tests, and (c) the
 /// op-counting cost model.
-pub fn bsgs_polynomial_eval<T: Clone>(
+pub fn bsgs_polynomial_eval<T, L>(
     coeffs: &[u64],
-    x: &T,
-    mul: &mut impl FnMut(&T, &T) -> T,
-    lincomb: &mut impl FnMut(&[T], &[u64]) -> Option<T>,
+    x: T,
+    lift: &mut impl FnMut(&T) -> L,
+    mul: &mut impl FnMut(&L, &L) -> T,
+    lincomb: &mut impl FnMut(&[T], &[u64], u64) -> T,
     add: &mut impl FnMut(&T, &T) -> T,
-) -> Option<T> {
+) -> T {
+    let c0 = coeffs.first().copied().unwrap_or(0);
     // Highest non-constant coefficient actually present.
-    let max_idx = (1..coeffs.len()).rev().find(|&i| coeffs[i] != 0)?;
-    let split = BsgsSplit::balanced((max_idx + 1).max(2));
-    let bs = split.baby;
-    // Baby powers x^1 .. x^bs, built by the half-split tree so that the
-    // multiplicative depth is log₂(bs) rather than bs. powers[i] = x^{i+1}.
-    let baby_needed = bs.min(max_idx.max(1));
+    let Some(max_idx) = (1..coeffs.len()).rev().find(|&i| coeffs[i] != 0) else {
+        return lincomb(&[], &[], c0);
+    };
+    let bs = BsgsSplit::balanced(max_idx + 1).baby;
+    let leaves = max_idx / bs + 1;
+    // Baby powers: powers[i] = x^{i+1}, up to x^bs when there is an outer
+    // tree (X = x^bs), else up to the degree. x^k is a factor of x^{2k−1},
+    // x^{2k} and x^{2k+1} only, so at most two lifts are alive here.
+    let baby_needed = bs.min(max_idx);
     let mut powers: Vec<T> = Vec::with_capacity(baby_needed);
-    powers.push(x.clone());
-    for i in 1..baby_needed {
-        // x^{i+1} = x^{ceil((i+1)/2)} · x^{floor((i+1)/2)}
-        let hi = (i + 1).div_ceil(2);
-        let lo = (i + 1) - hi;
-        let p = mul(&powers[hi - 1], &powers[lo - 1]);
+    powers.push(x);
+    let mut factors: VecDeque<L> = VecDeque::new();
+    let mut first = 1; // factors[0] is the lift of x^first
+    for m in 2..=baby_needed {
+        let (hi, lo) = (m.div_ceil(2), m / 2);
+        while first < lo {
+            factors.pop_front();
+            first += 1;
+        }
+        while first + factors.len() <= hi {
+            factors.push_back(lift(&powers[first + factors.len() - 1]));
+        }
+        let p = mul(&factors[hi - first], &factors[lo - first]);
         powers.push(p);
     }
-    // Giant powers x^{bs·g}, also by half-split tree over g, keeping total
-    // depth at log₂(bs) + log₂(gs) ≈ log₂(t) — the depth Table 4 charges
-    // FBS for. giants[g-1] = x^{bs·g}.
-    let giant_blocks = max_idx / bs; // blocks beyond block 0
-    let mut giants: Vec<T> = Vec::with_capacity(giant_blocks);
-    if giant_blocks >= 1 {
-        giants.push(powers[bs - 1].clone());
-        for g in 2..=giant_blocks {
-            let hi = g.div_ceil(2);
-            let lo = g - hi;
-            let p = mul(&giants[hi - 1], &giants[lo - 1]);
-            giants.push(p);
-        }
+    drop(factors);
+    if leaves == 1 {
+        return lincomb(&powers, &coeffs[1..=max_idx], c0);
     }
-    let mut result: Option<T> = None;
-    for g in 0..split.giant {
-        let start = g * bs;
-        if start > max_idx {
-            break;
+    let top = powers.pop();
+    let mut tree = OuterTree {
+        coeffs: &coeffs[..=max_idx],
+        bs,
+        powers,
+        top,
+        giants: Vec::new(),
+        lift,
+        mul,
+        lincomb,
+        add,
+    };
+    match tree.eval(0, leaves) {
+        Node::Const(c) => (tree.lincomb)(&[], &[], c),
+        Node::Value(v) => v,
+    }
+}
+
+/// A subtree's value: a plain constant (no ciphertext work yet) or a value
+/// of the algebra.
+enum Node<T> {
+    Const(u64),
+    Value(T),
+}
+
+/// The outer tree of [`bsgs_polynomial_eval`]: its leaves, the giants
+/// `X^{2^j}` built so far, and the algebra.
+struct OuterTree<'a, T, L, Lf, M, C, A> {
+    coeffs: &'a [u64],
+    bs: usize,
+    /// `x^1..x^{bs−1}`, the leaves' terms.
+    powers: Vec<T>,
+    /// `X = x^bs` until it becomes `giants[0]`.
+    top: Option<T>,
+    /// `giants[j] = X^{2^j}`, lifted once on its first use as a factor.
+    giants: Vec<(T, Option<L>)>,
+    lift: &'a mut Lf,
+    mul: &'a mut M,
+    lincomb: &'a mut C,
+    add: &'a mut A,
+}
+
+impl<T, L, Lf, M, C, A> OuterTree<'_, T, L, Lf, M, C, A>
+where
+    Lf: FnMut(&T) -> L,
+    M: FnMut(&L, &L) -> T,
+    C: FnMut(&[T], &[u64], u64) -> T,
+    A: FnMut(&T, &T) -> T,
+{
+    /// `Σ_{g<len} leaf_{first+g}(x)·X^g`, depth-first: the `lo` subtree
+    /// holds the largest power of two of leaves below `len`.
+    fn eval(&mut self, first: usize, len: usize) -> Node<T> {
+        if len == 1 {
+            return self.leaf(first);
         }
-        let end = (start + bs).min(max_idx + 1);
-        // inner = Σ_{k=1..bs-1} c_{start+k} · x^k  (local-degree >= 1 part)
-        let inner = lincomb(&powers[..end - start - 1], &coeffs[start + 1..end]);
-        // Block contribution: inner · x^{start}, plus the boundary term
-        // c_{start} · x^{start}. For g == 0 the boundary term is the
-        // constant c_0, which FBS adds in plaintext, so it is skipped here.
-        let mut block: Option<T> = match inner {
-            Some(inn) if g == 0 => Some(inn), // x^{start} = 1
-            Some(inn) => Some(mul(&inn, &giants[g - 1])),
-            None => None,
-        };
-        if start != 0 {
-            if let Some(t) = lincomb(&giants[g - 1..g], &coeffs[start..=start]) {
-                block = Some(match block {
-                    None => t,
-                    Some(acc) => add(&acc, &t),
-                });
+        let j = (len - 1).ilog2() as usize;
+        let half = 1 << j;
+        let lo = self.eval(first, half);
+        let hi = self.eval(first + half, len - half);
+        self.node(lo, hi, j)
+    }
+
+    fn leaf(&mut self, g: usize) -> Node<T> {
+        let start = g * self.bs;
+        let end = (start + self.bs).min(self.coeffs.len());
+        let cs = &self.coeffs[start + 1..end];
+        if cs.iter().all(|&c| c == 0) {
+            return Node::Const(self.coeffs[start]);
+        }
+        let xs = &self.powers[..cs.len()];
+        Node::Value((self.lincomb)(xs, cs, self.coeffs[start]))
+    }
+
+    /// `lo + X^{2^j}·hi`.
+    fn node(&mut self, lo: Node<T>, hi: Node<T>, j: usize) -> Node<T> {
+        let scaled = match hi {
+            Node::Const(0) => return lo,
+            Node::Const(c) => {
+                self.giant(j, false);
+                let xj = std::slice::from_ref(&self.giants[j].0);
+                if let Node::Const(c0) = lo {
+                    return Node::Value((self.lincomb)(xj, &[c], c0));
+                }
+                (self.lincomb)(xj, &[c], 0)
             }
+            Node::Value(h) => {
+                self.giant(j, true);
+                let h = {
+                    let lifted = (self.lift)(&h);
+                    drop(h);
+                    lifted
+                };
+                let xj = self.giants[j].1.as_ref().expect("lifted above");
+                (self.mul)(xj, &h)
+            }
+        };
+        Node::Value(match lo {
+            Node::Const(0) => scaled,
+            Node::Const(c0) => (self.add)(&scaled, &(self.lincomb)(&[], &[], c0)),
+            Node::Value(l) => (self.add)(&l, &scaled),
+        })
+    }
+
+    /// Builds `giants[..=j]` by squaring (each factor lifted once) and,
+    /// when `lifted`, lifts `giants[j]` too.
+    fn giant(&mut self, j: usize, lifted: bool) {
+        if self.giants.is_empty() {
+            let x = self.top.take().expect("an outer tree has X = x^bs");
+            self.giants.push((x, None));
         }
-        if let Some(bc) = block {
-            result = Some(match result {
-                None => bc,
-                Some(acc) => add(&acc, &bc),
-            });
+        while self.giants.len() <= j {
+            let last = self.giants.len() - 1;
+            self.lift_giant(last);
+            let l = self.giants[last].1.as_ref().expect("lifted above");
+            let square = (self.mul)(l, l);
+            self.giants.push((square, None));
+        }
+        if lifted {
+            self.lift_giant(j);
         }
     }
-    result
+
+    fn lift_giant(&mut self, j: usize) {
+        let (x, l) = &mut self.giants[j];
+        if l.is_none() {
+            *l = Some((self.lift)(x));
+        }
+    }
 }
 
 /// The reference `lincomb` of [`bsgs_polynomial_eval`], term by term:
@@ -189,6 +308,8 @@ pub fn lincomb_by_terms<T>(
 mod tests {
     use super::*;
     use crate::modops::Modulus;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn eval_plain(coeffs: &[u64], x: u64, q: &Modulus) -> u64 {
         let mut acc = 0;
@@ -248,67 +369,214 @@ mod tests {
         }
     }
 
+    /// Runs the schedule over `Z_q` with the per-term reference `lincomb`;
+    /// returns the value and the number of `mul` calls.
+    fn eval_bsgs(coeffs: &[u64], x: u64, q: &Modulus) -> (u64, usize) {
+        let mut muls = 0usize;
+        let v = bsgs_polynomial_eval(
+            coeffs,
+            x,
+            &mut |a: &u64| *a,
+            &mut |a: &u64, b: &u64| {
+                muls += 1;
+                q.mul(*a, *b)
+            },
+            &mut |xs: &[u64], cs: &[u64], c: u64| {
+                let sum =
+                    lincomb_by_terms(xs, cs, |a, c| q.mul(*a, q.reduce(c)), |a, b| q.add(*a, *b));
+                q.add(sum.unwrap_or(0), q.reduce(c))
+            },
+            &mut |a: &u64, b: &u64| q.add(*a, *b),
+        );
+        (v, muls)
+    }
+
+    /// The dense-polynomial CMult count of the tree schedule: baby powers,
+    /// squarings, and one product per node — except the top one when the
+    /// last leaf is its lone boundary coefficient (an SMult then).
+    fn tree_muls(degree: usize) -> usize {
+        let bs = BsgsSplit::balanced(degree + 1).baby;
+        let gs = degree / bs + 1;
+        let constant_top = gs > 1 && degree.is_multiple_of(bs);
+        (bs.min(degree) - 1)
+            + (gs.next_power_of_two().ilog2() as usize).saturating_sub(1)
+            + (gs - 1)
+            - usize::from(constant_top)
+    }
+
     #[test]
     fn bsgs_eval_matches_horner_many() {
         let q = Modulus::new(65537);
         for (deg, x, seed) in [
             (1usize, 5u64, 1u64),
+            (2, 3, 9),
             (4, 7, 2),
             (16, 123, 3),
             (17, 9999, 4),
             (63, 3, 5),
             (64, 65536, 6),
+            (256, 77, 7),
         ] {
             let coeffs: Vec<u64> = (0..=deg as u64)
                 .map(|i| (i * seed * 2654435761 + 17) % 65537)
                 .collect();
-            let mut muls = 0usize;
-            let got = bsgs_polynomial_eval(
-                &coeffs,
-                &x,
-                &mut |a: &u64, b: &u64| {
-                    muls += 1;
-                    q.mul(*a, *b)
-                },
-                &mut |xs: &[u64], cs: &[u64]| {
-                    lincomb_by_terms(xs, cs, |a, c| q.mul(*a, c % 65537), |a, b| q.add(*a, *b))
-                },
-                &mut |a: &u64, b: &u64| q.add(*a, *b),
-            );
-            let want_nonconst = {
-                let mut c = coeffs.clone();
-                c[0] = 0;
-                eval_plain(&c, x, &q)
-            };
-            assert_eq!(
-                got.unwrap_or(0),
-                want_nonconst,
-                "deg={deg} (non-constant part)"
-            );
-            // CMult count should be O(sqrt(deg)) rather than O(deg).
-            if deg >= 16 {
-                assert!(
-                    muls <= 4 * (deg as f64).sqrt() as usize + 4,
-                    "deg={deg}, muls={muls}"
-                );
+            let (got, muls) = eval_bsgs(&coeffs, x, &q);
+            assert_eq!(got, eval_plain(&coeffs, x, &q), "deg={deg}");
+            if coeffs.iter().all(|&c| c != 0) {
+                assert_eq!(muls, tree_muls(deg), "deg={deg}");
             }
         }
     }
 
     #[test]
-    fn bsgs_eval_constant_only_returns_none() {
+    fn bsgs_eval_matches_horner_on_sparse_polynomials() {
+        let q = Modulus::new(65537);
+        let x = 4242u64;
+        let check = |coeffs: &[u64], what: &str| {
+            let (got, _) = eval_bsgs(coeffs, x, &q);
+            assert_eq!(
+                got,
+                eval_plain(coeffs, x, &q),
+                "{what}, len={}",
+                coeffs.len()
+            );
+        };
+        for deg in [0usize, 1, 2, 3, 4, 16, 17, 63, 64, 256] {
+            // Only the top coefficient, with and without a constant.
+            for c0 in [0u64, 9] {
+                let mut coeffs = vec![0u64; deg + 1];
+                coeffs[0] = c0;
+                coeffs[deg] = 65536;
+                check(&coeffs, "top only");
+            }
+            // Only the boundary coefficients c_{g·bs} (every leaf a
+            // constant), and all of them but c_0.
+            let bs = BsgsSplit::balanced(deg + 1).baby;
+            let mut coeffs: Vec<u64> = (0..=deg as u64)
+                .map(|i| {
+                    if (i as usize).is_multiple_of(bs) {
+                        i + 3
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            coeffs[deg] = 1;
+            check(&coeffs, "boundaries only");
+            coeffs[0] = 0;
+            check(&coeffs, "boundaries without c_0");
+            // Only the last leaf non-zero, and only the first.
+            let mut coeffs = vec![0u64; deg + 1];
+            coeffs[deg - deg % bs..].fill(5);
+            check(&coeffs, "last leaf only");
+            let mut coeffs = vec![0u64; deg + 1];
+            coeffs[..bs.min(deg)].fill(6);
+            coeffs[deg] = 1;
+            check(&coeffs, "first leaf and top");
+        }
+        // Degree below the baby-step count: a single leaf, no outer tree.
+        for coeffs in [vec![], vec![7], vec![0, 3], vec![5, 0], vec![1, 2]] {
+            check(&coeffs, "single leaf");
+        }
+    }
+
+    #[test]
+    fn bsgs_eval_constant_only_is_the_constant() {
         let q = Modulus::new(97);
-        let got = bsgs_polynomial_eval(
-            &[5, 0, 0, 0],
-            &3u64,
-            &mut |a: &u64, b: &u64| q.mul(*a, *b),
-            &mut |xs: &[u64], cs: &[u64]| {
-                lincomb_by_terms(xs, cs, |a, c| q.mul(*a, c), |a, b| q.add(*a, *b))
-            },
-            &mut |a: &u64, b: &u64| q.add(*a, *b),
-        );
-        // Constant term is the caller's responsibility (it is added in
-        // plaintext in FBS); all-zero non-constant part yields None.
-        assert!(got.is_none());
+        let (got, muls) = eval_bsgs(&[5, 0, 0, 0], 3, &q);
+        assert_eq!((got, muls), (5, 0));
+        assert_eq!(eval_bsgs(&[], 3, &q), (0, 0));
+    }
+
+    /// Dense coefficients `c_0..c_{t−1}`, all non-zero.
+    fn dense(t: u64) -> Vec<u64> {
+        (0..t).map(|i| 1 + i % (t - 1)).collect()
+    }
+
+    #[test]
+    fn dense_lut_cmult_counts_are_pinned() {
+        for (t, want) in [(17u64, 8usize), (257, 34), (65537, 518)] {
+            let mut muls = 0usize;
+            bsgs_polynomial_eval(
+                &dense(t),
+                (),
+                &mut |_: &()| (),
+                &mut |_: &(), _: &()| muls += 1,
+                &mut |_: &[()], _: &[u64], _: u64| (),
+                &mut |_: &(), _: &()| (),
+            );
+            assert_eq!(muls, want, "t={t}");
+            assert_eq!(muls, tree_muls(t as usize - 1), "t={t}");
+        }
+    }
+
+    #[test]
+    fn dense_lut_cmult_depth_is_log_bs_plus_log_gs() {
+        let ceil_log2 = |v: usize| v.next_power_of_two().ilog2();
+        for t in [17u64, 257, 65537] {
+            let depth = bsgs_polynomial_eval(
+                &dense(t),
+                0u32,
+                &mut |d: &u32| *d,
+                &mut |a: &u32, b: &u32| a.max(b) + 1,
+                &mut |xs: &[u32], cs: &[u64], _: u64| {
+                    xs.iter()
+                        .zip(cs)
+                        .filter(|(_, &c)| c != 0)
+                        .map(|(d, _)| *d)
+                        .max()
+                        .unwrap_or(0)
+                },
+                &mut |a: &u32, b: &u32| *a.max(b),
+            );
+            let split = BsgsSplit::balanced(t as usize);
+            assert_eq!(
+                depth,
+                ceil_log2(split.baby) + ceil_log2(split.giant),
+                "t={t}"
+            );
+        }
+    }
+
+    /// A value that counts how many of its kind are alive (and the peak).
+    struct Tracked(Rc<Cell<(usize, usize)>>);
+
+    impl Tracked {
+        fn new(live: &Rc<Cell<(usize, usize)>>) -> Self {
+            let (now, peak) = live.get();
+            live.set((now + 1, peak.max(now + 1)));
+            Tracked(Rc::clone(live))
+        }
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            let (now, peak) = self.0.get();
+            self.0.set((now - 1, peak));
+        }
+    }
+
+    #[test]
+    fn live_values_stay_within_baby_powers_plus_log_giants() {
+        for t in [257u64, 65537] {
+            let live = Rc::new(Cell::new((0, 0)));
+            let split = BsgsSplit::balanced(t as usize);
+            let out = bsgs_polynomial_eval(
+                &dense(t),
+                Tracked::new(&live),
+                &mut |_: &Tracked| Tracked::new(&live),
+                &mut |_: &Tracked, _: &Tracked| Tracked::new(&live),
+                &mut |_: &[Tracked], _: &[u64], _: u64| Tracked::new(&live),
+                &mut |_: &Tracked, _: &Tracked| Tracked::new(&live),
+            );
+            drop(out);
+            let (now, peak) = live.get();
+            assert_eq!(now, 0, "t={t}: every value dropped");
+            let log_gs = split.giant.next_power_of_two().ilog2() as usize;
+            // bs − 1 baby powers; per tree level a giant, its lift and a
+            // pending `lo`; and a leaf, a lifted `hi` or a product in flight
+            // (28 of 29 at t = 257, 280 of 281 at t = 65537).
+            assert!(peak <= split.baby + 3 * log_gs, "t={t}: peak {peak}");
+        }
     }
 }

@@ -236,7 +236,7 @@ mod tests {
 
     #[test]
     fn barrett_matches_naive() {
-        let q = Modulus::new(0x3fff_ffff_0000_0001 % (1 << 61) | 1);
+        let q = Modulus::new((0x3fff_ffff_0000_0001 % (1 << 61)) | 1);
         for &x in &[
             0u128,
             1,

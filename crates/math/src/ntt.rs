@@ -312,9 +312,9 @@ mod tests {
     fn naive_negacyclic_mul(a: &[u64], b: &[u64], q: &Modulus) -> Vec<u64> {
         let n = a.len();
         let mut out = vec![0u64; n];
-        for i in 0..n {
-            for j in 0..n {
-                let p = q.mul(a[i], b[j]);
+        for (i, &ai) in a.iter().enumerate() {
+            for (j, &bj) in b.iter().enumerate() {
+                let p = q.mul(ai, bj);
                 let k = i + j;
                 if k < n {
                     out[k] = q.add(out[k], p);
@@ -335,14 +335,14 @@ mod tests {
         let a: Vec<u64> = vec![3, 1, 4, 1, 5, 9, 2, 6];
         let mut f = a.clone();
         t.forward(&mut f);
-        for j in 0..n {
+        for (j, &fj) in f.iter().enumerate() {
             let e = t.eval_exponent(j);
             let point = m.pow(t.psi(), e);
             let mut val = 0u64;
             for (i, &c) in a.iter().enumerate() {
                 val = m.add(val, m.mul(c, m.pow(point, i as u64)));
             }
-            assert_eq!(f[j], val, "output index {j}");
+            assert_eq!(fj, val, "output index {j}");
         }
     }
 
@@ -385,12 +385,12 @@ mod tests {
         let x: Vec<u64> = (0..len as u64).map(|i| (i * 31 + 5) % q).collect();
         let y = t.forward(&x);
         // Check the DFT definition directly.
-        for k in 0..len {
+        for (k, &yk) in y.iter().enumerate() {
             let mut s = 0u64;
-            for j in 0..len {
-                s = m.add(s, m.mul(x[j], m.pow(t.omega, (j * k) as u64)));
+            for (j, &xj) in x.iter().enumerate() {
+                s = m.add(s, m.mul(xj, m.pow(t.omega, (j * k) as u64)));
             }
-            assert_eq!(y[k], s, "k={k}");
+            assert_eq!(yk, s, "k={k}");
         }
         assert_eq!(t.inverse(&y), x);
     }

@@ -392,7 +392,7 @@ mod tests {
         let c = r.to_coeff(&r.mul(&a, &b));
         // schoolbook negacyclic
         let q = r.modulus();
-        let mut want = vec![0u64; 16];
+        let mut want = [0u64; 16];
         for i in 0..16 {
             for j in 0..16 {
                 let p = q.mul(a.values()[i], b.values()[j]);
@@ -443,7 +443,7 @@ mod tests {
     #[test]
     fn scalar_and_linear_ops() {
         let r = ring();
-        let a = r.from_i64(&vec![5i64; 16]);
+        let a = r.from_i64(&[5i64; 16]);
         let b = r.scalar_mul(&a, 3);
         assert_eq!(b.values()[7], 15);
         let c = r.sub(&b, &a);

@@ -880,7 +880,7 @@ mod tests {
         // verify one coefficient against schoolbook over centered integers
         let av: Vec<i64> = (0..16).map(|i| i as i64 + 1).collect();
         let cv: Vec<i64> = (0..16).map(|i| 2 * i as i64 - 3).collect();
-        let mut want = vec![0i64; 16];
+        let mut want = [0i64; 16];
         for i in 0..16 {
             for j in 0..16 {
                 let p = av[i] * cv[j];

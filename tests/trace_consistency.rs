@@ -138,17 +138,15 @@ fn trace_fbs_op_counts_match_engine_fbs_counts() {
     let t = engine.context().t();
     let bs = (t as f64).sqrt().ceil() as usize;
     let gs = (t as usize).div_ceil(bs);
-    // One FBS pass per Alg. 2: baby powers (bs − 1), the log-depth giant
-    // power tree (gs − 1), and one giant multiply per non-initial block
-    // (gs − 1) — about 3·√t in total, not the 2·√t a depth-gs serial
-    // schedule would suggest (the tree trades extra CMults for log depth;
-    // see DESIGN.md §7 "FBS depth").
-    let expected = (bs - 1) + 2 * (gs - 1);
-    assert!(
-        enc.stats.fbs.cmult <= expected + 2 && enc.stats.fbs.cmult >= expected / 2,
-        "engine cmult {} vs expected ≈ {}",
-        enc.stats.fbs.cmult,
-        expected
+    // One FBS pass per Alg. 2: baby powers x^2..x^bs (bs − 1), the
+    // squarings X², X⁴, … of X = x^bs (⌈log₂ gs⌉ − 1), and one product
+    // per node of the balanced outer tree over the gs leaves (gs − 1) —
+    // about 2·√t at log depth (see DESIGN.md §7 "FBS depth").
+    let expected = (bs - 1) + (gs.next_power_of_two().ilog2() as usize - 1) + (gs - 1);
+    assert_eq!(
+        enc.stats.fbs.cmult, expected,
+        "engine cmult {} vs the tree's {expected}",
+        enc.stats.fbs.cmult
     );
     assert!(
         enc.stats.fbs.smult <= t as usize,
