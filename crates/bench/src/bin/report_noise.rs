@@ -154,7 +154,6 @@ fn probed_section(out: &mut String, name: &str, model: &QModel, in_shape: &[usiz
             &input,
             &mut sampler,
             &RunPolicy::default().with_probe(),
-            1,
             None,
         )
         .expect("test_small has ample budget for the report models");

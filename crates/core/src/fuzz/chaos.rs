@@ -8,10 +8,11 @@
 //! 1. a **baseline** clean run (the reference logits),
 //! 2. the **faulted** run under the fault plan — which must either
 //!    succeed bit-identically (a fault that lands nowhere observable,
-//!    e.g. a sub-deadline sleep) or fail with the *typed*
-//!    [`AthenaError`] the fault kind predicts — never a raw panic,
+//!    e.g. corruption armed after the last RLWE-producing step) or fail
+//!    with the *typed* [`AthenaError`] the fault kind predicts — never a
+//!    raw panic,
 //! 3. a **recovery** clean run with the same sampler seed — which must
-//!    be bit-identical to the baseline, proving the faulted attempt left
+//!    be bit-identical to the baseline, proving the faulted run left
 //!    nothing behind that a later run could observe.
 //!
 //! Every case additionally sweeps the plan through the wrapped
@@ -60,9 +61,6 @@ pub struct ChaosConfig {
 pub struct ChaosReport {
     /// Cases run.
     pub cases: usize,
-    /// Faults injected per kind: `[panic, corrupt-limb, noise-spike,
-    /// slow-step]`.
-    pub kind_counts: [usize; 4],
     /// Faulted runs that surfaced a typed error.
     pub typed_errors: usize,
     /// Faulted runs that completed cleanly (the fault landed nowhere
@@ -131,12 +129,6 @@ fn run_chaos_case(
     };
     let faults = FaultPlan::seeded(case.seed, index, plan.step_count());
     let fault = faults.faults[0];
-    report.kind_counts[match fault.kind {
-        FaultKind::Panic => 0,
-        FaultKind::CorruptLimb => 1,
-        FaultKind::NoiseSpike { .. } => 2,
-        FaultKind::SlowStep { .. } => 3,
-    }] += 1;
 
     let clean_run = |entry: &super::oracle::EngineEntry| {
         let mut sampler = Sampler::from_seed(case.seed ^ CHAOS_SALT);
@@ -148,7 +140,6 @@ fn run_chaos_case(
             &case.input,
             &mut sampler,
             &RunPolicy::default(),
-            1,
             None,
         )
     };
@@ -156,7 +147,7 @@ fn run_chaos_case(
         .map_err(|e| fail(case, fault, format!("baseline clean run failed: {e}")))?;
 
     // The faulted run: the probe is forced on so limb corruption is
-    // observable, and the whole attempt sits inside `catch_unwind` —
+    // observable, and the whole run sits inside `catch_unwind` —
     // an escaping panic is itself the bug the harness exists to catch.
     let policy = RunPolicy::default()
         .with_probe()
@@ -171,7 +162,6 @@ fn run_chaos_case(
             &case.input,
             &mut sampler,
             &policy,
-            1,
             None,
         )
     }))
@@ -191,16 +181,11 @@ fn run_chaos_case(
             }
             report.typed_errors += 1;
         }
-        // A 10k+-bit spike always dwarfs the budget: typed exhaustion,
-        // wherever in the chain it was injected.
-        (FaultKind::NoiseSpike { .. }, Err(AthenaError::NoiseExhausted(_))) => {
-            report.typed_errors += 1
-        }
         // Corruption collapses the measured budget when it lands on an
         // RLWE value; a fault armed past the last RLWE producer lands
         // nowhere and the run must then be bit-identical.
         (FaultKind::CorruptLimb, Err(AthenaError::NoiseExhausted(_))) => report.typed_errors += 1,
-        (FaultKind::CorruptLimb | FaultKind::SlowStep { .. }, Ok(run)) => {
+        (FaultKind::CorruptLimb, Ok(run)) => {
             if run.logits != baseline.logits {
                 return Err(fail(
                     case,
@@ -231,7 +216,7 @@ fn run_chaos_case(
         return Err(fail(
             case,
             fault,
-            "recovery run diverged from the baseline: the faulted attempt leaked state".to_string(),
+            "recovery run diverged from the baseline: the faulted run leaked state".to_string(),
         ));
     }
 
@@ -261,9 +246,9 @@ fn check_other_backends(
     });
     for (k, at) in flat_steps.enumerate() {
         let faults = FaultPlan::panic_at(k);
-        let mut wrapped_sim = FaultInjectingBackend::new(sim(), &faults, 1, None);
+        let mut wrapped_sim = FaultInjectingBackend::new(sim(), &faults, None);
         let mut wrapped_counting =
-            FaultInjectingBackend::new(CountingBackend::new(engine), &faults, 1, None);
+            FaultInjectingBackend::new(CountingBackend::new(engine), &faults, None);
         for (name, err) in [
             (
                 "sim",

@@ -43,7 +43,7 @@ mod gen;
 mod oracle;
 mod shrink;
 
-pub use bound::{e_ms_bound, DeviationBound};
+pub use bound::{e_ms_bound, propagate, DeviationBound};
 pub use chaos::{run_chaos, ChaosConfig, ChaosFailure, ChaosReport};
 pub use gen::{gen_case, CaseParams, FuzzCase};
 pub use oracle::{run_case, CaseOutcome, FuzzFailure, Oracle, OracleCtx};

@@ -7,8 +7,8 @@
 //! resolved up front), then interpreted step by step by
 //! [`crate::plan::execute`] — every step is exact modular arithmetic and
 //! the only sampler draws are the input encryption's. Callers that want
-//! typed errors, a deadline or the per-step noise probe compile the plan
-//! themselves and call [`crate::plan::execute_resilient`] with a
+//! typed errors or the per-step noise probe compile the plan themselves
+//! and call [`crate::plan::execute_resilient`] with a
 //! [`crate::plan::RunPolicy`].
 //!
 //! Layouts: every intermediate value is held as a coefficient-encoded BFV

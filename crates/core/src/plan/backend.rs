@@ -80,14 +80,9 @@ pub trait PlanBackend {
     /// Hook the executor calls immediately before interpreting the step
     /// at `(node, step)` — `index` is the flat execution-order step
     /// index. No-op by default; the fault-injection wrapper
-    /// ([`super::FaultInjectingBackend`]) fires panics/sleeps here.
+    /// ([`super::FaultInjectingBackend`]) fires panics and arms limb
+    /// corruption here.
     fn note_step(&mut self, _node: usize, _step: usize, _index: usize) {}
-    /// Drains the artificial noise-budget consumption (bits) armed since
-    /// the last call. Zero by default; only the fault-injection wrapper
-    /// ever arms any ([`super::FaultKind::NoiseSpike`]).
-    fn take_spike(&mut self) -> u32 {
-        0
-    }
     /// The measured invariant-noise budget of `ct` in bits, for the
     /// executor's probe mode ([`super::RunPolicy::probe`]). `None` by
     /// default — measuring needs a secret key, which only

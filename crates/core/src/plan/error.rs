@@ -1,18 +1,13 @@
 //! The unified error taxonomy of the serving path, and the run policy
-//! (deadline + retry) the resilient executor enforces.
+//! (noise probe + injected faults) the resilient executor takes.
 //!
 //! Every failure a caller of [`super::InferenceSession`] or the resilient
 //! executor ([`super::execute_resilient`]) can observe is an
 //! [`AthenaError`] — a typed value naming the offending plan step, never a
-//! raw panic payload. The taxonomy splits along one axis that matters for
-//! serving: [`AthenaError::is_transient`]. A transient fault (an untyped
-//! worker panic) may succeed on a retry with fresh encryption randomness;
-//! deterministic faults (a compile rejection, a
-//! shape mismatch, analytic noise exhaustion, missing key material) will
-//! fail identically every time and are never retried.
+//! raw panic payload. A request runs once: the pipeline is deterministic
+//! for a given encryption draw, so a failure is reported, not retried.
 
 use std::fmt;
-use std::time::Duration;
 
 use athena_fhe::FheError;
 
@@ -64,17 +59,6 @@ pub enum AthenaError {
         /// The typed substrate fault.
         source: FheError,
     },
-    /// The cooperative per-step deadline expired before the step started.
-    DeadlineExceeded {
-        /// Source node index of the step that would have run next.
-        node: usize,
-        /// Step index within the node.
-        step: usize,
-        /// Step label.
-        label: &'static str,
-        /// The deadline that expired.
-        deadline: Duration,
-    },
     /// A step panicked with a payload the executor could not type.
     StepPanicked {
         /// Source node index of the panicking step.
@@ -120,15 +104,6 @@ impl fmt::Display for AthenaError {
             } => write!(
                 f,
                 "FHE fault at node {node} step {step} ({label}): {source}"
-            ),
-            AthenaError::DeadlineExceeded {
-                node,
-                step,
-                label,
-                deadline,
-            } => write!(
-                f,
-                "deadline of {deadline:?} exceeded before node {node} step {step} ({label})"
             ),
             AthenaError::StepPanicked {
                 node,
@@ -177,18 +152,6 @@ impl From<NoiseExhausted> for AthenaError {
 }
 
 impl AthenaError {
-    /// Whether a retry with fresh encryption randomness could plausibly
-    /// succeed. Compile rejections, shape mismatches, noise exhaustion,
-    /// missing keys, substrate precondition faults, and expired deadlines
-    /// are deterministic — the same request fails the same way every time
-    /// — so the retry loop fails fast on them. An untyped panic is the
-    /// one transient kind: an attempt owns every buffer it touched, so
-    /// nothing of the faulted attempt reaches the retry, which runs with
-    /// fresh randomness.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, AthenaError::StepPanicked { .. })
-    }
-
     /// A stable short name of the variant, for reports and log lines.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -197,43 +160,15 @@ impl AthenaError {
             AthenaError::NoiseExhausted(_) => "noise-exhausted",
             AthenaError::KeyMissing { .. } => "key-missing",
             AthenaError::Fhe { .. } => "fhe",
-            AthenaError::DeadlineExceeded { .. } => "deadline-exceeded",
             AthenaError::StepPanicked { .. } => "step-panicked",
         }
     }
 }
 
-/// Retry discipline of a session request: how many attempts a transient
-/// fault earns, with a fixed backoff between them. Retries re-encrypt
-/// with a *fresh* sampler fork — the faulted attempt's randomness is
-/// never reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (1 = no retries).
-    pub max_attempts: u32,
-    /// Sleep between attempts.
-    pub backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-        }
-    }
-}
-
-/// Execution policy of one session request: deadline, retries, noise
-/// probing, and the (test-only) fault plan to inject.
+/// Execution policy of one session request: noise probing, and the
+/// (test-only) fault plan to inject.
 #[derive(Debug, Clone, Default)]
 pub struct RunPolicy {
-    /// Cooperative per-request deadline, checked before every step; the
-    /// granularity is one step, so a step already running is never
-    /// interrupted.
-    pub deadline: Option<Duration>,
-    /// Retry discipline for transient faults.
-    pub retry: RetryPolicy,
     /// Whether to probe the measured noise budget after every
     /// RLWE-producing step and fail with [`AthenaError::NoiseExhausted`]
     /// the moment one reaches zero, instead of decrypting garbage at the
@@ -245,18 +180,6 @@ pub struct RunPolicy {
 }
 
 impl RunPolicy {
-    /// A policy with `deadline` set.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// A policy with `retry` set.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// A policy with the noise probe on.
     pub fn with_probe(mut self) -> Self {
         self.probe = true;
@@ -273,50 +196,6 @@ impl RunPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn transience_splits_the_taxonomy() {
-        let transient = [AthenaError::StepPanicked {
-            node: 0,
-            step: 1,
-            label: "pack",
-            payload: "boom".into(),
-        }];
-        for e in &transient {
-            assert!(e.is_transient(), "{e}");
-        }
-        let deterministic = [
-            AthenaError::ShapeMismatch {
-                input: 2,
-                expected: vec![1, 5, 5],
-                got: vec![1, 4, 4],
-            },
-            AthenaError::NoiseExhausted(NoiseExhausted {
-                node: 0,
-                step: 3,
-                label: "fbs",
-                budget: -1,
-                analytic_bits: 40,
-                consumed: None,
-            }),
-            AthenaError::KeyMissing {
-                node: 0,
-                step: 2,
-                label: "s2c",
-                element: 3,
-                available: vec![5, 9],
-            },
-            AthenaError::DeadlineExceeded {
-                node: 0,
-                step: 0,
-                label: "linear",
-                deadline: Duration::ZERO,
-            },
-        ];
-        for e in &deterministic {
-            assert!(!e.is_transient(), "{e}");
-        }
-    }
 
     #[test]
     fn display_names_the_step() {

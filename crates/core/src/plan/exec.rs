@@ -3,14 +3,14 @@
 //! [`run_step`] owns the control flow of every step — group accumulation,
 //! residual re-extraction, the pooling window streams and max tree — and
 //! [`drive`] owns everything around it: input placement, the step walk,
-//! per-step panic isolation, the deadline, the measured brackets that fill
+//! per-step panic isolation, the measured brackets that fill
 //! [`StepReport`], and the noise probe. Both are generic over
-//! [`PlanBackend`], so all three backends run the identical loop; the four
-//! public entry points only construct a backend and call [`drive`]:
+//! [`PlanBackend`], so all three backends run the identical loop; the
+//! four public entry points only construct a backend and call [`drive`]:
 //!
-//! * [`execute_resilient`] — one attempt of the encrypted run under a
-//!   [`RunPolicy`] (deadline, noise probe, fault injection), every failure
-//!   a typed [`AthenaError`];
+//! * [`execute_resilient`] — the encrypted run under a [`RunPolicy`]
+//!   (noise probe, fault injection), every failure a typed
+//!   [`AthenaError`];
 //! * [`execute`] — the same under the default policy, panicking with the
 //!   error's `Display` for callers with pre-validated inputs;
 //! * [`execute_sim`] — the plan-driven noise-faithful simulation
@@ -26,11 +26,10 @@
 //! [`AthenaError::KeyMissing`] or [`AthenaError::Fhe`], and anything else
 //! [`AthenaError::StepPanicked`] — callers never see a raw unwind. A step
 //! shares no mutable state with later runs (its limb buffers are owned by
-//! the attempt and freed as it unwinds), so there is nothing to clean up
+//! the run and freed as it unwinds), so there is nothing to clean up
 //! before the error is returned.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
 
 use athena_fhe::fbs::Lut;
 use athena_fhe::FheError;
@@ -44,7 +43,7 @@ use crate::trace::{OpCounts, Phase};
 
 use super::backend::{CountingBackend, EncryptedBackend, NoiseSimBackend, PlanBackend};
 use super::error::{panic_text, AthenaError, RunPolicy};
-use super::fault::{FaultInjectingBackend, FaultKind, FaultPlan};
+use super::fault::{FaultInjectingBackend, FaultPlan};
 use super::ir::{ExecutionPlan, StepOp};
 
 /// The measured record of one executed step.
@@ -442,30 +441,22 @@ pub(crate) struct Driven {
     pub fresh_budget: Option<i64>,
 }
 
-/// Drives `backend` through one attempt of the whole plan: places and
-/// encrypts the input, then walks every step in order. The single place
-/// the step loop lives — every backend, wrapped or bare, gets the same
-/// isolation and telemetry:
+/// Drives `backend` through the whole plan: places and encrypts the
+/// input, then walks every step in order. The single place the step loop
+/// lives — every backend, wrapped or bare, gets the same isolation and
+/// telemetry:
 ///
 /// * a wrong-shaped input is a typed [`AthenaError::ShapeMismatch`]
 ///   (`batch_input` names it), never a panic;
 /// * the encryption and every step run inside `catch_unwind`, and a
 ///   caught payload is classified into a typed error;
-/// * the policy's cooperative deadline is checked before each step;
 /// * one [`stats::measure`] bracket per step fills
 ///   [`StepReport::measured`] and [`StepReport::alloc`];
-/// * with [`RunPolicy::probe`] on — or forced on by a
-///   [`FaultKind::NoiseSpike`] in the policy's fault plan, since an
-///   artificial budget burn is only observable at a probe point — the
-///   measured budget of every RLWE-producing step is sampled through
-///   [`PlanBackend::noise_budget`], and the run aborts with
-///   [`AthenaError::NoiseExhausted`] the moment one reaches zero. A
-///   backend that cannot answer the query is simply not probed.
-///
-/// A spike drained from [`PlanBackend::take_spike`] at a step with no
-/// RLWE output is carried to the next probed step (noise travels down the
-/// chain); one injected past the last probe point is charged against the
-/// fresh-input baseline at end of run.
+/// * with [`RunPolicy::probe`] on, the measured budget of every
+///   RLWE-producing step is sampled through [`PlanBackend::noise_budget`],
+///   and the run aborts with [`AthenaError::NoiseExhausted`] the moment
+///   one reaches zero. A backend that cannot answer the query is simply
+///   not probed.
 ///
 /// Probing performs no sampler draws and no homomorphic ops, so logits and
 /// measured counts are bit-identical with the probe on or off.
@@ -483,7 +474,6 @@ pub(crate) fn drive<B: PlanBackend>(
             got: input.shape().to_vec(),
         });
     }
-    let start = Instant::now();
 
     // The flat input activations, at the plan's input-layout coefficient
     // positions.
@@ -495,12 +485,7 @@ pub(crate) fn drive<B: PlanBackend>(
     let encrypted = catch_unwind(AssertUnwindSafe(|| backend.encrypt_input(&coeffs)))
         .map_err(|p| classify_panic(p, first_node, 0, "encrypt"))?;
 
-    let spikes = policy.faults.as_ref().is_some_and(|fp| {
-        fp.faults
-            .iter()
-            .any(|f| matches!(f.kind, FaultKind::NoiseSpike { .. }))
-    });
-    let fresh_budget = if policy.probe || spikes {
+    let fresh_budget = if policy.probe {
         backend.noise_budget(&encrypted)
     } else {
         None
@@ -520,21 +505,10 @@ pub(crate) fn drive<B: PlanBackend>(
 
     let mut steps = Vec::with_capacity(plan.step_count());
     let mut tallied = Vec::with_capacity(plan.step_count());
-    let mut carry_spike: i64 = 0;
     let mut flat = 0usize;
     for layer in &plan.layers {
         for (si, step) in layer.steps.iter().enumerate() {
             let label = step.op.label();
-            if let Some(deadline) = policy.deadline {
-                if start.elapsed() >= deadline {
-                    return Err(AthenaError::DeadlineExceeded {
-                        node: layer.node,
-                        step: si,
-                        label,
-                        deadline,
-                    });
-                }
-            }
             let ((), counted) = catch_unwind(AssertUnwindSafe(|| {
                 stats::measure(|| {
                     backend.note_step(layer.node, si, flat);
@@ -544,12 +518,9 @@ pub(crate) fn drive<B: PlanBackend>(
             .map_err(|p| classify_panic(p, layer.node, si, label))?;
             flat += 1;
             tallied.push(backend.take_counts());
-            carry_spike += i64::from(backend.take_spike());
-            // A probe point absorbs whatever spike was carried down to it.
             let probed = tracker
                 .as_mut()
-                .and_then(|tr| probe_step(backend, &step.op, &st, tr))
-                .map(|(budget, consumed)| (budget - std::mem::take(&mut carry_spike), consumed));
+                .and_then(|tr| probe_step(backend, &step.op, &st, tr));
             steps.push(StepReport {
                 node: layer.node,
                 step: si,
@@ -576,24 +547,6 @@ pub(crate) fn drive<B: PlanBackend>(
             }
         }
     }
-    // A spike injected after the last probe point: charge it against the
-    // fresh-input baseline so it still surfaces typed.
-    if let Some(fresh) = fresh_budget {
-        let budget = fresh - carry_spike;
-        if carry_spike > 0 && budget <= 0 {
-            let (node, step, label) = steps
-                .last()
-                .map_or((0, 0, "encrypt"), |s| (s.node, s.step, s.label));
-            return Err(AthenaError::NoiseExhausted(NoiseExhausted {
-                node,
-                step,
-                label,
-                budget,
-                analytic_bits: 0,
-                consumed: None,
-            }));
-        }
-    }
     Ok(Driven {
         logits: st.logits,
         steps,
@@ -602,12 +555,12 @@ pub(crate) fn drive<B: PlanBackend>(
     })
 }
 
-/// Executes one attempt of a compiled plan on one encrypted input under a
-/// [`RunPolicy`]: the driver's per-step isolation, deadline and probe (see
-/// the module header), with the policy's [`FaultPlan`] (if any) injected.
-/// This is the single-attempt primitive [`super::InferenceSession`] builds
-/// its retry loop on; `attempt` (1-based) and `batch_input` scope the fault
-/// plan's filters.
+/// Executes a compiled plan on one encrypted input under a [`RunPolicy`]:
+/// the driver's per-step isolation and probe (see the module header), with
+/// the policy's [`FaultPlan`] (if any) injected. Every
+/// [`super::InferenceSession`] request is one call of this; `batch_input`
+/// names the input in [`AthenaError::ShapeMismatch`] and scopes the fault
+/// plan's `on_input` filter.
 ///
 /// The steps perform exact modular arithmetic in a fixed order and the
 /// only sampler draws are the input encryption's, so the logits depend on
@@ -621,7 +574,6 @@ pub fn execute_resilient(
     input: &ITensor,
     sampler: &mut Sampler,
     policy: &RunPolicy,
-    attempt: u32,
     batch_input: Option<usize>,
 ) -> Result<PlanRun, AthenaError> {
     // An empty fault plan makes the wrapper a pure forwarder, so one call
@@ -630,7 +582,6 @@ pub fn execute_resilient(
     let mut backend = FaultInjectingBackend::new(
         EncryptedBackend::new(engine, secrets, keys, sampler),
         policy.faults.as_ref().unwrap_or(&no_faults),
-        attempt,
         batch_input,
     );
     let run = drive(&mut backend, plan, input, policy, batch_input)?;
@@ -643,7 +594,7 @@ pub fn execute_resilient(
 }
 
 /// Executes a compiled plan on one encrypted input: [`execute_resilient`]
-/// under the default policy (no deadline, no probe, no faults).
+/// under the default policy (no probe, no faults).
 ///
 /// # Panics
 ///
@@ -659,10 +610,8 @@ pub fn execute(
     sampler: &mut Sampler,
 ) -> PlanRun {
     let policy = RunPolicy::default();
-    execute_resilient(
-        engine, secrets, keys, plan, input, sampler, &policy, 1, None,
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
+    execute_resilient(engine, secrets, keys, plan, input, sampler, &policy, None)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs the plan through the noise-faithful [`NoiseSimBackend`]: exact

@@ -4,22 +4,19 @@
 //!
 //! The harness exists to exercise the resilient serving path
 //! ([`super::execute_resilient`], [`super::InferenceSession`]) against
-//! the failure modes a long-lived FHE server actually sees: a step that
-//! panics mid-request, a ciphertext whose limbs are corrupted (a single
-//! perturbed word makes the CRT residues inconsistent, so the measured
-//! invariant-noise budget collapses), a run whose noise budget is
-//! artificially exhausted, and a step slow enough to blow a deadline.
-//! Faults are chosen by an in-repo PRNG under the same seed-salting
-//! discipline as `crate::fuzz::gen`, so every chaos case is reproducible
-//! from `(seed, case index)` alone.
+//! the two failure modes a long-lived FHE server actually sees: a step
+//! that panics mid-request, and a ciphertext whose limbs are corrupted (a
+//! single perturbed word makes the CRT residues inconsistent, so the
+//! measured invariant-noise budget collapses). Faults are chosen by an
+//! in-repo PRNG under the same seed-salting discipline as
+//! `crate::fuzz::gen`, so every chaos case is reproducible from `(seed,
+//! case index)` alone.
 //!
 //! Composability: the wrapper is generic over the backend and its value
 //! types — it injects into the encrypted pipeline, the noise simulation,
 //! and the counting dry run alike (corruption is a [`FaultTarget`]
 //! behavior of the value type; the unit values of the counting backend
 //! corrupt to nothing).
-
-use std::time::Duration;
 
 use athena_fhe::bfv::BfvCiphertext;
 use athena_fhe::fbs::Lut;
@@ -42,21 +39,6 @@ pub enum FaultKind {
     /// making its CRT residues inconsistent — under probing the measured
     /// budget collapses and the run fails typed as noise exhaustion.
     CorruptLimb,
-    /// `bits` of artificial noise-budget consumption charged at the
-    /// step's probe point (carried forward to the next probed step when
-    /// the step itself produces no RLWE value). Only observable at a
-    /// probe point, so a spike in the plan forces [`super::RunPolicy::probe`]
-    /// on.
-    NoiseSpike {
-        /// Budget bits to burn.
-        bits: u32,
-    },
-    /// The step sleeps before running (a straggler; pairs with
-    /// [`super::RunPolicy`] deadlines).
-    SlowStep {
-        /// Sleep duration in milliseconds.
-        millis: u64,
-    },
 }
 
 impl FaultKind {
@@ -65,14 +47,12 @@ impl FaultKind {
         match self {
             FaultKind::Panic => "panic",
             FaultKind::CorruptLimb => "corrupt-limb",
-            FaultKind::NoiseSpike { .. } => "noise-spike",
-            FaultKind::SlowStep { .. } => "slow-step",
         }
     }
 }
 
 /// One injected fault: which flat step index it fires at, what it does,
-/// and optional filters for retry/batch scenarios.
+/// and an optional filter for batch scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Flat step index (execution order across all layers) the fault
@@ -80,10 +60,6 @@ pub struct FaultSpec {
     pub step: usize,
     /// What goes wrong.
     pub kind: FaultKind,
-    /// Fire only on this attempt number (1-based); `None` = every
-    /// attempt. `Some(1)` makes a fault transient: the first attempt
-    /// fails, the retry succeeds.
-    pub on_attempt: Option<u32>,
     /// Fire only for this batch input index; `None` = every input. Lets
     /// a chaos case fault exactly one item of a batch and assert its
     /// neighbors are unharmed.
@@ -91,20 +67,13 @@ pub struct FaultSpec {
 }
 
 impl FaultSpec {
-    /// A fault firing at `step` on every attempt and input.
+    /// A fault firing at `step` on every input.
     pub fn at(step: usize, kind: FaultKind) -> Self {
         Self {
             step,
             kind,
-            on_attempt: None,
             on_input: None,
         }
-    }
-
-    /// Restricts the fault to attempt `attempt` (1-based).
-    pub fn on_attempt(mut self, attempt: u32) -> Self {
-        self.on_attempt = Some(attempt);
-        self
     }
 
     /// Restricts the fault to batch input `input`.
@@ -142,29 +111,19 @@ impl FaultPlan {
     pub fn seeded(seed: u64, case: usize, step_count: usize) -> Self {
         let mut r = Prng::seed_from_u64(seed ^ FAULT_SALT ^ (case as u64).wrapping_mul(0x9e37));
         let step = r.next_below(step_count.max(1) as u64) as usize;
-        let kind = match r.next_below(4) {
-            0 => FaultKind::Panic,
-            1 => FaultKind::CorruptLimb,
-            2 => FaultKind::NoiseSpike {
-                bits: 10_000 + r.next_below(50_000) as u32,
-            },
-            _ => FaultKind::SlowStep {
-                millis: r.next_below(3),
-            },
+        let kind = if r.next_below(2) == 0 {
+            FaultKind::Panic
+        } else {
+            FaultKind::CorruptLimb
         };
         Self::new(seed, vec![FaultSpec::at(step, kind)])
     }
 
-    /// The fault (if any) firing at flat step `index` for `(attempt,
-    /// input)`.
-    pub fn fault_at(&self, index: usize, attempt: u32, input: Option<usize>) -> Option<FaultKind> {
+    /// The fault (if any) firing at flat step `index` for `input`.
+    pub fn fault_at(&self, index: usize, input: Option<usize>) -> Option<FaultKind> {
         self.faults
             .iter()
-            .find(|f| {
-                f.step == index
-                    && f.on_attempt.is_none_or(|a| a == attempt)
-                    && (f.on_input.is_none() || f.on_input == input)
-            })
+            .find(|f| f.step == index && (f.on_input.is_none() || f.on_input == input))
             .map(|f| f.kind)
     }
 }
@@ -205,31 +164,25 @@ impl FaultTarget for () {
     fn corrupt(&mut self, _prng: &mut Prng) {}
 }
 
-/// Wraps a backend and injects the faults of a [`FaultPlan`]: panics and
-/// sleeps fire in [`PlanBackend::note_step`] (before the step runs),
-/// corruption arms there and lands on the step's RLWE output, and noise
-/// spikes accumulate for the executor to drain via
-/// [`PlanBackend::take_spike`].
+/// Wraps a backend and injects the faults of a [`FaultPlan`]: panics fire
+/// in [`PlanBackend::note_step`] (before the step runs), and corruption
+/// arms there and lands on the next RLWE value the backend produces.
 pub struct FaultInjectingBackend<'p, B: PlanBackend> {
     inner: B,
     plan: &'p FaultPlan,
-    attempt: u32,
     input: Option<usize>,
     armed_corrupt: bool,
-    pending_spike: u32,
     prng: Prng,
 }
 
 impl<'p, B: PlanBackend> FaultInjectingBackend<'p, B> {
-    /// Wraps `inner`, injecting `plan`'s faults for `(attempt, input)`.
-    pub fn new(inner: B, plan: &'p FaultPlan, attempt: u32, input: Option<usize>) -> Self {
+    /// Wraps `inner`, injecting `plan`'s faults for `input`.
+    pub fn new(inner: B, plan: &'p FaultPlan, input: Option<usize>) -> Self {
         Self {
             inner,
             plan,
-            attempt,
             input,
             armed_corrupt: false,
-            pending_spike: 0,
             prng: Prng::seed_from_u64(plan.seed ^ FAULT_SALT.rotate_left(17)),
         }
     }
@@ -261,16 +214,12 @@ where
 
     fn note_step(&mut self, node: usize, step: usize, index: usize) {
         self.inner.note_step(node, step, index);
-        match self.plan.fault_at(index, self.attempt, self.input) {
+        match self.plan.fault_at(index, self.input) {
             None => {}
             Some(FaultKind::Panic) => {
                 panic!("injected fault: panic at node {node} step {step} (flat index {index})")
             }
             Some(FaultKind::CorruptLimb) => self.armed_corrupt = true,
-            Some(FaultKind::NoiseSpike { bits }) => self.pending_spike += bits,
-            Some(FaultKind::SlowStep { millis }) => {
-                std::thread::sleep(Duration::from_millis(millis))
-            }
         }
     }
 
@@ -323,10 +272,6 @@ where
         self.inner.take_counts()
     }
 
-    fn take_spike(&mut self) -> u32 {
-        std::mem::take(&mut self.pending_spike)
-    }
-
     fn noise_budget(&self, ct: &Self::Rlwe) -> Option<i64> {
         self.inner.noise_budget(ct)
     }
@@ -359,16 +304,16 @@ mod tests {
         let plan = FaultPlan::new(
             0,
             vec![
-                FaultSpec::at(3, FaultKind::Panic).on_attempt(1),
+                FaultSpec::at(3, FaultKind::Panic),
                 FaultSpec::at(5, FaultKind::CorruptLimb).on_input(2),
             ],
         );
-        assert_eq!(plan.fault_at(3, 1, None), Some(FaultKind::Panic));
-        assert_eq!(plan.fault_at(3, 2, None), None, "attempt filter");
-        assert_eq!(plan.fault_at(5, 1, Some(2)), Some(FaultKind::CorruptLimb));
-        assert_eq!(plan.fault_at(5, 1, Some(1)), None, "input filter");
-        assert_eq!(plan.fault_at(5, 1, None), None, "no input in scope");
-        assert_eq!(plan.fault_at(4, 1, None), None, "unfaulted step");
+        assert_eq!(plan.fault_at(3, None), Some(FaultKind::Panic));
+        assert_eq!(plan.fault_at(3, Some(1)), Some(FaultKind::Panic));
+        assert_eq!(plan.fault_at(5, Some(2)), Some(FaultKind::CorruptLimb));
+        assert_eq!(plan.fault_at(5, Some(1)), None, "input filter");
+        assert_eq!(plan.fault_at(5, None), None, "no input in scope");
+        assert_eq!(plan.fault_at(4, None), None, "unfaulted step");
     }
 
     #[test]

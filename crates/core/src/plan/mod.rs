@@ -9,7 +9,7 @@
 //! one generic driver (`exec::drive`), both parameterized by a
 //! [`PlanBackend`] — the step structure, group accumulation, residual
 //! re-extraction and pooling decompositions, and around them the step
-//! walk, panic isolation, deadline, measured brackets and noise probe, are
+//! walk, panic isolation, measured brackets and noise probe, are
 //! written once and retargeted across three backends:
 //!
 //! * [`EncryptedBackend`] ([`execute_resilient`], and [`execute`] as its
@@ -48,12 +48,11 @@
 //! `Output` (client-side decrypt + dequantize).
 //!
 //! The serving path is *resilient*: the driver isolates every step behind
-//! `catch_unwind`, enforces a
-//! cooperative [`RunPolicy`] deadline, samples the measured noise budget
-//! when the policy's probe flag is on, and surfaces every failure as a
-//! typed [`AthenaError`] through [`execute_resilient`]; the seeded
+//! `catch_unwind`, samples the measured noise budget when the
+//! [`RunPolicy`]'s probe flag is on, and surfaces every failure as a typed
+//! [`AthenaError`] through [`execute_resilient`]; the seeded
 //! fault-injection harness ([`FaultPlan`] / [`FaultInjectingBackend`])
-//! drives those paths in the chaos tests.
+//! drives those paths in the chaos tests. A request runs exactly once.
 
 mod backend;
 mod error;
@@ -63,7 +62,7 @@ mod ir;
 mod session;
 
 pub use backend::{CountingBackend, EncryptedBackend, NoiseSimBackend, PlanBackend, SimLwe};
-pub use error::{AthenaError, RetryPolicy, RunPolicy};
+pub use error::{AthenaError, RunPolicy};
 pub(crate) use exec::drive;
 pub use exec::{
     execute, execute_counting, execute_resilient, execute_sim, NoiseExhausted, PlanRun, SimRun,

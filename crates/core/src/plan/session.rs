@@ -13,15 +13,12 @@
 //!
 //! ## Resilience
 //!
-//! Every request runs through [`super::execute_resilient`]: failures come
-//! back as typed [`AthenaError`] values (never a raw panic), a faulted
-//! attempt leaves no state behind for later requests (its buffers are its
-//! own and are freed as it unwinds), and a [`RunPolicy`] can add a
-//! cooperative deadline and a retry budget. Retries re-encrypt with a
-//! *fresh* sampler fork — the first attempt draws directly on the
-//! request's fork (preserving bit-identity with the no-retry path), and
-//! only transient faults ([`AthenaError::is_transient`]) are retried;
-//! deterministic ones fail fast.
+//! Every request is one [`super::execute_resilient`] call on the request's
+//! own sampler fork: failures come back as typed [`AthenaError`] values
+//! (never a raw panic), and a faulted request leaves no state behind for
+//! later ones (its buffers are its own and are freed as it unwinds). A
+//! [`RunPolicy`] can turn on the noise probe and, in chaos tests, inject
+//! faults.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -273,7 +270,7 @@ impl InferenceSession {
     }
 
     /// Runs one encrypted inference through the session cache with a
-    /// default [`RunPolicy`] (no deadline, no retries, no probing).
+    /// default [`RunPolicy`] (no probing, no faults).
     ///
     /// Forks `sampler` for the request's encryption draws, so a sequence
     /// of calls consumes exactly one fork per call — the property that
@@ -291,8 +288,7 @@ impl InferenceSession {
     }
 
     /// [`InferenceSession::run_encrypted`] under an explicit
-    /// [`RunPolicy`]: deadline, retry budget, noise probing, and (for
-    /// chaos tests) fault injection.
+    /// [`RunPolicy`]: noise probing and (for chaos tests) fault injection.
     pub fn run_encrypted_with(
         &mut self,
         model: &QModel,
@@ -431,15 +427,8 @@ impl InferenceSession {
     }
 }
 
-/// Executes one input against a cached artifact under `policy`,
-/// retrying transient faults with fresh encryption randomness.
-///
-/// Attempt 1 draws directly on `fork` (the request's sampler fork), so a
-/// no-retry success is bit-identical to the pre-retry serving path; each
-/// retry draws on a *fresh* sub-fork — the faulted attempt's randomness
-/// is never replayed, since a deterministic replay of a deterministic
-/// fault cannot succeed. Deterministic errors fail fast regardless of
-/// the retry budget.
+/// Executes one input against a cached artifact under `policy`, drawing
+/// the encryption randomness from `fork` (the request's sampler fork).
 fn run_one(
     engine: &AthenaEngine,
     entry: &CacheEntry,
@@ -448,42 +437,20 @@ fn run_one(
     policy: &RunPolicy,
     input_idx: Option<usize>,
 ) -> Result<EncryptedInference, AthenaError> {
-    let max_attempts = policy.retry.max_attempts.max(1);
-    let mut attempt = 1u32;
-    loop {
-        let mut retry_fork;
-        let sampler = if attempt == 1 {
-            &mut *fork
-        } else {
-            retry_fork = fork.fork();
-            &mut retry_fork
-        };
-        match execute_resilient(
-            engine,
-            &entry.secrets,
-            &entry.keys,
-            &entry.plan,
-            input,
-            sampler,
-            policy,
-            attempt,
-            input_idx,
-        ) {
-            Ok(run) => {
-                return Ok(EncryptedInference {
-                    logits: run.logits,
-                    stats: run.stats,
-                })
-            }
-            Err(e) if e.is_transient() && attempt < max_attempts => {
-                if !policy.retry.backoff.is_zero() {
-                    std::thread::sleep(policy.retry.backoff);
-                }
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    let run = execute_resilient(
+        engine,
+        &entry.secrets,
+        &entry.keys,
+        &entry.plan,
+        input,
+        fork,
+        policy,
+        input_idx,
+    )?;
+    Ok(EncryptedInference {
+        logits: run.logits,
+        stats: run.stats,
+    })
 }
 
 #[cfg(test)]

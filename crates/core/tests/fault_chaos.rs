@@ -1,21 +1,20 @@
 //! Chaos suite for the resilient serving path: every injectable fault at
 //! every step index surfaces as a typed [`AthenaError`] — never a raw
-//! panic — and the next clean run on the same session is bit-identical
-//! to a session that never faulted (a faulted attempt owns every buffer
-//! it touched, so it leaves nothing behind), at both `ATHENA_THREADS`
-//! legs.
+//! panic — or lands nowhere and leaves the logits bit-identical, and the
+//! next clean run on the same session is bit-identical to a session that
+//! never faulted (a faulted request owns every buffer it touched, so it
+//! leaves nothing behind), at both `ATHENA_THREADS` legs.
 //!
 //! The worker-count override `par::set_threads` is process-global: one
 //! test here sets it while others serve batches, so every test in this
 //! binary serializes behind one lock.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
 
 use athena_core::fuzz::{run_chaos, ChaosConfig};
 use athena_core::pipeline::AthenaEngine;
 use athena_core::plan::{
-    self, AthenaError, FaultKind, FaultPlan, FaultSpec, InferenceSession, RetryPolicy, RunPolicy,
+    self, AthenaError, FaultKind, FaultPlan, FaultSpec, InferenceSession, RunPolicy,
 };
 use athena_fhe::params::BfvParams;
 use athena_math::par;
@@ -146,7 +145,7 @@ fn panic_at_every_step_surfaces_typed_and_recovers() {
             .expect("clean run after fault");
         assert_eq!(
             recovered.logits, clean_logits,
-            "flat step {k}: the faulted attempt leaked state"
+            "flat step {k}: the faulted request leaked state"
         );
     }
 }
@@ -197,99 +196,47 @@ fn batch_item_fault_is_isolated() {
     }
 }
 
-/// A zero deadline fails fast — before the first step — with the typed
-/// error naming it. (Zero is the only portably deterministic deadline in
-/// a debug build; positive deadlines are covered by the slow-step chaos
-/// dimension.)
+/// Limb corruption at *every* flat step index, under the probe: the
+/// damaged ciphertext either drives the measured budget to zero (a typed
+/// `NoiseExhausted`), or the fault is armed after the last RLWE-producing
+/// step, lands nowhere, and the logits are bit-identical to the unfaulted
+/// run. Either way the next clean request is bit-identical too.
 #[test]
-fn zero_deadline_fails_fast_and_typed() {
-    let _g = lock();
-    let mut s = session();
-    let mut sampler = Sampler::from_seed(1);
-    let policy = RunPolicy::default().with_deadline(Duration::ZERO);
-    let err = s
-        .run_encrypted_with(&model_with(-2), &input(0), &mut sampler, &policy)
-        .expect_err("a zero deadline cannot be met");
-    match err {
-        AthenaError::DeadlineExceeded { step, deadline, .. } => {
-            assert_eq!(step, 0, "must trip before the first step");
-            assert_eq!(deadline, Duration::ZERO);
-        }
-        other => panic!("expected DeadlineExceeded, got {other:?}"),
-    }
-}
-
-/// A transient fault (panic on attempt 1 only) succeeds under a 2-attempt
-/// retry policy; the retry re-encrypts with a fresh sampler fork.
-#[test]
-fn transient_fault_retries_to_success() {
-    let _g = lock();
-    let mut s = session();
-    let mut sampler = Sampler::from_seed(7);
-    let faults = FaultPlan::new(0, vec![FaultSpec::at(2, FaultKind::Panic).on_attempt(1)]);
-    let policy = RunPolicy::default()
-        .with_faults(faults)
-        .with_retry(RetryPolicy {
-            max_attempts: 2,
-            backoff: Duration::ZERO,
-        });
-    let inf = s
-        .run_encrypted_with(&model_with(-2), &input(0), &mut sampler, &policy)
-        .expect("the retry must recover the transient fault");
-    assert_eq!(inf.logits.len(), 3);
-}
-
-/// A deterministic fault is never retried, even with attempts to spare: a
-/// noise spike scoped to attempt 1 would vanish on attempt 2, but noise
-/// exhaustion fails fast — so the request must come back exhausted.
-#[test]
-fn deterministic_fault_is_not_retried() {
-    let _g = lock();
-    let mut s = session();
-    let mut sampler = Sampler::from_seed(7);
-    let faults = FaultPlan::new(
-        0,
-        vec![FaultSpec::at(2, FaultKind::NoiseSpike { bits: 60_000 }).on_attempt(1)],
-    );
-    let policy = RunPolicy::default()
-        .with_faults(faults)
-        .with_retry(RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::ZERO,
-        });
-    let err = s
-        .run_encrypted_with(&model_with(-2), &input(0), &mut sampler, &policy)
-        .expect_err("noise exhaustion is deterministic and must fail fast");
-    assert_eq!(err.kind(), "noise-exhausted");
-    assert!(!err.is_transient());
-}
-
-/// A noise spike surfaces as typed exhaustion at any step index — spikes
-/// injected below the RLWE layer carry forward to the next probe point,
-/// and one past the last probe is charged against the fresh baseline.
-#[test]
-fn noise_spike_surfaces_as_exhaustion_at_every_step() {
+fn corrupt_limb_at_every_step_is_typed_or_unobserved() {
     let _g = lock();
     let model = model_with(-2);
+    let clean = |s: &mut InferenceSession| {
+        let mut sampler = Sampler::from_seed(9_999);
+        s.run_encrypted(&model, &input(0), &mut sampler)
+            .expect("clean run")
+            .logits
+    };
     let mut s = session();
+    let clean_logits = clean(&mut s);
     let step_count = s.plan_for(&model, &[1, 5, 5]).step_count();
+    let mut exhausted = 0;
     for k in 0..step_count {
-        let faults = FaultPlan::new(
-            0,
-            vec![FaultSpec::at(k, FaultKind::NoiseSpike { bits: 60_000 })],
-        );
-        let policy = RunPolicy::default().with_faults(faults);
-        let mut sampler = Sampler::from_seed(100 + k as u64);
-        let err = s
-            .run_encrypted_with(&model, &input(0), &mut sampler, &policy)
-            .expect_err("a 60k-bit spike dwarfs any budget");
-        match err {
-            AthenaError::NoiseExhausted(ne) => {
+        let faults = FaultPlan::new(k as u64, vec![FaultSpec::at(k, FaultKind::CorruptLimb)]);
+        let policy = RunPolicy::default().with_probe().with_faults(faults);
+        let mut sampler = Sampler::from_seed(9_999);
+        match s.run_encrypted_with(&model, &input(0), &mut sampler, &policy) {
+            Err(AthenaError::NoiseExhausted(ne)) => {
                 assert!(ne.budget <= 0, "step {k}: budget {}", ne.budget);
+                exhausted += 1;
             }
-            other => panic!("step {k}: expected NoiseExhausted, got {other:?}"),
+            Ok(run) => assert_eq!(
+                run.logits, clean_logits,
+                "step {k}: an unobserved corruption changed the logits"
+            ),
+            Err(other) => panic!("step {k}: expected NoiseExhausted or Ok, got {other:?}"),
         }
+        assert_eq!(
+            clean(&mut s),
+            clean_logits,
+            "step {k}: the faulted request leaked state"
+        );
     }
+    assert!(exhausted > 0, "no corruption reached a probe point");
 }
 
 /// A corrupted limb makes the CRT residues inconsistent; under probing the
@@ -342,7 +289,6 @@ fn wrong_shaped_input_is_typed_at_every_entry() {
                 bad,
                 &mut sampler,
                 policy,
-                1,
                 idx,
             )
             .expect_err("the plan was compiled for [1, 5, 5]");

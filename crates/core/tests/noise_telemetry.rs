@@ -145,7 +145,6 @@ fn run_probed_at(
         &input,
         &mut sampler,
         &RunPolicy::default().with_probe(),
-        1,
         None,
     )
     .expect("test_small has ample budget")
@@ -296,7 +295,6 @@ fn probe_mode_is_pure_observation() {
         &input,
         &mut s2,
         &RunPolicy::default().with_probe(),
-        1,
         None,
     )
     .expect("ample budget");
@@ -337,7 +335,6 @@ fn exhaustion_surfaces_as_typed_error() {
         &input,
         &mut sampler,
         &RunPolicy::default().with_probe(),
-        1,
         None,
     ) {
         Err(AthenaError::NoiseExhausted(err)) => err,

@@ -349,7 +349,7 @@ fn concurrent_requests_count_only_their_own_steps() {
         let mut s = Sampler::from_seed(4_400 + k);
         let policy = plan::RunPolicy::default();
         plan::execute_resilient(
-            &engine, &secrets, &keys, &compiled, x, &mut s, &policy, 1, None,
+            &engine, &secrets, &keys, &compiled, x, &mut s, &policy, None,
         )
         .expect("clean run")
     };
