@@ -144,11 +144,7 @@ fn sweep_section(out: &mut String, method: PackingMethod, seed: u64) {
 
 fn taxonomy_table(out: &mut String) {
     let samples: Vec<AthenaError> = vec![
-        AthenaError::Compile(plan::CompileError::NoiseBudget {
-            chain_bits: 342,
-            budget_bits: 241,
-            margin: 0,
-        }),
+        AthenaError::Compile(plan::CompileError::PoolingFinal { node: 2 }),
         AthenaError::ShapeMismatch {
             input: 2,
             expected: vec![1, 5, 5],

@@ -15,11 +15,11 @@
 //!    be bit-identical to the baseline, proving the faulted run left
 //!    nothing behind that a later run could observe.
 //!
-//! Every case additionally sweeps the plan through the wrapped
+//! Every case additionally drives the plan through the
 //! [`NoiseSimBackend`](crate::plan::NoiseSimBackend) and
 //! [`CountingBackend`](crate::plan::CountingBackend) with a panic injected
 //! at *every* flat step index, pinning the composability claim: the step
-//! driver and the injection wrapper are backend-generic, so the typed
+//! driver, which does the injecting, is backend-generic, so the typed
 //! [`AthenaError::StepPanicked`] naming the faulted step is not an
 //! encrypted-path special — and probes a backend that cannot measure a
 //! noise budget, which must change nothing.
@@ -33,8 +33,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use athena_math::sampler::Sampler;
 
 use crate::plan::{
-    drive, execute_resilient, AthenaError, CountingBackend, ExecutionPlan, FaultInjectingBackend,
-    FaultKind, FaultPlan, FaultSpec, NoiseSimBackend, RunPolicy,
+    drive, execute_resilient, AthenaError, CountingBackend, ExecutionPlan, FaultKind, FaultPlan,
+    FaultSpec, NoiseSimBackend, RunPolicy,
 };
 use crate::simulate::NoiseSpec;
 
@@ -224,7 +224,7 @@ fn run_chaos_case(
 }
 
 /// The backend-generic half of a chaos case: a panic injected at every
-/// flat step index through the wrapped simulation and counting backends
+/// flat step index of the simulation and counting backends' runs
 /// must come back as [`AthenaError::StepPanicked`] naming that step, and a
 /// probed run of a backend with no budget hook must report no budget
 /// anywhere and leave the logits untouched.
@@ -245,18 +245,22 @@ fn check_other_backends(
             .map(|(si, s)| (l.node, si, s.op.label()))
     });
     for (k, at) in flat_steps.enumerate() {
-        let faults = FaultPlan::panic_at(k);
-        let mut wrapped_sim = FaultInjectingBackend::new(sim(), &faults, None);
-        let mut wrapped_counting =
-            FaultInjectingBackend::new(CountingBackend::new(engine), &faults, None);
+        let faulted = RunPolicy::default().with_faults(FaultPlan::panic_at(k));
         for (name, err) in [
             (
                 "sim",
-                drive(&mut wrapped_sim, plan, &case.input, &policy, None).err(),
+                drive(&mut sim(), plan, &case.input, &faulted, None).err(),
             ),
             (
                 "counting",
-                drive(&mut wrapped_counting, plan, &case.input, &policy, None).err(),
+                drive(
+                    &mut CountingBackend::new(engine),
+                    plan,
+                    &case.input,
+                    &faulted,
+                    None,
+                )
+                .err(),
             ),
         ] {
             let typed = matches!(
@@ -267,7 +271,7 @@ fn check_other_backends(
             if !typed {
                 return Err(fail(
                     case,
-                    faults.faults[0],
+                    FaultSpec::at(k, FaultKind::Panic),
                     format!(
                         "panic through the {name} backend: expected StepPanicked at {at:?}, \
                          got {err:?}"

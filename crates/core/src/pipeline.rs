@@ -92,7 +92,6 @@ pub struct AthenaEngine {
     s2c: SlotToCoeff,
     q_mid: u64,
     packing: PackingMethod,
-    noise_margin: Option<u32>,
 }
 
 /// Aggregate operation statistics of an encrypted run.
@@ -139,32 +138,7 @@ impl AthenaEngine {
             s2c,
             q_mid,
             packing,
-            noise_margin: None,
         }
-    }
-
-    /// Sets the compile-time noise guardrail margin: `plan::try_compile`
-    /// rejects plans whose worst analytic chain plus this margin exceeds
-    /// the parameter set's noise headroom ([`CompileError::NoiseBudget`]).
-    /// The default is `None` — guardrail off — because the analytic
-    /// chain charge is deliberately conservative (every step's
-    /// `noise_bits` over-bounds its measured consumption, and the
-    /// over-bounds compound along a chain), so models that run fine on
-    /// small test parameter sets can carry analytic chains past the
-    /// headroom. Enable it (`Some(0)` or a positive safety margin) when
-    /// serving untrusted models on production-sized parameters, where a
-    /// rejected-at-compile-time error beats a mid-inference
-    /// [`NoiseExhausted`](crate::plan::NoiseExhausted).
-    ///
-    /// [`CompileError::NoiseBudget`]: crate::plan::CompileError::NoiseBudget
-    pub fn with_noise_margin(mut self, margin: Option<u32>) -> Self {
-        self.noise_margin = margin;
-        self
-    }
-
-    /// The configured guardrail margin (`None` = guardrail off).
-    pub fn noise_margin_bits(&self) -> Option<u32> {
-        self.noise_margin
     }
 
     /// The FHE context.
@@ -185,9 +159,18 @@ impl AthenaEngine {
     /// [`Self::keygen`] generates — one shared key per element, no
     /// duplicates across consumers.
     pub fn required_galois_elements(&self) -> Vec<usize> {
+        self.galois_elements_for(true, self.packing == PackingMethod::Bsgs)
+    }
+
+    /// The S2C schedule's Galois elements (when `s2c`) merged with the
+    /// BSGS packing schedule's (when `pack_bsgs`), sorted and deduplicated.
+    pub(crate) fn galois_elements_for(&self, s2c: bool, pack_bsgs: bool) -> Vec<usize> {
         let ctx = &self.ctx;
-        let mut elements = self.s2c.required_galois_elements(ctx);
-        if self.packing == PackingMethod::Bsgs {
+        let mut elements = Vec::new();
+        if s2c {
+            elements.extend(self.s2c.required_galois_elements(ctx));
+        }
+        if pack_bsgs {
             elements.extend(BsgsPackingKey::required_galois_elements_for(
                 ctx,
                 ctx.params().lwe_n,
@@ -200,20 +183,38 @@ impl AthenaEngine {
 
     /// Generates client secrets and server evaluation keys.
     pub fn keygen(&self, sampler: &mut Sampler) -> (AthenaSecrets, AthenaEvalKeys) {
+        let pack_bsgs = self.packing == PackingMethod::Bsgs;
+        self.keygen_with(&self.required_galois_elements(), pack_bsgs, sampler)
+    }
+
+    /// The one key-generation draw sequence, shared by [`Self::keygen`]
+    /// and [`Self::keygen_for_plan`]: secrets, relinearisation key, the
+    /// Galois keys for `galois`, LWE key-switch key, column packing key,
+    /// and the BSGS packing key when `pack_bsgs`. Its draw order fixes
+    /// every key a seed produces.
+    pub(crate) fn keygen_with(
+        &self,
+        galois: &[usize],
+        pack_bsgs: bool,
+        sampler: &mut Sampler,
+    ) -> (AthenaSecrets, AthenaEvalKeys) {
         let ctx = &self.ctx;
         let sk = SecretKey::generate(ctx, sampler);
         let lwe_sk = LweSecret::generate(ctx.params().lwe_n, ctx.t(), sampler);
         let rlk = RelinKey::generate(ctx, &sk, sampler);
-        let gk = GaloisKeys::generate(ctx, &sk, &self.required_galois_elements(), sampler);
+        let gk = GaloisKeys::generate(ctx, &sk, galois, sampler);
         let big = rlwe_secret_as_lwe_mod(&sk, self.q_mid);
         let small_mid = LweSecret::from_coeffs(lwe_sk.coeffs().to_vec(), self.q_mid);
         let lwe_ksk =
             LweKeySwitchKey::generate(&big, &small_mid, ctx.params().lwe_ks_base_log, sampler);
         let pack = ColumnPackingKey::generate(ctx, &sk, &lwe_sk, sampler);
-        let pack_bsgs = match self.packing {
-            PackingMethod::Bsgs => Some(BsgsPackingKey::generate(ctx, &sk, &lwe_sk, sampler)),
-            PackingMethod::Column => None,
-        };
+        let pack_bsgs = pack_bsgs.then(|| {
+            let k = BsgsPackingKey::generate(ctx, &sk, &lwe_sk, sampler);
+            // A packing schedule whose rotations the Galois set misses
+            // fails at keygen, not mid-inference.
+            gk.ensure_covers(&k.required_galois_elements(ctx));
+            k
+        });
         (
             AthenaSecrets { sk, lwe_sk },
             AthenaEvalKeys {

@@ -30,6 +30,7 @@ use crate::pipeline::{fbs_needs_mask, AthenaEngine, AthenaEvalKeys, AthenaSecret
 use crate::simulate::NoiseSpec;
 use crate::trace::OpCounts;
 
+use super::fault::FaultTarget;
 use super::ir::ExecutionPlan;
 
 /// Value types + one primitive per step semantic: what a plan interpreter
@@ -42,8 +43,9 @@ use super::ir::ExecutionPlan;
 /// into these primitives, so a backend cannot diverge from the executor on
 /// the composites' structure.
 pub trait PlanBackend {
-    /// Coefficient-encoded ring value at the full modulus `Q`.
-    type Rlwe: Clone;
+    /// Coefficient-encoded ring value at the full modulus `Q` (a
+    /// [`FaultTarget`], so injected limb corruption can land on it).
+    type Rlwe: Clone + FaultTarget;
     /// Mod-switched ring value at the extraction prime `q_mid`.
     type Mid;
     /// One extracted LWE sample.
@@ -77,12 +79,6 @@ pub trait PlanBackend {
     fn take_counts(&mut self) -> OpCounts {
         OpCounts::default()
     }
-    /// Hook the executor calls immediately before interpreting the step
-    /// at `(node, step)` — `index` is the flat execution-order step
-    /// index. No-op by default; the fault-injection wrapper
-    /// ([`super::FaultInjectingBackend`]) fires panics and arms limb
-    /// corruption here.
-    fn note_step(&mut self, _node: usize, _step: usize, _index: usize) {}
     /// The measured invariant-noise budget of `ct` in bits, for the
     /// executor's probe mode ([`super::RunPolicy::probe`]). `None` by
     /// default — measuring needs a secret key, which only

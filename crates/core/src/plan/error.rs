@@ -18,9 +18,7 @@ use super::ir::CompileError;
 /// Typed failure of a plan execution or session request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AthenaError {
-    /// The model cannot be compiled for this engine (includes the
-    /// compile-time noise-budget guardrail,
-    /// [`CompileError::NoiseBudget`]).
+    /// The model cannot be compiled for this engine.
     Compile(CompileError),
     /// Batch input `input`'s shape differs from the first input's (one
     /// batch shares one plan).
@@ -169,11 +167,12 @@ impl AthenaError {
 /// (test-only) fault plan to inject.
 #[derive(Debug, Clone, Default)]
 pub struct RunPolicy {
-    /// Whether to probe the measured noise budget after every
-    /// RLWE-producing step and fail with [`AthenaError::NoiseExhausted`]
-    /// the moment one reaches zero, instead of decrypting garbage at the
-    /// end. Reads the secret key, so tests/debugging only: a production
-    /// server holds none.
+    /// Whether to probe the measured noise budget of every RLWE value a
+    /// step makes (the rounds of the max-pooling tree included) and fail
+    /// with [`AthenaError::NoiseExhausted`] after the step where one
+    /// reached zero, instead of decrypting garbage at the end. Reads the
+    /// secret key, so tests/debugging only: a production server holds
+    /// none.
     pub probe: bool,
     /// Faults to inject (chaos testing); `None` in production.
     pub faults: Option<FaultPlan>,

@@ -2,11 +2,13 @@
 //!
 //! [`run_step`] owns the control flow of every step — group accumulation,
 //! residual re-extraction, the pooling window streams and max tree — and
+//! passes every RLWE value a backend returns through one [`Hook`], which
+//! lands injected limb corruption and takes the noise probe's readings.
 //! [`drive`] owns everything around it: input placement, the step walk,
-//! per-step panic isolation, the measured brackets that fill
-//! [`StepReport`], and the noise probe. Both are generic over
-//! [`PlanBackend`], so all three backends run the identical loop; the
-//! four public entry points only construct a backend and call [`drive`]:
+//! injected panics, per-step panic isolation, and the measured brackets
+//! that fill [`StepReport`]. Both are generic over [`PlanBackend`], so all
+//! three backends run the identical loop; the four public entry points
+//! only construct a backend and call [`drive`]:
 //!
 //! * [`execute_resilient`] — the encrypted run under a [`RunPolicy`]
 //!   (noise probe, fault injection), every failure a typed
@@ -33,6 +35,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use athena_fhe::fbs::Lut;
 use athena_fhe::FheError;
+use athena_math::prng::Prng;
 use athena_math::sampler::Sampler;
 use athena_math::stats::{self, alloc_stats};
 use athena_nn::tensor::ITensor;
@@ -43,7 +46,7 @@ use crate::trace::{OpCounts, Phase};
 
 use super::backend::{CountingBackend, EncryptedBackend, NoiseSimBackend, PlanBackend};
 use super::error::{panic_text, AthenaError, RunPolicy};
-use super::fault::{FaultInjectingBackend, FaultPlan};
+use super::fault::{FaultKind, FaultPlan, FaultTarget};
 use super::ir::{ExecutionPlan, StepOp};
 
 /// The measured record of one executed step.
@@ -69,19 +72,23 @@ pub struct StepReport {
     /// Compile-time analytic noise charge in bits
     /// ([`super::PlanStep::noise_bits`]).
     pub noise_bits: u32,
-    /// Measured invariant-noise budget of the step's RLWE output, sampled
-    /// right after the step ran. `Some` only when [`RunPolicy::probe`] is
-    /// on, the backend answers [`PlanBackend::noise_budget`], and the step
-    /// produces an RLWE value (`linear`, `pack`, `fbs`, `s2c`) — extraction
-    /// and LWE-level steps have no `Q`-basis ciphertext to probe, and the
-    /// pooling composite's inner chains end at the LWE level.
+    /// Measured invariant-noise budget of the step's RLWE output: the
+    /// lowest budget of any RLWE value the step made. `Some` only when
+    /// [`RunPolicy::probe`] is on, the backend answers
+    /// [`PlanBackend::noise_budget`], and the step makes an RLWE value —
+    /// `linear`, `pack`, `fbs`, `s2c`, and `max_reduce`, whose max-tree
+    /// rounds each pack, bootstrap and bridge back. Extraction and the
+    /// other LWE-level steps make no `Q`-basis ciphertext to probe.
     pub noise_budget: Option<i64>,
     /// Measured noise consumption of the step in bits: the budget of its
-    /// RLWE input (the stored value for `linear`, the fresh input budget
-    /// for `pack` — packing restarts the chain from fresh key-material
-    /// noise — the packed/bootstrapped register for `fbs`/`s2c`) minus
-    /// [`StepReport::noise_budget`]. The plan pins
-    /// `noise_bits ≥ noise_consumed` in tests.
+    /// chain predecessor minus [`StepReport::noise_budget`]. The
+    /// predecessor is the stored value for `linear`, the fresh input
+    /// budget for `pack` (packing restarts the chain from fresh
+    /// key-material noise), and the packed/bootstrapped value for
+    /// `fbs`/`s2c`. A `max_reduce` round is a whole pack → FBS → S2C
+    /// chain, so its consumption is the fresh budget minus the worst
+    /// round's S2C budget — the quantity the step's charge bounds. The
+    /// plan pins `noise_bits ≥ noise_consumed` in tests.
     pub noise_consumed: Option<i64>,
 }
 
@@ -176,10 +183,12 @@ pub(crate) struct ExecState<B: PlanBackend> {
     /// Bootstrapped ciphertext (between `Fbs` and `S2C`).
     pub boot: Option<B::Rlwe>,
     pub logits: Vec<f64>,
+    /// What every RLWE value made passes through.
+    pub hook: Hook,
 }
 
 impl<B: PlanBackend> ExecState<B> {
-    fn new(plan: &ExecutionPlan) -> Self {
+    fn new(plan: &ExecutionPlan, hook: Hook) -> Self {
         Self {
             values: (0..plan.layers.len() + 1).map(|_| None).collect(),
             cur: None,
@@ -190,7 +199,60 @@ impl<B: PlanBackend> ExecState<B> {
             packed: None,
             boot: None,
             logits: Vec::new(),
+            hook,
         }
+    }
+}
+
+/// The one place fault injection and the noise probe act: [`run_step`]
+/// passes every RLWE value a backend returns through [`Hook::made`], in
+/// plain steps and inside the pooling composite alike.
+pub(crate) struct Hook {
+    /// A [`FaultKind::CorruptLimb`] fault fired: it lands on the next RLWE
+    /// value made.
+    armed: bool,
+    /// Picks the word and limb a corruption perturbs.
+    prng: Prng,
+    /// Budget of the freshly encrypted input; `Some` only while probing.
+    fresh: Option<i64>,
+    /// The current step's readings: its lowest budget and its largest
+    /// consumption.
+    low: Option<i64>,
+    consumed: Option<i64>,
+}
+
+impl Hook {
+    /// Lands an armed corruption on `v`, and under the probe measures its
+    /// budget against its chain predecessor `from` (`None`: the chain
+    /// starts from fresh noise, as every pack does).
+    fn made<B: PlanBackend>(
+        &mut self,
+        backend: &B,
+        mut v: B::Rlwe,
+        from: Option<&B::Rlwe>,
+    ) -> B::Rlwe {
+        if std::mem::take(&mut self.armed) {
+            v.corrupt(&mut self.prng);
+        }
+        if let Some(fresh) = self.fresh {
+            // The probe's decryptions are not the step's work.
+            let (budget, start) = stats::unmeasured(|| {
+                let start = from.map_or(Some(fresh), |f| backend.noise_budget(f));
+                (backend.noise_budget(&v), start)
+            });
+            if let Some(b) = budget {
+                self.low = Some(self.low.map_or(b, |l| l.min(b)));
+                self.consumed = self.consumed.max(start.map(|s| s - b));
+            }
+        }
+        v
+    }
+
+    /// Drains the current step's readings: `(budget, consumed)`, `None`
+    /// when the step made no probed value.
+    fn take(&mut self) -> Option<(i64, Option<i64>)> {
+        let low = self.low.take()?;
+        Some((low, self.consumed.take()))
     }
 }
 
@@ -211,7 +273,8 @@ pub(crate) fn run_step<B: PlanBackend>(
             bias,
         } => {
             let ct = st.values[*value].as_ref().expect("producer stored");
-            st.cur = Some(backend.linear(ct, kernel, bias));
+            let out = backend.linear(ct, kernel, bias);
+            st.cur = Some(st.hook.made(backend, out, Some(ct)));
         }
         StepOp::ModSwitch { value } => {
             let src = match value {
@@ -252,7 +315,9 @@ pub(crate) fn run_step<B: PlanBackend>(
             // pack → FBS(ReLU) → S2C cycle, re-extraction, and the add —
             // the noise-robust form of the max tree of [30]: one ReLU LUT
             // per round, and the LWE noise only perturbs the LUT input
-            // (it is never amplified by a modular halving).
+            // (it is never amplified by a modular halving). Every round
+            // restarts from fresh packing noise, so the hook charges all
+            // three of its RLWE values to the fresh budget.
             let mut streams: Vec<Vec<B::Lwe>> = Vec::with_capacity(k * k);
             for ky in 0..*k {
                 for kx in 0..*k {
@@ -277,8 +342,11 @@ pub(crate) fn run_step<B: PlanBackend>(
                     .map(|(x, y)| Some(backend.lwe_add_scaled(x, y, -1)))
                     .collect();
                 let packed = backend.pack(&diffs);
+                let packed = st.hook.made(backend, packed, None);
                 let relu_ct = backend.fbs(&packed, &relu, &diffs);
+                let relu_ct = st.hook.made(backend, relu_ct, None);
                 let relu_coeff = backend.s2c(&relu_ct);
+                let relu_coeff = st.hook.made(backend, relu_coeff, None);
                 let small = backend.mod_switch(&relu_coeff);
                 let positions: Vec<usize> = (0..a.len()).collect();
                 let big = backend.extract_lwes(&small, &positions);
@@ -324,75 +392,24 @@ pub(crate) fn run_step<B: PlanBackend>(
                     slots[slot] = Some(acc[*f].clone());
                 }
             }
-            st.packed = Some(backend.pack(&slots));
+            let packed = backend.pack(&slots);
+            st.packed = Some(st.hook.made(backend, packed, None));
             st.slots = slots;
         }
         StepOp::Fbs { lut } => {
             let packed = st.packed.take().expect("packed ciphertext");
-            st.boot = Some(backend.fbs(&packed, lut, &st.slots));
+            let boot = backend.fbs(&packed, lut, &st.slots);
+            st.boot = Some(st.hook.made(backend, boot, Some(&packed)));
         }
         StepOp::S2C { value, .. } => {
             let boot = st.boot.take().expect("bootstrapped ciphertext");
-            st.values[*value] = Some(backend.s2c(&boot));
+            let out = backend.s2c(&boot);
+            st.values[*value] = Some(st.hook.made(backend, out, Some(&boot)));
             st.slots.clear();
         }
         StepOp::Output { scale } => {
             st.logits = backend.output(&st.acc, *scale);
         }
-    }
-}
-
-/// Per-register noise-budget tracker for probe mode: mirrors the RLWE
-/// registers of [`ExecState`] so each step's consumption is measured
-/// against its actual chain predecessor.
-struct NoiseTracker {
-    /// Fresh input budget (also the baseline of every `pack`, whose output
-    /// noise is built from fresh packing-key encryptions).
-    fresh: i64,
-    /// Budget of each stored value (input + S2C outputs).
-    values: Vec<Option<i64>>,
-    /// Budget after the last `pack`.
-    packed: Option<i64>,
-    /// Budget after the last `fbs`.
-    boot: Option<i64>,
-}
-
-/// Probes the RLWE register a step just wrote and charges the consumption
-/// to the step's chain predecessor: `(budget, consumed)`. Steps whose
-/// output lives below the RLWE layer (extraction, dimension/modulus
-/// switches, LWE adds, the pooling composites, output) yield `None`.
-fn probe_step<B: PlanBackend>(
-    backend: &B,
-    op: &StepOp,
-    st: &ExecState<B>,
-    tr: &mut NoiseTracker,
-) -> Option<(i64, Option<i64>)> {
-    match op {
-        StepOp::Linear { value, .. } => {
-            let after = backend.noise_budget(st.cur.as_ref().expect("linear output"))?;
-            Some((after, tr.values[*value].map(|b| b - after)))
-        }
-        StepOp::Pack { .. } => {
-            // Packing starts a new chain: its output noise is a sum of
-            // PMulted fresh packing-key encryptions, so the fresh budget
-            // is the chain's baseline.
-            let after = backend.noise_budget(st.packed.as_ref().expect("packed output"))?;
-            tr.packed = Some(after);
-            Some((after, Some(tr.fresh - after)))
-        }
-        StepOp::Fbs { .. } => {
-            let after = backend.noise_budget(st.boot.as_ref().expect("bootstrapped output"))?;
-            let consumed = tr.packed.take().map(|b| b - after);
-            tr.boot = Some(after);
-            Some((after, consumed))
-        }
-        StepOp::S2C { value, .. } => {
-            let after = backend.noise_budget(st.values[*value].as_ref().expect("s2c output"))?;
-            let consumed = tr.boot.take().map(|b| b - after);
-            tr.values[*value] = Some(after);
-            Some((after, consumed))
-        }
-        _ => None,
     }
 }
 
@@ -443,8 +460,7 @@ pub(crate) struct Driven {
 
 /// Drives `backend` through the whole plan: places and encrypts the
 /// input, then walks every step in order. The single place the step loop
-/// lives — every backend, wrapped or bare, gets the same isolation and
-/// telemetry:
+/// lives — every backend gets the same isolation and telemetry:
 ///
 /// * a wrong-shaped input is a typed [`AthenaError::ShapeMismatch`]
 ///   (`batch_input` names it), never a panic;
@@ -452,14 +468,19 @@ pub(crate) struct Driven {
 ///   caught payload is classified into a typed error;
 /// * one [`stats::measure`] bracket per step fills
 ///   [`StepReport::measured`] and [`StepReport::alloc`];
-/// * with [`RunPolicy::probe`] on, the measured budget of every
-///   RLWE-producing step is sampled through [`PlanBackend::noise_budget`],
-///   and the run aborts with [`AthenaError::NoiseExhausted`] the moment
-///   one reaches zero. A backend that cannot answer the query is simply
-///   not probed.
+/// * the policy's [`FaultPlan`] (scoped to `batch_input`) fires inside
+///   that bracket: a [`FaultKind::Panic`] panics there, a
+///   [`FaultKind::CorruptLimb`] arms the [`Hook`] to corrupt the next RLWE
+///   value made;
+/// * with [`RunPolicy::probe`] on, the [`Hook`] measures every RLWE value
+///   made through [`PlanBackend::noise_budget`], and the run aborts with
+///   [`AthenaError::NoiseExhausted`] after the first step whose lowest
+///   budget reached zero. A backend that cannot answer the query is
+///   simply not probed.
 ///
-/// Probing performs no sampler draws and no homomorphic ops, so logits and
-/// measured counts are bit-identical with the probe on or off.
+/// Probing performs no sampler draws and no homomorphic ops, and its
+/// decryptions run outside the step's bracket, so logits and measured
+/// counts are bit-identical with the probe on or off.
 pub(crate) fn drive<B: PlanBackend>(
     backend: &mut B,
     plan: &ExecutionPlan,
@@ -490,17 +511,16 @@ pub(crate) fn drive<B: PlanBackend>(
     } else {
         None
     };
-    let mut tracker = fresh_budget.map(|fresh| {
-        let mut values = vec![None; plan.layers.len() + 1];
-        values[0] = Some(fresh);
-        NoiseTracker {
-            fresh,
-            values,
-            packed: None,
-            boot: None,
-        }
-    });
-    let mut st = ExecState::new(plan);
+    let no_faults = FaultPlan::default();
+    let faults = policy.faults.as_ref().unwrap_or(&no_faults);
+    let hook = Hook {
+        armed: false,
+        prng: faults.corruption_prng(),
+        fresh: fresh_budget,
+        low: None,
+        consumed: None,
+    };
+    let mut st = ExecState::new(plan, hook);
     st.values[0] = Some(encrypted);
 
     let mut steps = Vec::with_capacity(plan.step_count());
@@ -509,18 +529,24 @@ pub(crate) fn drive<B: PlanBackend>(
     for layer in &plan.layers {
         for (si, step) in layer.steps.iter().enumerate() {
             let label = step.op.label();
+            let fault = faults.fault_at(flat, batch_input);
             let ((), counted) = catch_unwind(AssertUnwindSafe(|| {
                 stats::measure(|| {
-                    backend.note_step(layer.node, si, flat);
+                    match fault {
+                        Some(FaultKind::Panic) => panic!(
+                            "injected fault: panic at node {} step {si} (flat index {flat})",
+                            layer.node
+                        ),
+                        Some(FaultKind::CorruptLimb) => st.hook.armed = true,
+                        None => {}
+                    }
                     run_step(backend, plan, &step.op, &mut st)
                 })
             }))
             .map_err(|p| classify_panic(p, layer.node, si, label))?;
             flat += 1;
             tallied.push(backend.take_counts());
-            let probed = tracker
-                .as_mut()
-                .and_then(|tr| probe_step(backend, &step.op, &st, tr));
+            let probed = st.hook.take();
             steps.push(StepReport {
                 node: layer.node,
                 step: si,
@@ -556,8 +582,8 @@ pub(crate) fn drive<B: PlanBackend>(
 }
 
 /// Executes a compiled plan on one encrypted input under a [`RunPolicy`]:
-/// the driver's per-step isolation and probe (see the module header), with
-/// the policy's [`FaultPlan`] (if any) injected. Every
+/// the driver's per-step isolation and probe, with the policy's
+/// [`FaultPlan`] (if any) injected (see the module header). Every
 /// [`super::InferenceSession`] request is one call of this; `batch_input`
 /// names the input in [`AthenaError::ShapeMismatch`] and scopes the fault
 /// plan's `on_input` filter.
@@ -576,18 +602,11 @@ pub fn execute_resilient(
     policy: &RunPolicy,
     batch_input: Option<usize>,
 ) -> Result<PlanRun, AthenaError> {
-    // An empty fault plan makes the wrapper a pure forwarder, so one call
-    // serves both the production and the chaos path.
-    let no_faults = FaultPlan::default();
-    let mut backend = FaultInjectingBackend::new(
-        EncryptedBackend::new(engine, secrets, keys, sampler),
-        policy.faults.as_ref().unwrap_or(&no_faults),
-        batch_input,
-    );
+    let mut backend = EncryptedBackend::new(engine, secrets, keys, sampler);
     let run = drive(&mut backend, plan, input, policy, batch_input)?;
     Ok(PlanRun {
         logits: run.logits,
-        stats: backend.into_inner().into_stats(),
+        stats: backend.into_stats(),
         steps: run.steps,
         fresh_budget: run.fresh_budget,
     })

@@ -1,6 +1,7 @@
 //! Seeded fault injection for the plan executor: a [`FaultPlan`] chooses
-//! *what* goes wrong at *which* step, and [`FaultInjectingBackend`] wraps
-//! any [`PlanBackend`] to make it happen.
+//! *what* goes wrong at *which* step, and the step driver makes it happen
+//! (`exec::drive` fires panics inside the step's bracket; `exec::Hook`
+//! lands corruption on the next RLWE value a backend returns).
 //!
 //! The harness exists to exercise the resilient serving path
 //! ([`super::execute_resilient`], [`super::InferenceSession`]) against
@@ -12,19 +13,15 @@
 //! `crate::fuzz::gen`, so every chaos case is reproducible from `(seed,
 //! case index)` alone.
 //!
-//! Composability: the wrapper is generic over the backend and its value
-//! types — it injects into the encrypted pipeline, the noise simulation,
-//! and the counting dry run alike (corruption is a [`FaultTarget`]
-//! behavior of the value type; the unit values of the counting backend
-//! corrupt to nothing).
+//! Composability: the driver is generic over the backend and its value
+//! types, so faults inject into the encrypted pipeline, the noise
+//! simulation, and the counting dry run alike (corruption is a
+//! [`FaultTarget`] behavior of the value type, which every
+//! [`super::PlanBackend::Rlwe`] implements; the unit values of the
+//! counting backend corrupt to nothing).
 
 use athena_fhe::bfv::BfvCiphertext;
-use athena_fhe::fbs::Lut;
 use athena_math::prng::Prng;
-
-use crate::trace::OpCounts;
-
-use super::backend::PlanBackend;
 
 /// Seed salt of the fault-plan PRNG (the same discipline as
 /// `fuzz::gen`: independent streams come from XOR salts on one seed).
@@ -126,6 +123,12 @@ impl FaultPlan {
             .find(|f| f.step == index && (f.on_input.is_none() || f.on_input == input))
             .map(|f| f.kind)
     }
+
+    /// The stream that picks which word of which limb each
+    /// [`FaultKind::CorruptLimb`] perturbs.
+    pub(crate) fn corruption_prng(&self) -> Prng {
+        Prng::seed_from_u64(self.seed ^ FAULT_SALT.rotate_left(17))
+    }
 }
 
 /// A value a [`FaultKind::CorruptLimb`] fault can perturb. The encrypted
@@ -162,119 +165,6 @@ impl FaultTarget for Vec<i64> {
 
 impl FaultTarget for () {
     fn corrupt(&mut self, _prng: &mut Prng) {}
-}
-
-/// Wraps a backend and injects the faults of a [`FaultPlan`]: panics fire
-/// in [`PlanBackend::note_step`] (before the step runs), and corruption
-/// arms there and lands on the next RLWE value the backend produces.
-pub struct FaultInjectingBackend<'p, B: PlanBackend> {
-    inner: B,
-    plan: &'p FaultPlan,
-    input: Option<usize>,
-    armed_corrupt: bool,
-    prng: Prng,
-}
-
-impl<'p, B: PlanBackend> FaultInjectingBackend<'p, B> {
-    /// Wraps `inner`, injecting `plan`'s faults for `input`.
-    pub fn new(inner: B, plan: &'p FaultPlan, input: Option<usize>) -> Self {
-        Self {
-            inner,
-            plan,
-            input,
-            armed_corrupt: false,
-            prng: Prng::seed_from_u64(plan.seed ^ FAULT_SALT.rotate_left(17)),
-        }
-    }
-
-    /// Unwraps the inner backend.
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
-
-    fn maybe_corrupt(&mut self, mut v: B::Rlwe) -> B::Rlwe
-    where
-        B::Rlwe: FaultTarget,
-    {
-        if self.armed_corrupt {
-            self.armed_corrupt = false;
-            v.corrupt(&mut self.prng);
-        }
-        v
-    }
-}
-
-impl<B: PlanBackend> PlanBackend for FaultInjectingBackend<'_, B>
-where
-    B::Rlwe: FaultTarget,
-{
-    type Rlwe = B::Rlwe;
-    type Mid = B::Mid;
-    type Lwe = B::Lwe;
-
-    fn note_step(&mut self, node: usize, step: usize, index: usize) {
-        self.inner.note_step(node, step, index);
-        match self.plan.fault_at(index, self.input) {
-            None => {}
-            Some(FaultKind::Panic) => {
-                panic!("injected fault: panic at node {node} step {step} (flat index {index})")
-            }
-            Some(FaultKind::CorruptLimb) => self.armed_corrupt = true,
-        }
-    }
-
-    fn encrypt_input(&mut self, coeffs: &[i64]) -> Self::Rlwe {
-        let v = self.inner.encrypt_input(coeffs);
-        self.maybe_corrupt(v)
-    }
-
-    fn linear(&mut self, ct: &Self::Rlwe, kernel: &[i64], bias: &[(usize, i64)]) -> Self::Rlwe {
-        let v = self.inner.linear(ct, kernel, bias);
-        self.maybe_corrupt(v)
-    }
-
-    fn mod_switch(&mut self, ct: &Self::Rlwe) -> Self::Mid {
-        self.inner.mod_switch(ct)
-    }
-
-    fn extract_lwes(&mut self, mid: &Self::Mid, positions: &[usize]) -> Vec<Self::Lwe> {
-        self.inner.extract_lwes(mid, positions)
-    }
-
-    fn dim_switch(&mut self, big: Vec<Self::Lwe>, drop_to_t: bool) -> Vec<Self::Lwe> {
-        self.inner.dim_switch(big, drop_to_t)
-    }
-
-    fn lwe_add_scaled(&mut self, a: &Self::Lwe, b: &Self::Lwe, mult: i64) -> Self::Lwe {
-        self.inner.lwe_add_scaled(a, b, mult)
-    }
-
-    fn pack(&mut self, slots: &[Option<Self::Lwe>]) -> Self::Rlwe {
-        let v = self.inner.pack(slots);
-        self.maybe_corrupt(v)
-    }
-
-    fn fbs(&mut self, packed: &Self::Rlwe, lut: &Lut, slots: &[Option<Self::Lwe>]) -> Self::Rlwe {
-        let v = self.inner.fbs(packed, lut, slots);
-        self.maybe_corrupt(v)
-    }
-
-    fn s2c(&mut self, ct: &Self::Rlwe) -> Self::Rlwe {
-        let v = self.inner.s2c(ct);
-        self.maybe_corrupt(v)
-    }
-
-    fn output(&mut self, acc: &[Self::Lwe], scale: f64) -> Vec<f64> {
-        self.inner.output(acc, scale)
-    }
-
-    fn take_counts(&mut self) -> OpCounts {
-        self.inner.take_counts()
-    }
-
-    fn noise_budget(&self, ct: &Self::Rlwe) -> Option<i64> {
-        self.inner.noise_budget(ct)
-    }
 }
 
 #[cfg(test)]

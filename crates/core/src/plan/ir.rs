@@ -1,12 +1,8 @@
 //! Plan types and the compiler: the typed step program, key requirements,
 //! trace derivation, and plan-driven key generation.
 
-use athena_fhe::bfv::{GaloisKeys, RelinKey, SecretKey};
-use athena_fhe::extract::rlwe_secret_as_lwe_mod;
 use athena_fhe::fbs::Lut;
-use athena_fhe::lwe::{LweKeySwitchKey, LweSecret};
 use athena_fhe::noise::{NoiseModel, StepDepths};
-use athena_fhe::pack::{BsgsPackingKey, ColumnPackingKey};
 use athena_math::sampler::Sampler;
 use athena_nn::models::ConvShape;
 use athena_nn::qmodel::{QLinear, QModel, QOp, QuantConfig};
@@ -136,20 +132,6 @@ pub enum CompileError {
         /// Ring degree.
         n: usize,
     },
-    /// The compile-time noise guardrail: the plan's worst analytic RLWE
-    /// chain ([`ExecutionPlan::worst_chain_noise_bits`]) plus the
-    /// engine's configured safety margin exceeds the parameter set's
-    /// noise headroom, so a probed run would exhaust deterministically —
-    /// rejected at compile time instead of mid-inference. Disable via
-    /// [`crate::pipeline::AthenaEngine::with_noise_margin`]`(None)`.
-    NoiseBudget {
-        /// The worst chain's analytic charge in bits.
-        chain_bits: u32,
-        /// The parameter set's headroom in bits.
-        budget_bits: u32,
-        /// The engine's configured margin in bits.
-        margin: u32,
-    },
 }
 
 impl fmt::Display for CompileError {
@@ -205,15 +187,6 @@ impl fmt::Display for CompileError {
             CompileError::ValueTooLarge { value, len, n } => {
                 write!(f, "value {value}: padded layout of {len} slots exceeds ring degree {n}")
             }
-            CompileError::NoiseBudget {
-                chain_bits,
-                budget_bits,
-                margin,
-            } => write!(
-                f,
-                "analytic noise of the worst chain ({chain_bits} bits + {margin} margin) exceeds \
-                 the parameter set's {budget_bits}-bit headroom; a probed run would exhaust"
-            ),
         }
     }
 }
@@ -447,12 +420,6 @@ pub struct KeyRequirements {
     /// Galois elements for every rotation in the plan (S2C ∪ BSGS packing),
     /// sorted and deduplicated.
     pub galois: Vec<usize>,
-    /// Whether any step relinearizes (FBS CMults).
-    pub relin: bool,
-    /// Whether any step switches LWE dimension.
-    pub lwe_ksk: bool,
-    /// Whether the column packing key is used.
-    pub pack_column: bool,
     /// Whether the BSGS packing key is used.
     pub pack_bsgs: bool,
 }
@@ -925,11 +892,6 @@ pub fn try_compile(
     })];
 
     let mut layers = Vec::with_capacity(model.nodes.len());
-    let mut keys = KeyRequirements::default();
-    let note_pack = |keys: &mut KeyRequirements| match engine.packing_method() {
-        PackingMethod::Column => keys.pack_column = true,
-        PackingMethod::Bsgs => keys.pack_bsgs = true,
-    };
 
     for (ni, node) in model.nodes.iter().enumerate() {
         let is_last = ni == model.nodes.len() - 1;
@@ -979,7 +941,6 @@ pub fn try_compile(
                             positions: g.positions,
                         },
                     });
-                    keys.lwe_ksk = true;
                     steps.push(PlanStep {
                         phase: Phase::Conversion,
                         analytic: OpCounts::default(),
@@ -1023,16 +984,12 @@ pub fn try_compile(
                         positions: sv_positions.clone(),
                     },
                 });
-                keys.lwe_ksk = true;
                 steps.push(PlanStep {
                     phase: Phase::Conversion,
                     analytic: OpCounts::default(),
                     noise_bits: 0,
                     op: StepOp::DimSwitch { drop_to_t: true },
                 });
-                // Each max round packs, bootstraps, and re-extracts.
-                keys.relin = true;
-                note_pack(&mut keys);
                 steps.push(PlanStep {
                     phase: Phase::Pooling,
                     analytic: OpCounts::default(),
@@ -1067,7 +1024,6 @@ pub fn try_compile(
                         positions: sv_positions.clone(),
                     },
                 });
-                keys.lwe_ksk = true;
                 steps.push(PlanStep {
                     phase: Phase::Conversion,
                     analytic: OpCounts::default(),
@@ -1119,8 +1075,6 @@ pub fn try_compile(
             }
             QOp::MaxPool { .. } => Lut::from_signed_fn(t, |v| v),
         };
-        note_pack(&mut keys);
-        keys.relin = true;
         steps.push(PlanStep {
             phase: Phase::Conversion,
             analytic: OpCounts::default(),
@@ -1157,27 +1111,20 @@ pub fn try_compile(
         layers.push(PlanLayer { node: ni, steps });
     }
 
-    // Galois requirements: the S2C schedule whenever an S2C happens (every
-    // non-final layer and every max round), and the BSGS packing schedule
-    // when packing runs via BSGS — merged into one deduplicated set.
-    let uses_s2c = layers.iter().any(|l| {
+    // Every non-final layer and every max round packs, bootstraps and
+    // bridges back: one predicate says whether the plan packs (the BSGS
+    // packing key and its rotations, on a BSGS engine) and runs an S2C
+    // (its rotations).
+    let packs = layers.iter().any(|l| {
         l.steps
             .iter()
             .any(|s| matches!(s.op, StepOp::S2C { .. } | StepOp::MaxReduce { .. }))
     });
-    let mut galois = Vec::new();
-    if uses_s2c {
-        galois.extend(engine.slot_to_coeff().required_galois_elements(ctx));
-    }
-    if keys.pack_bsgs {
-        galois.extend(BsgsPackingKey::required_galois_elements_for(
-            ctx,
-            ctx.params().lwe_n,
-        ));
-    }
-    galois.sort_unstable();
-    galois.dedup();
-    keys.galois = galois;
+    let pack_bsgs = packs && engine.packing_method() == PackingMethod::Bsgs;
+    let keys = KeyRequirements {
+        galois: engine.galois_elements_for(packs, pack_bsgs),
+        pack_bsgs,
+    };
 
     let mut plan = ExecutionPlan {
         n,
@@ -1204,67 +1151,21 @@ pub fn try_compile(
             step.analytic = it.next().expect("one count per step");
         }
     }
-
-    // Compile-time noise guardrail: reject plans whose worst analytic
-    // chain cannot fit the parameter set's headroom (with the engine's
-    // configured margin) — the run would exhaust deterministically, so
-    // fail typed at compile time rather than mid-inference.
-    if let Some(margin) = engine.noise_margin_bits() {
-        let chain_bits = plan.worst_chain_noise_bits();
-        let budget_bits = nm.headroom_bits();
-        if chain_bits.saturating_add(margin) > budget_bits {
-            return Err(CompileError::NoiseBudget {
-                chain_bits,
-                budget_bits,
-                margin,
-            });
-        }
-    }
     Ok(plan)
 }
 
 impl AthenaEngine {
-    /// Plan-driven key generation: generates exactly the deduplicated
-    /// Galois and packing key material [`ExecutionPlan::required_keys`]
-    /// demands, and validates Galois coverage with `ensure_covers` before
-    /// returning. For a plan that exercises the engine's full loop this
-    /// produces the same key set as [`AthenaEngine::keygen`] (identical
-    /// sampler draw order); for narrower plans it generates less.
+    /// Plan-driven key generation: the Galois elements and packing key
+    /// [`ExecutionPlan::required_keys`] demands, through the same draw
+    /// sequence as [`AthenaEngine::keygen`]. For a plan that exercises the
+    /// engine's full loop the two produce the same key set; for narrower
+    /// plans this generates fewer Galois keys and no unused BSGS key.
     pub fn keygen_for_plan(
         &self,
         plan: &ExecutionPlan,
         sampler: &mut Sampler,
     ) -> (AthenaSecrets, AthenaEvalKeys) {
         let req = plan.required_keys();
-        let ctx = self.context();
-        let sk = SecretKey::generate(ctx, sampler);
-        let lwe_sk = LweSecret::generate(ctx.params().lwe_n, ctx.t(), sampler);
-        let rlk = RelinKey::generate(ctx, &sk, sampler);
-        let gk = GaloisKeys::generate(ctx, &sk, &req.galois, sampler);
-        // A schedule change that forgets an element fails at keygen, not
-        // mid-inference.
-        gk.ensure_covers(&req.galois);
-        let big = rlwe_secret_as_lwe_mod(&sk, plan.q_mid);
-        let small_mid = LweSecret::from_coeffs(lwe_sk.coeffs().to_vec(), plan.q_mid);
-        let lwe_ksk =
-            LweKeySwitchKey::generate(&big, &small_mid, ctx.params().lwe_ks_base_log, sampler);
-        let pack = ColumnPackingKey::generate(ctx, &sk, &lwe_sk, sampler);
-        let pack_bsgs = if req.pack_bsgs {
-            let k = BsgsPackingKey::generate(ctx, &sk, &lwe_sk, sampler);
-            gk.ensure_covers(&k.required_galois_elements(ctx));
-            Some(k)
-        } else {
-            None
-        };
-        (
-            AthenaSecrets { sk, lwe_sk },
-            AthenaEvalKeys {
-                rlk,
-                gk,
-                lwe_ksk,
-                pack,
-                pack_bsgs,
-            },
-        )
+        self.keygen_with(&req.galois, req.pack_bsgs, sampler)
     }
 }

@@ -48,11 +48,11 @@
 //! `Output` (client-side decrypt + dequantize).
 //!
 //! The serving path is *resilient*: the driver isolates every step behind
-//! `catch_unwind`, samples the measured noise budget when the
-//! [`RunPolicy`]'s probe flag is on, and surfaces every failure as a typed
-//! [`AthenaError`] through [`execute_resilient`]; the seeded
-//! fault-injection harness ([`FaultPlan`] / [`FaultInjectingBackend`])
-//! drives those paths in the chaos tests. A request runs exactly once.
+//! `catch_unwind`, samples the measured noise budget of every RLWE value
+//! made when the [`RunPolicy`]'s probe flag is on, and surfaces every
+//! failure as a typed [`AthenaError`] through [`execute_resilient`]; the
+//! seeded fault plans ([`FaultPlan`]), which the driver injects itself,
+//! drive those paths in the chaos tests. A request runs exactly once.
 
 mod backend;
 mod error;
@@ -68,7 +68,7 @@ pub use exec::{
     execute, execute_counting, execute_resilient, execute_sim, NoiseExhausted, PlanRun, SimRun,
     StepReport,
 };
-pub use fault::{FaultInjectingBackend, FaultKind, FaultPlan, FaultSpec, FaultTarget};
+pub use fault::{FaultKind, FaultPlan, FaultSpec, FaultTarget};
 pub(crate) use ir::validate_model;
 pub use ir::{
     compile, try_compile, CompileError, ExecutionPlan, KeyRequirements, PlanLayer, PlanStep, StepOp,

@@ -14,7 +14,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use athena_core::fuzz::{run_chaos, ChaosConfig};
 use athena_core::pipeline::AthenaEngine;
 use athena_core::plan::{
-    self, AthenaError, FaultKind, FaultPlan, FaultSpec, InferenceSession, RunPolicy,
+    self, AthenaError, FaultKind, FaultPlan, FaultSpec, InferenceSession, NoiseExhausted, RunPolicy,
 };
 use athena_fhe::params::BfvParams;
 use athena_math::par;
@@ -196,47 +196,151 @@ fn batch_item_fault_is_isolated() {
     }
 }
 
-/// Limb corruption at *every* flat step index, under the probe: the
-/// damaged ciphertext either drives the measured budget to zero (a typed
-/// `NoiseExhausted`), or the fault is armed after the last RLWE-producing
-/// step, lands nowhere, and the logits are bit-identical to the unfaulted
-/// run. Either way the next clean request is bit-identical too.
-#[test]
-fn corrupt_limb_at_every_step_is_typed_or_unobserved() {
-    let _g = lock();
-    let model = model_with(-2);
-    let clean = |s: &mut InferenceSession| {
-        let mut sampler = Sampler::from_seed(9_999);
-        s.run_encrypted(&model, &input(0), &mut sampler)
-            .expect("clean run")
-            .logits
-    };
-    let mut s = session();
-    let clean_logits = clean(&mut s);
-    let step_count = s.plan_for(&model, &[1, 5, 5]).step_count();
-    let mut exhausted = 0;
-    for k in 0..step_count {
-        let faults = FaultPlan::new(k as u64, vec![FaultSpec::at(k, FaultKind::CorruptLimb)]);
-        let policy = RunPolicy::default().with_probe().with_faults(faults);
-        let mut sampler = Sampler::from_seed(9_999);
-        match s.run_encrypted_with(&model, &input(0), &mut sampler, &policy) {
+/// `plan_equivalence.rs`'s `pool_model`: a padded 3×3 conv on 4×4, a 2×2
+/// max pool — the pack → FBS(ReLU) → S2C rounds of the max tree inside one
+/// `max_reduce` step — and an FC head.
+fn pool_model() -> QModel {
+    QModel {
+        nodes: vec![
+            QNode {
+                op: QOp::Linear(QLinear {
+                    weight: ITensor::from_vec(&[1, 1, 3, 3], vec![0, 1, 0, 1, 2, 1, 0, 1, 0]),
+                    bias: vec![0],
+                    stride: 1,
+                    padding: 1,
+                    is_fc: false,
+                    act: Activation::ReLU,
+                    in_scale: 1.0,
+                    w_scale: 0.5,
+                    out_scale: 1.0,
+                }),
+                input: 0,
+                skip: None,
+            },
+            QNode {
+                op: QOp::MaxPool { k: 2 },
+                input: 1,
+                skip: None,
+            },
+            QNode {
+                op: QOp::Linear(QLinear {
+                    weight: ITensor::from_vec(&[2, 4, 1, 1], vec![1, -1, 1, -1, 2, 0, -2, 0]),
+                    bias: vec![0, 0],
+                    stride: 1,
+                    padding: 0,
+                    is_fc: true,
+                    act: Activation::Identity,
+                    in_scale: 1.0,
+                    w_scale: 1.0,
+                    out_scale: 1.0,
+                }),
+                input: 2,
+                skip: None,
+            },
+        ],
+        input_scale: 1.0,
+        cfg: QuantConfig::new(3, 4),
+    }
+}
+
+fn pool_input() -> ITensor {
+    ITensor::from_vec(
+        &[1, 4, 4],
+        vec![1, -2, 3, 0, 2, 1, -1, 2, 0, 3, 1, -2, 1, 0, 2, 1],
+    )
+}
+
+/// Runs a probed request with a `CorruptLimb` armed at each of `steps`
+/// flat step indices (fault seed `fault_seed(k)`): the damaged ciphertext
+/// either drives the measured budget to zero (a typed `NoiseExhausted`),
+/// or the fault is armed after the last RLWE-producing step, lands
+/// nowhere, and the logits equal the clean run's. Either way the next
+/// clean request (`run` under the default policy) gives the clean logits
+/// again. Returns the typed failures by step.
+fn corrupt_limb_sweep(
+    steps: usize,
+    fault_seed: impl Fn(usize) -> u64,
+    mut run: impl FnMut(&RunPolicy) -> Result<Vec<f64>, AthenaError>,
+) -> Vec<(usize, NoiseExhausted)> {
+    let clean_logits = run(&RunPolicy::default()).expect("clean run");
+    let mut exhausted = Vec::new();
+    for k in 0..steps {
+        let faults = FaultPlan::new(
+            fault_seed(k),
+            vec![FaultSpec::at(k, FaultKind::CorruptLimb)],
+        );
+        match run(&RunPolicy::default().with_probe().with_faults(faults)) {
             Err(AthenaError::NoiseExhausted(ne)) => {
                 assert!(ne.budget <= 0, "step {k}: budget {}", ne.budget);
-                exhausted += 1;
+                exhausted.push((k, ne));
             }
-            Ok(run) => assert_eq!(
-                run.logits, clean_logits,
+            Ok(logits) => assert_eq!(
+                logits, clean_logits,
                 "step {k}: an unobserved corruption changed the logits"
             ),
             Err(other) => panic!("step {k}: expected NoiseExhausted or Ok, got {other:?}"),
         }
+        let after = run(&RunPolicy::default()).expect("clean run");
         assert_eq!(
-            clean(&mut s),
-            clean_logits,
+            after, clean_logits,
             "step {k}: the faulted request leaked state"
         );
     }
-    assert!(exhausted > 0, "no corruption reached a probe point");
+    exhausted
+}
+
+/// Limb corruption at *every* flat step index, under the probe, is typed
+/// or unobserved ([`corrupt_limb_sweep`]) — for the conv+FC model through
+/// a session, and for the pooling model through `execute_resilient`.
+/// There a corruption armed at layer 1's `mod_switch`, `extract`,
+/// `dim_switch` or `max_reduce` (flat steps 7–10) lands on the first pack
+/// of the max tree, inside the composite, and must come back as
+/// exhaustion at `max_reduce` — not as `Ok` with garbage logits.
+#[test]
+fn corrupt_limb_at_every_step_is_typed_or_unobserved() {
+    let _g = lock();
+    let model = model_with(-2);
+    let mut s = session();
+    let step_count = s.plan_for(&model, &[1, 5, 5]).step_count();
+    let exhausted = corrupt_limb_sweep(
+        step_count,
+        |k| k as u64,
+        |policy| {
+            s.run_encrypted_with(&model, &input(0), &mut Sampler::from_seed(9_999), policy)
+                .map(|r| r.logits)
+        },
+    );
+    assert!(!exhausted.is_empty(), "no corruption reached a probe point");
+
+    // The pooling model: Column packing, key seed 5, encryption seed 77,
+    // fault seed 3.
+    let engine = AthenaEngine::new(BfvParams::test_small());
+    let compiled = plan::compile(&engine, &pool_model(), &[1, 4, 4]);
+    let (secrets, keys) = engine.keygen_for_plan(&compiled, &mut Sampler::from_seed(5));
+    let exhausted = corrupt_limb_sweep(
+        compiled.step_count(),
+        |_| 3,
+        |policy| {
+            plan::execute_resilient(
+                &engine,
+                &secrets,
+                &keys,
+                &compiled,
+                &pool_input(),
+                &mut Sampler::from_seed(77),
+                policy,
+                None,
+            )
+            .map(|r| r.logits)
+        },
+    );
+    for k in 7..=10 {
+        let label = exhausted
+            .iter()
+            .find(|(at, _)| *at == k)
+            .map(|(_, ne)| ne.label);
+        assert_eq!(label, Some("max_reduce"), "pool step {k}");
+    }
 }
 
 /// A corrupted limb makes the CRT residues inconsistent; under probing the
@@ -330,7 +434,7 @@ fn wrong_shaped_input_is_typed_at_every_entry() {
 /// The seeded chaos sweep over the fuzz model zoo: random models, random
 /// faults, typed errors and bit-identical recovery throughout — and, per
 /// case, the backend-generic half of the contract (`fuzz::chaos`): a panic
-/// at every flat step index through the wrapped simulation and counting
+/// at every flat step index of the simulation and counting
 /// backends surfaces as `StepPanicked` naming that step, and probing a
 /// backend with no budget hook reports no budget and changes no logit.
 #[test]

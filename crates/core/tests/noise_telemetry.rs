@@ -3,8 +3,9 @@
 //! Mirrors `plan_counts.rs` for the noise dimension: the plan compiler
 //! attaches an analytic Table-4 noise charge (`PlanStep::noise_bits`) to
 //! every step, and the executor's probe mode samples the real
-//! `BfvEvaluator::noise_budget` after every RLWE-producing step. This file
-//! pins the contract between the two:
+//! `BfvEvaluator::noise_budget` of every RLWE value a step makes, the
+//! rounds of the max-pooling tree included. This file pins the contract
+//! between the two:
 //!
 //! * `analytic charge ≥ measured consumption` for every probed step, on
 //!   both packing engines and across pooling and residual models — the
@@ -14,8 +15,10 @@
 //! * exhaustion is a typed `NoiseExhausted` error, not garbage logits:
 //!   deliberately undersized parameters make a probed run fail at the
 //!   step where the budget dies;
-//! * probing changes nothing: logits are bit-identical with the probe on
-//!   or off (the probe performs no homomorphic ops and no sampler draws).
+//! * probing changes nothing: logits and each step's measured counts are
+//!   identical with the probe on or off (the probe performs no
+//!   homomorphic ops and no sampler draws, and its decryptions are not
+//!   counted as the step's work).
 //!
 //! The executor's per-step counter brackets count only their own run, so
 //! these tests run concurrently.
@@ -160,7 +163,7 @@ fn assert_telemetry_contract(run: &plan::PlanRun, tag: &str) {
         .collect();
     assert!(!probed.is_empty(), "{tag}: no step was probed");
     for s in &run.steps {
-        let rlwe_step = matches!(s.label, "linear" | "pack" | "fbs" | "s2c");
+        let rlwe_step = matches!(s.label, "linear" | "pack" | "fbs" | "s2c" | "max_reduce");
         assert_eq!(
             s.noise_budget.is_some(),
             rlwe_step,
@@ -272,8 +275,9 @@ fn analytic_noise_charge_covers_measured_consumption_at_paper_t() {
     assert_telemetry_contract(&run, "conv/Bsgs/t=65537");
 }
 
-/// Probing is observation only: logits bit-identical with the probe on or
-/// off, and the probed run's reports carry exactly the plan's charges.
+/// Probing is observation only: logits bit-identical and every step's
+/// measured counts and allocations identical with the probe on or off, and
+/// the probed run's reports carry exactly the plan's charges.
 #[test]
 fn probe_mode_is_pure_observation() {
     let model = conv_model();
@@ -301,6 +305,14 @@ fn probe_mode_is_pure_observation() {
 
     assert_eq!(plain.logits, probed.logits, "probe changed the arithmetic");
     assert!(plain.fresh_budget.is_none() && plain.steps.iter().all(|s| s.noise_budget.is_none()));
+    for (a, b) in plain.steps.iter().zip(&probed.steps) {
+        assert_eq!(
+            a.measured, b.measured,
+            "{}: probe counted as step work",
+            a.label
+        );
+        assert_eq!(a.alloc, b.alloc, "{}: probe allocations counted", a.label);
+    }
     let plan_charges: Vec<u32> = compiled
         .layers
         .iter()
@@ -357,37 +369,5 @@ fn exhaustion_surfaces_as_typed_error() {
     if let Some(gap) = err.budget_gap() {
         let consumed = err.consumed.expect("gap implies a measurement");
         assert_eq!(gap, i64::from(err.analytic_bits) - consumed);
-    }
-}
-
-/// The compile-time guardrail: an engine with a noise margin rejects a
-/// plan whose worst analytic chain cannot fit the parameter headroom,
-/// returning the typed [`plan::CompileError::NoiseBudget`] before any key
-/// or ciphertext work. The guardrail is opt-in (default `None`) because
-/// the analytic chain charge is deliberately conservative — the default
-/// engine must keep compiling models whose real runs fit fine.
-#[test]
-fn noise_margin_guardrail_rejects_at_compile_time() {
-    let model = conv_model();
-    let engine = AthenaEngine::new(BfvParams::test_small());
-    plan::try_compile(&engine, &model, &[1, 5, 5]).expect("guardrail is opt-in");
-
-    let engine = AthenaEngine::new(BfvParams::test_small()).with_noise_margin(Some(10_000));
-    let err = plan::try_compile(&engine, &model, &[1, 5, 5])
-        .expect_err("a 10k-bit margin cannot fit any parameter set");
-    match err {
-        plan::CompileError::NoiseBudget {
-            chain_bits,
-            budget_bits,
-            margin,
-        } => {
-            assert_eq!(margin, 10_000);
-            assert!(budget_bits > 0, "headroom must be reported");
-            assert!(
-                chain_bits.saturating_add(margin) > budget_bits,
-                "rejection arithmetic must hold: {chain_bits} + {margin} vs {budget_bits}"
-            );
-        }
-        other => panic!("expected NoiseBudget, got {other:?}"),
     }
 }

@@ -139,6 +139,13 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Counts) {
     )
 }
 
+/// Runs `f` outside every scope: nothing it records counts toward an
+/// enclosing [`measure`]. For work that observes a measured call without
+/// being part of it (the plan executor's noise probe).
+pub fn unmeasured<T>(f: impl FnOnce() -> T) -> T {
+    Scope(None).enter(f)
+}
+
 /// Installs `scope` as the calling thread's current scope, returning the
 /// one it replaces (a no-op once the thread's locals are torn down: it
 /// runs from `Drop`, which must not panic).
@@ -416,7 +423,7 @@ pub mod alloc_stats {
 
 #[cfg(test)]
 mod tests {
-    use super::{lift_stats, measure, ntt_stats, op_stats, record, rot_stats};
+    use super::{lift_stats, measure, ntt_stats, op_stats, record, rot_stats, unmeasured};
     use super::{Counter, Counts};
     use crate::par;
     use crate::poly::Ring;
@@ -468,6 +475,17 @@ mod tests {
         assert_eq!(inner_ntt.forward, seen(Counter::NttForward, 3));
         assert_eq!(outer[Counter::Hadd], seen(Counter::Hadd, 3));
         assert_eq!(outer[Counter::NttForward], seen(Counter::NttForward, 3));
+    }
+
+    #[test]
+    fn unmeasured_work_counts_nowhere() {
+        let ((), outer) = measure(|| {
+            record(Counter::Hadd, 1);
+            unmeasured(|| record(Counter::Hadd, 5));
+            // The enclosing scope is back once `unmeasured` returns.
+            record(Counter::Hadd, 1);
+        });
+        assert_eq!(outer[Counter::Hadd], seen(Counter::Hadd, 2));
     }
 
     #[test]
