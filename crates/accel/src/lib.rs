@@ -7,6 +7,5 @@ pub mod baselines;
 pub mod config;
 pub mod lower;
 pub mod memory;
-pub mod schedule;
 pub mod sensitivity;
 pub mod sim;

@@ -56,11 +56,6 @@ pub fn table8() -> Vec<MemoryProfile> {
     ]
 }
 
-/// The Athena row.
-pub fn athena_profile() -> MemoryProfile {
-    *table8().last().expect("athena row")
-}
-
 /// Derives the Athena scratchpad requirement from first principles: the
 /// working set is a handful of ciphertexts plus the hot keys, all at the
 /// small parameters (ciphertext ≈ 6 MB at `N = 2^15`, 12 limbs).
@@ -99,7 +94,8 @@ mod tests {
     fn working_set_fits_scratchpad() {
         // Ciphertext at production parameters ≈ 6 MB.
         let ws = athena_working_set_mb(6.0);
-        let athena = athena_profile();
+        let rows = table8();
+        let athena = rows.last().expect("athena");
         assert!(
             ws <= athena.scratchpad_mb.0 + athena.scratchpad_mb.1,
             "working set {ws} MB vs scratchpad"

@@ -400,28 +400,3 @@ mod tests {
         assert!(ratio > 2.2 && ratio < 3.8, "RN56/RN20 ratio {ratio}");
     }
 }
-
-#[cfg(test)]
-mod debug_tests {
-    use super::*;
-    use athena_nn::models::ModelSpec;
-
-    #[test]
-    #[ignore]
-    fn print_breakdown() {
-        let sim = AthenaSim::athena();
-        let r = sim.run_model(&ModelSpec::resnet(3), &QuantConfig::w7a7());
-        println!("latency {} ms, energy {} J", r.latency_ms, r.energy_j);
-        for (p, c) in &r.phase_costs {
-            println!(
-                "  {:12} {:>12.0} cycles  {:.3} J",
-                p.name(),
-                c.cycles,
-                c.energy_j
-            );
-        }
-        for (u, e) in &r.unit_energy_j {
-            println!("  unit {:12} {:.3} J", u, e);
-        }
-    }
-}

@@ -1,7 +1,7 @@
 //! The differential-fuzzing report: runs the fixed-seed sweep of
-//! `athena_core::fuzz` — every case through all four oracles (plain
-//! reference, fast simulation, plan-driven simulation, real encryption at
-//! the case's reduced parameters) — and summarizes coverage and the
+//! `athena_core::fuzz` — every case through all three oracles (plain
+//! reference, plan-driven simulation, real encryption at the case's
+//! reduced parameters) — and summarizes coverage and the
 //! worst observed encrypted deviation against its `e_ms` tolerance.
 //!
 //! Writes `reports/fuzz.txt`. The output is deterministic (every sampler
@@ -33,10 +33,10 @@ fn main() {
     let mut out = String::new();
     out.push_str(&format!(
         "Differential fuzzing sweep: {} seeded cases (base seed {}), each run\n\
-         through four oracles — plain QModel::forward, simulate_inference at\n\
-         sigma=0 (bit-equal), plan-driven NoiseSimBackend at sigma=0 (bit-equal),\n\
-         and EncryptedBackend at the case's reduced parameters (within the\n\
-         propagated e_ms logit bound). All oracles agreed on every case.\n\n",
+         through three oracles — plain QModel::forward, plan-driven\n\
+         NoiseSimBackend at sigma=0 (bit-equal), and EncryptedBackend at the\n\
+         case's reduced parameters (within the propagated e_ms logit bound).\n\
+         All oracles agreed on every case.\n\n",
         cfg.cases, cfg.seed
     ));
     out.push_str(&render_table(

@@ -4,17 +4,16 @@
 //! PRNG emits random-but-valid [`athena_nn::qmodel::QModel`]
 //! architectures — conv / pool / residual mixes, random shapes, random
 //! power-of-two quantization scales, both packing strategies, and random
-//! reduced parameter sets — and every case is run through four oracles
+//! reduced parameter sets — and every case is run through three oracles
 //! ([`run_case`]):
 //!
 //! 1. the plain-Q integer reference (`QModel::forward`),
-//! 2. the legacy fast simulation path (`simulate_inference` at σ = 0),
-//! 3. the plan-driven [`crate::plan::NoiseSimBackend`] at σ = 0,
-//! 4. the real [`crate::plan::EncryptedBackend`] at the case's reduced
+//! 2. the plan-driven [`crate::plan::NoiseSimBackend`] at σ = 0,
+//! 3. the real [`crate::plan::EncryptedBackend`] at the case's reduced
 //!    parameters.
 //!
-//! Oracles 2 and 3 must be **bit-equal** to the reference (power-of-two
-//! scales make the final dequantization exact in `f64`); oracle 4 must
+//! Oracle 2 must be **bit-equal** to the reference (power-of-two
+//! scales make the final dequantization exact in `f64`); oracle 3 must
 //! stay within the propagated worst-case `e_ms` bound
 //! ([`DeviationBound`]) of the reference — the same §3.2.2 noise budget
 //! the generator uses to keep accumulators inside the plaintext modulus.
@@ -57,14 +56,14 @@ pub struct FuzzConfig {
     /// Number of cases to run.
     pub cases: usize,
     /// Whether to run the encrypted oracle (the expensive one) on every
-    /// case. The three plaintext oracles always run.
+    /// case. The two plaintext oracles always run.
     pub encrypted: bool,
 }
 
 /// Aggregate result of a clean sweep.
 #[derive(Debug, Clone, Default)]
 pub struct FuzzReport {
-    /// Cases run (all four-oracle agreeing).
+    /// Cases run (all three oracles agreeing).
     pub cases: usize,
     /// Cases that ran the encrypted oracle.
     pub encrypted_runs: usize,

@@ -1,10 +1,10 @@
-//! The four differential oracles and the engine/key cache they share.
+//! The three differential oracles and the engine/key cache they share.
 
 use athena_math::sampler::Sampler;
 
 use crate::pipeline::{AthenaEngine, AthenaEvalKeys, AthenaSecrets};
 use crate::plan::{execute, execute_sim, try_compile};
-use crate::simulate::{simulate_inference, NoiseSpec};
+use crate::simulate::NoiseSpec;
 
 use super::bound::propagate;
 use super::gen::{CaseParams, FuzzCase};
@@ -13,7 +13,6 @@ use super::gen::{CaseParams, FuzzCase};
 /// case seed (or the parameter fingerprint for key material) so a failure
 /// reproduces from its printed seed alone.
 const KEYGEN_SALT: u64 = 0x6b_65_79_67_65_6e_21_21;
-const FAST_SIM_SALT: u64 = 0x66_61_73_74_73_69_6d_21;
 const PLAN_SIM_SALT: u64 = 0x70_6c_61_6e_73_69_6d_21;
 const ENCRYPT_SALT: u64 = 0x65_6e_63_72_79_70_74_21;
 
@@ -22,8 +21,6 @@ const ENCRYPT_SALT: u64 = 0x65_6e_63_72_79_70_74_21;
 pub enum Oracle {
     /// `try_compile` rejected a model the reference executes fine.
     Compile,
-    /// `simulate_inference` at σ = 0 diverged from `QModel::forward`.
-    FastSim,
     /// Plan-driven `NoiseSimBackend` at σ = 0 diverged from the reference.
     PlanSim,
     /// `EncryptedBackend` exceeded the propagated `e_ms` logit bound.
@@ -34,7 +31,6 @@ impl std::fmt::Display for Oracle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             Oracle::Compile => "compile",
-            Oracle::FastSim => "fast-sim",
             Oracle::PlanSim => "plan-sim",
             Oracle::Encrypted => "encrypted",
         })
@@ -150,11 +146,10 @@ fn first_mismatch(reference: &[f64], got: &[f64]) -> String {
     "no mismatch".into()
 }
 
-/// Runs `case` through the oracles: the plain integer reference, the fast
-/// simulation at σ = 0 (must be bit-equal), the plan-driven simulation at
-/// σ = 0 (must be bit-equal), and — when `encrypted` — the real
-/// encrypted executor at the case's parameters (must stay inside the
-/// propagated `e_ms` logit bound).
+/// Runs `case` through the oracles: the plain integer reference, the
+/// plan-driven simulation at σ = 0 (must be bit-equal), and — when
+/// `encrypted` — the real encrypted executor at the case's parameters
+/// (must stay inside the propagated `e_ms` logit bound).
 pub fn run_case(
     ctx: &mut OracleCtx,
     case: &FuzzCase,
@@ -163,18 +158,7 @@ pub fn run_case(
     let exact = NoiseSpec { sigma: 0.0 };
     let reference = case.model.forward(&case.input);
 
-    // Oracle 2: the legacy fast simulation, σ = 0 → bit-equal.
-    let mut sampler = Sampler::from_seed(case.seed ^ FAST_SIM_SALT);
-    let fast = simulate_inference(&case.model, &case.input, &exact, &mut sampler);
-    if fast.logits != reference {
-        return Err(Box::new(FuzzFailure {
-            case: case.clone(),
-            oracle: Oracle::FastSim,
-            detail: first_mismatch(&reference, &fast.logits),
-        }));
-    }
-
-    // Oracle 3: the plan-driven simulation, σ = 0 → bit-equal. A model
+    // Oracle 2: the plan-driven simulation, σ = 0 → bit-equal. A model
     // the reference executes but the planner rejects is itself a failure.
     let entry = ctx.entry(&case.params);
     let plan = match try_compile(&entry.engine, &case.model, case.input.shape()) {
@@ -197,7 +181,7 @@ pub fn run_case(
         }));
     }
 
-    // Oracle 4: the real thing, held to the documented e_ms bound.
+    // Oracle 3: the real thing, held to the documented e_ms bound.
     let tolerance = propagate(&case.model, case.params.lwe_n).logits;
     let mut encrypted_dev = 0.0f64;
     if encrypted {

@@ -20,8 +20,8 @@
 //! * [`simulate`] — the validated `e_ms` noise model driving full-scale
 //!   accuracy experiments (Table 5, Fig. 4, Fig. 12).
 //! * [`fuzz`] — deterministic differential fuzzing: a seeded model-zoo
-//!   generator run through four oracles (plain reference, fast sim,
-//!   plan-driven sim, real encryption), with a shrinker and a pinned
+//!   generator run through three oracles (plain reference, plan-driven
+//!   sim, real encryption), with a shrinker and a pinned
 //!   regression corpus.
 //! * [`trace`] — per-layer FHE-op counts at production parameters, consumed
 //!   by the accelerator model.

@@ -339,23 +339,9 @@ impl AthenaEngine {
     /// column/diagonal is skipped at run time with probability ≈ `t^-slots`
     /// — negligible).
     pub fn pack_expected_op_counts(&self, nontrivial: usize) -> crate::trace::OpCounts {
-        use crate::trace::OpCounts;
         let lwe_n = self.ctx.params().lwe_n;
         match self.packing {
-            PackingMethod::Column => {
-                if nontrivial == 0 {
-                    OpCounts {
-                        hadd: 1,
-                        ..OpCounts::default()
-                    }
-                } else {
-                    OpCounts {
-                        pmult: lwe_n as u64,
-                        hadd: lwe_n as u64 + 1,
-                        ..OpCounts::default()
-                    }
-                }
-            }
+            PackingMethod::Column => ColumnPackingKey::expected_op_counts_for(lwe_n, nontrivial),
             PackingMethod::Bsgs => BsgsPackingKey::expected_op_counts_for(lwe_n),
         }
     }
@@ -436,7 +422,12 @@ impl AthenaEngine {
         self.s2c(&bootstrapped, keys, stats)
     }
 
-    /// Step ④ alone.
+    /// Step ④ alone, by the engine's packing method.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine packs via BSGS and `keys` holds no BSGS
+    /// packing key (keys generated for a plan that never packs).
     pub fn pack(
         &self,
         lwes: &[Option<LweCiphertext>],
@@ -455,9 +446,13 @@ impl AthenaEngine {
             })
             .collect();
         stats.packs += 1;
-        match (self.packing, &keys.pack_bsgs) {
-            (PackingMethod::Bsgs, Some(k)) => k.pack(&self.ctx, &filled, &keys.gk),
-            _ => keys.pack.pack(&self.ctx, &filled),
+        match self.packing {
+            PackingMethod::Column => keys.pack.pack(&self.ctx, &filled),
+            PackingMethod::Bsgs => keys
+                .pack_bsgs
+                .as_ref()
+                .expect("a BSGS-packing engine needs the BSGS packing key (`pack_bsgs`)")
+                .pack(&self.ctx, &filled, &keys.gk),
         }
     }
 

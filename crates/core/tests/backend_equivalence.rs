@@ -1,14 +1,12 @@
 //! Cross-backend equivalence over the same compiled plan.
 //!
-//! One generic interpreter drives every backend, so the three views of a
-//! model must cohere:
+//! One generic interpreter drives every backend, so its views of a model
+//! must cohere:
 //!
 //! * `NoiseSimBackend` at σ = 0 is **exactly** the plain-Q integer
 //!   reference (`QModel::forward`) on every zoo model — the simulated
 //!   pipeline is certified against the plan, not a parallel
 //!   reimplementation;
-//! * the legacy fast path (`simulate_inference`, which walks the model
-//!   directly) equals the plan-driven simulation at σ = 0;
 //! * `EncryptedBackend` logits stay within the propagated `e_ms` bound of
 //!   the noise-free simulation on conv / pool / residual models under
 //!   both packing strategies.
@@ -18,7 +16,7 @@
 //! comparisons can demand bit equality.
 
 use athena_core::pipeline::{AthenaEngine, PackingMethod};
-use athena_core::simulate::{simulate_inference, NoiseSpec};
+use athena_core::simulate::NoiseSpec;
 use athena_core::{infer, plan};
 use athena_fhe::params::BfvParams;
 use athena_math::sampler::Sampler;
@@ -216,22 +214,6 @@ fn sim_at_sigma_zero_equals_plain_q_reference() {
             );
             assert_eq!(run.predicted, athena_core::util::argmax(&reference));
         }
-    }
-}
-
-/// The model-walking simulator (`simulate_inference`) and the
-/// plan-driven one agree exactly at σ = 0.
-#[test]
-fn fast_path_sim_matches_planned_sim_at_sigma_zero() {
-    let engine = AthenaEngine::new(BfvParams::test_small());
-    for (name, model, input) in zoo() {
-        let mut s1 = Sampler::from_seed(123);
-        let fast = simulate_inference(&model, &input, &NoiseSpec::zero(), &mut s1);
-        let mut s2 = Sampler::from_seed(456);
-        let compiled = plan::compile(&engine, &model, input.shape());
-        let planned = plan::execute_sim(&compiled, &input, &NoiseSpec::zero(), &mut s2);
-        assert_eq!(fast.logits, planned.logits, "{name}: fast vs planned sim");
-        assert_eq!(fast.predicted, planned.predicted, "{name}");
     }
 }
 

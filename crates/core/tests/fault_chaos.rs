@@ -12,7 +12,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use athena_core::fuzz::{run_chaos, ChaosConfig};
-use athena_core::pipeline::AthenaEngine;
+use athena_core::pipeline::{AthenaEngine, PackingMethod};
 use athena_core::plan::{
     self, AthenaError, FaultKind, FaultPlan, FaultSpec, InferenceSession, NoiseExhausted, RunPolicy,
 };
@@ -429,6 +429,58 @@ fn wrong_shaped_input_is_typed_at_every_entry() {
         .run_encrypted(&model, &wrong, &mut sampler)
         .expect_err("the FC layer cannot take a 4x4 image's features");
     assert_eq!(err.kind(), "compile", "got {err:?}");
+}
+
+/// Packing has one rule per method: a BSGS engine handed the keys of a
+/// plan that never packs (no BSGS packing key) panics in `pack` rather
+/// than quietly packing by columns, and `drive` reports that panic as
+/// `StepPanicked` at the first `pack` step, naming the missing key.
+#[test]
+fn bsgs_engine_without_its_packing_key_panics_in_pack() {
+    let _g = lock();
+    let engine = AthenaEngine::with_packing(BfvParams::test_small(), PackingMethod::Bsgs);
+    let fc_only = QModel {
+        nodes: vec![QNode {
+            op: QOp::Linear(QLinear {
+                weight: ITensor::from_vec(&[3, 25, 1, 1], (0..75).map(|i| i % 3 - 1).collect()),
+                bias: vec![0, 1, -1],
+                stride: 1,
+                padding: 0,
+                is_fc: true,
+                act: Activation::Identity,
+                in_scale: 0.5,
+                w_scale: 0.5,
+                out_scale: 1.0,
+            }),
+            input: 0,
+            skip: None,
+        }],
+        input_scale: 0.5,
+        cfg: QuantConfig::new(3, 3),
+    };
+    let fc_plan = plan::compile(&engine, &fc_only, &[1, 5, 5]);
+    let (secrets, keys) = engine.keygen_for_plan(&fc_plan, &mut Sampler::from_seed(5));
+    assert!(keys.pack_bsgs.is_none());
+
+    let packing_plan = plan::compile(&engine, &model_with(-2), &[1, 5, 5]);
+    let err = plan::execute_resilient(
+        &engine,
+        &secrets,
+        &keys,
+        &packing_plan,
+        &input(0),
+        &mut Sampler::from_seed(9),
+        &RunPolicy::default(),
+        None,
+    )
+    .expect_err("BSGS packing without the BSGS key");
+    match err {
+        AthenaError::StepPanicked { label, payload, .. } => {
+            assert_eq!(label, "pack");
+            assert!(payload.contains("pack_bsgs"), "payload: {payload}");
+        }
+        other => panic!("expected StepPanicked at pack, got {other:?}"),
+    }
 }
 
 /// The seeded chaos sweep over the fuzz model zoo: random models, random

@@ -16,9 +16,8 @@ fn sweep(cfg: &FuzzConfig) -> FuzzReport {
     }
 }
 
-/// 256 seeded cases through the three plaintext oracles (plain reference,
-/// fast sim at σ = 0, plan-driven sim at σ = 0 — both bit-equal). Cheap:
-/// no ciphertext work.
+/// 256 seeded cases through the two plaintext oracles (plain reference
+/// and plan-driven sim at σ = 0, bit-equal). Cheap: no ciphertext work.
 #[test]
 fn fixed_seed_sweep_plaintext_oracles() {
     let report = sweep(&FuzzConfig {
@@ -39,7 +38,7 @@ fn fixed_seed_sweep_plaintext_oracles() {
     );
 }
 
-/// A slice of the sweep through all four oracles, real encryption
+/// A slice of the sweep through all three oracles, real encryption
 /// included. The full 400-case encrypted sweep runs as `report_fuzz`
 /// (release) in CI; this leg keeps the suite itself honest.
 #[test]

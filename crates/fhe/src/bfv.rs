@@ -1,11 +1,11 @@
 //! RNS-BFV: the integer-exact FHE scheme Athena builds on.
 //!
 //! A ciphertext is `(c0, c1)` with `c0 + c1·s = Δ·m + e (mod Q)`,
-//! `Δ = ⌊Q/t⌋`. Supported operations: encryption (secret- and public-key),
-//! decryption, addition, plaintext multiplication (`PMult`), scalar
-//! multiplication (`SMult`), ciphertext multiplication with relinearization
-//! (`CMult`), Galois automorphisms / rotations (`HRot`) via key switching,
-//! and the invariant-noise-budget probe used by the Table 4 analysis.
+//! `Δ = ⌊Q/t⌋`. Supported operations: secret-key encryption, decryption,
+//! addition, plaintext multiplication (`PMult`), scalar multiplication
+//! (`SMult`), ciphertext multiplication with relinearization (`CMult`),
+//! Galois automorphisms / rotations (`HRot`) via key switching, and the
+//! invariant-noise-budget probe used by the Table 4 analysis.
 //!
 //! ## Ciphertext multiplication on the FRU's datapath
 //!
@@ -45,9 +45,9 @@
 //!
 //! Every ciphertext is **domain-uniform**: all component polynomials share
 //! one [`Domain`], queryable with [`BfvCiphertext::domain`]. Key material
-//! (secret key, public key, key-switching keys) lives permanently in Eval
-//! (NTT) form — keys only ever participate in multiplications, so storing
-//! them evaluated makes every keyed inner product pointwise. Key switching
+//! (secret key, key-switching keys) lives permanently in Eval (NTT) form —
+//! keys only ever participate in multiplications, so storing them
+//! evaluated makes every keyed inner product pointwise. Key switching
 //! therefore emits Eval-form ciphertexts, and [`apply_galois`]/
 //! [`rotate_rows`] keep rotation chains NTT-resident end-to-end; conversion
 //! back to coefficient form happens lazily, only where BFV semantics force
@@ -220,12 +220,6 @@ impl BfvContext {
         self.qb.poly_from_i64(&centered)
     }
 
-    /// `Δ · m` as an RNS polynomial (coefficient domain) — public for the
-    /// seed-compressed encryption path.
-    pub fn delta_times_plain(&self, m: &Poly) -> RnsPoly {
-        self.delta_times(m)
-    }
-
     /// `Δ · m` as an RNS polynomial (coefficient domain).
     fn delta_times(&self, m: &Poly) -> RnsPoly {
         assert_eq!(m.domain(), Domain::Coeff);
@@ -353,36 +347,6 @@ impl SecretKey {
     /// The signed coefficient vector.
     pub fn coeffs(&self) -> &[i64] {
         &self.coeffs
-    }
-
-    /// The Eval-form RNS representation of the secret (for key material
-    /// built outside this module, e.g. seed-compressed keys).
-    pub fn rns_form(&self) -> &RnsPoly {
-        &self.rns
-    }
-
-    /// `‖s‖₂²` (used by the e_ms noise model of §3.2.2).
-    pub fn norm_sq(&self) -> u64 {
-        self.coeffs.iter().map(|&c| (c * c) as u64).sum()
-    }
-}
-
-/// A public encryption key `(b, a)` with `b = −a·s + e`, stored in Eval
-/// form: encryption only ever multiplies both halves by the ephemeral `u`.
-#[derive(Debug, Clone)]
-pub struct PublicKey {
-    b: RnsPoly,
-    a: RnsPoly,
-}
-
-impl PublicKey {
-    /// Derives a public key from a secret key.
-    pub fn generate(ctx: &BfvContext, sk: &SecretKey, sampler: &mut Sampler) -> Self {
-        let a = ctx.qb.poly_to_eval(&ctx.sample_uniform(sampler));
-        let e = ctx.qb.poly_to_eval(&ctx.sample_error(sampler));
-        let mut b = ctx.qb.neg_poly(&ctx.qb.mul_poly(&a, &sk.rns));
-        ctx.qb.add_assign_poly(&mut b, &e);
-        Self { b, a }
     }
 }
 
@@ -675,25 +639,6 @@ impl<'a> BfvEvaluator<'a> {
         ctx.qb.add_assign_poly(&mut c0, &e);
         ctx.qb.add_assign_poly(&mut c0, &ctx.delta_times(m));
         BfvCiphertext { parts: vec![c0, a] }
-    }
-
-    /// Public-key encryption of a plaintext polynomial (mod `t`). Fresh
-    /// ciphertexts are in coefficient form.
-    pub fn encrypt_pk(&self, m: &Poly, pk: &PublicKey, sampler: &mut Sampler) -> BfvCiphertext {
-        let ctx = self.ctx;
-        let u = ctx
-            .qb
-            .poly_to_eval(&ctx.qb.poly_from_i64(&sampler.ternary(ctx.params.n)));
-        let e0 = ctx.sample_error(sampler);
-        let e1 = ctx.sample_error(sampler);
-        let mut c0 = ctx.mul_into_coeff(&pk.b, &u);
-        ctx.qb.add_assign_poly(&mut c0, &e0);
-        ctx.qb.add_assign_poly(&mut c0, &ctx.delta_times(m));
-        let mut c1 = ctx.mul_into_coeff(&pk.a, &u);
-        ctx.qb.add_assign_poly(&mut c1, &e1);
-        BfvCiphertext {
-            parts: vec![c0, c1],
-        }
     }
 
     /// Computes the raw phase `c0 + c1·s (+ c2·s²)` in coefficient domain
@@ -1324,16 +1269,6 @@ mod tests {
         let m = encode_coeff(&(0..128).map(|i| i - 64).collect::<Vec<_>>(), 257, 128);
         let ct = ev.encrypt_sk(&m, &sk, &mut sampler);
         assert!(ev.noise_budget(&ct, &sk) > 100, "fresh budget too small");
-        assert_eq!(ev.decrypt(&ct, &sk), m);
-    }
-
-    #[test]
-    fn encrypt_decrypt_roundtrip_pk() {
-        let (ctx, sk, mut sampler) = setup();
-        let pk = PublicKey::generate(&ctx, &sk, &mut sampler);
-        let ev = BfvEvaluator::new(&ctx);
-        let m = encode_coeff(&[42, -7, 100], 257, 128);
-        let ct = ev.encrypt_pk(&m, &pk, &mut sampler);
         assert_eq!(ev.decrypt(&ct, &sk), m);
     }
 

@@ -36,8 +36,6 @@ pub struct SlotEncoder {
     ring: Ring,
     /// slot index -> NTT output index
     slot_to_ntt: Vec<usize>,
-    /// NTT output index -> slot index
-    ntt_to_slot: Vec<usize>,
 }
 
 impl SlotEncoder {
@@ -67,15 +65,7 @@ impl SlotEncoder {
             slot_to_ntt[half + c] = j1;
             e = tm.mul(e, 3);
         }
-        let mut ntt_to_slot = vec![usize::MAX; n];
-        for (s, &j) in slot_to_ntt.iter().enumerate() {
-            ntt_to_slot[j] = s;
-        }
-        Self {
-            ring,
-            slot_to_ntt,
-            ntt_to_slot,
-        }
+        Self { ring, slot_to_ntt }
     }
 
     /// The plaintext ring (over `t`).
@@ -128,13 +118,6 @@ impl SlotEncoder {
         p
     }
 
-    /// Encodes signed slot values.
-    pub fn encode_i64(&self, values: &[i64]) -> Poly {
-        let t = self.ring.modulus();
-        let u: Vec<u64> = values.iter().map(|&v| t.from_i64(v)).collect();
-        self.encode(&u)
-    }
-
     /// Decodes a coefficient-domain plaintext polynomial into its slot
     /// vector.
     pub fn decode(&self, p: &Poly) -> Vec<u64> {
@@ -148,12 +131,6 @@ impl SlotEncoder {
     /// is the polynomial evaluated at `ψ^{e}` with `e` this exponent.
     pub fn slot_eval_exponent(&self, i: usize) -> u64 {
         self.ring.ntt().eval_exponent(self.slot_to_ntt[i])
-    }
-
-    /// The slot index whose value sits at NTT output index `j` (inverse of
-    /// the slot→NTT map).
-    pub fn slot_of_ntt_index(&self, j: usize) -> usize {
-        self.ntt_to_slot[j]
     }
 
     /// Galois element realizing "rotate each row left by `k`":

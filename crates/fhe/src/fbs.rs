@@ -24,7 +24,7 @@
 use std::cell::Cell;
 use std::sync::OnceLock;
 
-use athena_math::bsgs::{bsgs_polynomial_eval, BsgsSplit};
+use athena_math::bsgs::bsgs_polynomial_eval;
 use athena_math::modops::Modulus;
 use athena_math::ntt::CyclicNtt;
 use athena_math::prime::{is_prime, primitive_root};
@@ -325,11 +325,6 @@ impl Tally {
     }
 }
 
-/// Expected BSGS split for a LUT of size `t` (Alg. 2's `bs`/`gs`).
-pub fn fbs_split(t: u64) -> BsgsSplit {
-    BsgsSplit::balanced(t as usize)
-}
-
 /// Exact operation counts one [`fbs_apply`] of this LUT will incur,
 /// computed by dry-running Alg. 2's schedule over a unit algebra (the same
 /// [`bsgs_polynomial_eval`] drives both, so zero-coefficient skipping — the
@@ -359,6 +354,7 @@ mod tests {
     use crate::bfv::SecretKey;
     use crate::noise::StepDepths;
     use crate::params::BfvParams;
+    use athena_math::bsgs::BsgsSplit;
     use athena_math::sampler::Sampler;
 
     #[test]
@@ -394,7 +390,7 @@ mod tests {
         // boundaries `c_{g·bs}` (those are plaintext constants).
         for (t, cmult) in [(257u64, 34usize), (65537, 518)] {
             let lut = Lut::from_signed_fn(t, |x| if x > 0 { (x + 2) / 4 } else { 0 });
-            let bs = fbs_split(t).baby;
+            let bs = BsgsSplit::balanced(t as usize).baby;
             let off_boundary = lut.coeffs().iter().enumerate();
             let smult = off_boundary
                 .filter(|&(i, &c)| c != 0 && i % bs != 0)
@@ -422,7 +418,7 @@ mod tests {
                 },
                 &mut |a: &u32, b: &u32| *a.max(b),
             );
-            let split = fbs_split(t);
+            let split = BsgsSplit::balanced(t as usize);
             assert_eq!(
                 depth,
                 ceil_log2(split.baby) + ceil_log2(split.giant),
@@ -493,7 +489,7 @@ mod tests {
         let want: Vec<u64> = inputs.iter().map(|&x| lut.get(x)).collect();
         assert_eq!(got, want);
         // Alg. 2 structure: CMult is O(sqrt t), SMult is O(t).
-        let split = fbs_split(t);
+        let split = BsgsSplit::balanced(t as usize);
         assert!(
             stats.cmult <= 2 * (split.baby + split.giant),
             "cmult = {}",

@@ -42,11 +42,8 @@ pub mod noise;
 pub mod pack;
 pub mod params;
 pub mod security;
-pub mod seeded;
 
-pub use bfv::{
-    BfvCiphertext, BfvContext, BfvEvaluator, GaloisKeys, PublicKey, RelinKey, SecretKey,
-};
+pub use bfv::{BfvCiphertext, BfvContext, BfvEvaluator, GaloisKeys, RelinKey, SecretKey};
 pub use error::FheError;
 pub use fbs::{fbs_apply, Lut};
 pub use params::BfvParams;

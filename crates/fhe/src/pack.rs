@@ -95,13 +95,16 @@ impl ColumnPackingKey {
         self.len() * ctx.params().ciphertext_bytes()
     }
 
-    /// Expected operation counts of one [`pack`](Self::pack) call with at
-    /// least one non-trivial LWE among the inputs: one PMult + HAdd per
-    /// LWE coordinate, plus the plaintext-bodies add. A mask *column* that
+    /// Expected operation counts of one [`pack`](Self::pack) call over
+    /// `lwe_dim`-dimensional LWEs, `nontrivial` of them non-trivial: one
+    /// PMult + HAdd per LWE coordinate plus the plaintext-bodies add, or
+    /// that add alone when every input is trivial. A mask *column* that
     /// happens to be all-zero across every slot is skipped at run time, so
     /// the measured count can only fall below this (for uniform LWE masks
-    /// the probability is ≈ `t^-slots` per column — negligible).
-    pub fn expected_op_counts(&self, nontrivial: usize) -> HomOpCounts {
+    /// the probability is ≈ `t^-slots` per column — negligible). Computed
+    /// from the dimension alone, so the plan compiler can call it before
+    /// any key exists.
+    pub fn expected_op_counts_for(lwe_dim: usize, nontrivial: usize) -> HomOpCounts {
         if nontrivial == 0 {
             return HomOpCounts {
                 hadd: 1,
@@ -109,8 +112,8 @@ impl ColumnPackingKey {
             };
         }
         HomOpCounts {
-            pmult: self.len() as u64,
-            hadd: self.len() as u64 + 1,
+            pmult: lwe_dim as u64,
+            hadd: lwe_dim as u64 + 1,
             ..HomOpCounts::default()
         }
     }
@@ -263,19 +266,14 @@ impl BsgsPackingKey {
         (self.split.baby - 1) + (self.groups - 1)
     }
 
-    /// Expected operation counts of one [`pack`](Self::pack) call: one
-    /// PMult per mask diagonal (there are `lwe_dim` of them across the
-    /// giant groups), the in-group and cross-group HAdd folds, the bodies
-    /// add, and [`rotation_count`](Self::rotation_count) HRots. All-zero
-    /// diagonals are skipped at run time, so measured counts can only fall
-    /// below this (negligibly likely for real LWE masks).
-    pub fn expected_op_counts(&self) -> HomOpCounts {
-        Self::expected_op_counts_for(self.lwe_dim)
-    }
-
-    /// [`expected_op_counts`](Self::expected_op_counts) computed from the
-    /// dimension alone — the plan compiler's entry point, usable before any
-    /// key exists.
+    /// Expected operation counts of one [`pack`](Self::pack) call over
+    /// `lwe_dim`-dimensional LWEs: one PMult per mask diagonal (there are
+    /// `lwe_dim` of them across the giant groups), the in-group and
+    /// cross-group HAdd folds, the bodies add, and
+    /// [`rotation_count`](Self::rotation_count) HRots. All-zero diagonals
+    /// are skipped at run time, so measured counts can only fall below this
+    /// (negligibly likely for real LWE masks). Computed from the dimension
+    /// alone, so the plan compiler can call it before any key exists.
     pub fn expected_op_counts_for(lwe_dim: usize) -> HomOpCounts {
         let (split, groups_n) = Self::schedule(lwe_dim);
         let mut pmult = 0u64;

@@ -69,32 +69,6 @@ impl BfvParams {
         }
     }
 
-    /// Medium test set: `N = 1024`, four 55-bit primes, `t = 12289`
-    /// (`2N = 2048` divides `t − 1 = 12288`).
-    pub fn test_medium() -> Self {
-        Self {
-            n: 1024,
-            q_primes: ntt_primes(55, 1024, 4),
-            t: 12289,
-            lwe_n: 128,
-            sigma: 3.2,
-            lwe_ks_base_log: 7,
-        }
-    }
-
-    /// Test set with the production plaintext modulus `t = 65537` at a
-    /// reduced degree, for exercising 17-bit LUTs.
-    pub fn test_full_t() -> Self {
-        Self {
-            n: 2048,
-            q_primes: ntt_primes(55, 2048, 6),
-            t: 65537,
-            lwe_n: 256,
-            sigma: 3.2,
-            lwe_ks_base_log: 8,
-        }
-    }
-
     /// Builds the RNS basis for `Q`.
     pub fn q_basis(&self) -> RnsBasis {
         RnsBasis::new(&self.q_primes, self.n)
@@ -189,13 +163,7 @@ mod tests {
 
     #[test]
     fn presets_validate() {
-        for p in [
-            BfvParams::test_small(),
-            BfvParams::test_medium(),
-            BfvParams::test_full_t(),
-        ] {
-            p.validate();
-        }
+        BfvParams::test_small().validate();
     }
 
     #[test]

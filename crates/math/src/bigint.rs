@@ -65,11 +65,6 @@ impl UBig {
         }
     }
 
-    /// The low 64 bits.
-    pub fn to_u64_lossy(&self) -> u64 {
-        self.limbs.first().copied().unwrap_or(0)
-    }
-
     /// The low 128 bits.
     pub fn to_u128_lossy(&self) -> u128 {
         let lo = self.limbs.first().copied().unwrap_or(0) as u128;
@@ -460,16 +455,6 @@ impl IBig {
             m.sub(&r)
         } else {
             r
-        }
-    }
-
-    /// Lossy conversion to `i128` (low bits).
-    pub fn to_i128_lossy(&self) -> i128 {
-        let v = self.mag.to_u128_lossy() as i128;
-        if self.neg {
-            -v
-        } else {
-            v
         }
     }
 }

@@ -53,19 +53,6 @@ impl BsgsSplit {
         Self { baby, giant }
     }
 
-    /// Split with an explicit baby-step count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `baby == 0`.
-    pub fn with_baby(total: usize, baby: usize) -> Self {
-        assert!(baby > 0);
-        Self {
-            baby,
-            giant: total.div_ceil(baby),
-        }
-    }
-
     /// Total capacity `baby * giant`.
     pub fn capacity(&self) -> usize {
         self.baby * self.giant

@@ -49,11 +49,6 @@ impl Poly {
         &mut self.values
     }
 
-    /// Consumes the polynomial and returns its values.
-    pub fn into_values(self) -> Vec<u64> {
-        self.values
-    }
-
     /// The representation domain.
     pub fn domain(&self) -> Domain {
         self.domain
@@ -134,14 +129,6 @@ impl Ring {
     pub fn from_i64(&self, coeffs: &[i64]) -> Poly {
         assert_eq!(coeffs.len(), self.n, "coefficient count must equal N");
         let out = coeffs.iter().map(|&c| self.modulus.from_i64(c)).collect();
-        Poly::from_values(out, Domain::Coeff)
-    }
-
-    /// Builds a coefficient-domain polynomial from unsigned values
-    /// (reduced mod q).
-    pub fn from_u64(&self, coeffs: &[u64]) -> Poly {
-        assert_eq!(coeffs.len(), self.n, "coefficient count must equal N");
-        let out = coeffs.iter().map(|&c| self.modulus.reduce(c)).collect();
         Poly::from_values(out, Domain::Coeff)
     }
 
@@ -259,18 +246,6 @@ impl Ring {
         self.mul_eval(&ea, &eb)
     }
 
-    /// Multiply-accumulate in evaluation domain: `acc += a ⊙ b`.
-    pub fn mul_acc_eval(&self, acc: &mut Poly, a: &Poly, b: &Poly) {
-        assert_eq!(acc.domain, Domain::Eval);
-        assert_eq!(a.domain, Domain::Eval);
-        assert_eq!(b.domain, Domain::Eval);
-        for i in 0..self.n {
-            acc.values[i] = self
-                .modulus
-                .mul_add(a.values[i], b.values[i], acc.values[i]);
-        }
-    }
-
     /// Galois automorphism `a(X) → a(X^k)` for odd `k`, in coefficient
     /// domain.
     ///
@@ -347,25 +322,6 @@ impl Ring {
             })
             .collect()
     }
-
-    /// Evaluates the polynomial at a point `x ∈ Z_q` (coefficient domain).
-    pub fn eval_at(&self, a: &Poly, x: u64) -> u64 {
-        assert_eq!(a.domain, Domain::Coeff);
-        let mut acc = 0u64;
-        for &c in a.values.iter().rev() {
-            acc = self.modulus.mul_add(acc, x, c);
-        }
-        acc
-    }
-
-    /// The infinity norm of the centered representatives.
-    pub fn inf_norm(&self, a: &Poly) -> u64 {
-        a.values
-            .iter()
-            .map(|&x| self.modulus.center(x).unsigned_abs())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -429,18 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_at_horner() {
-        let r = ring();
-        // p(X) = 1 + 2X + 3X^2
-        let mut coeffs = vec![0i64; 16];
-        coeffs[0] = 1;
-        coeffs[1] = 2;
-        coeffs[2] = 3;
-        let p = r.from_i64(&coeffs);
-        assert_eq!(r.eval_at(&p, 10), 321);
-    }
-
-    #[test]
     fn scalar_and_linear_ops() {
         let r = ring();
         let a = r.from_i64(&[5i64; 16]);
@@ -450,17 +394,5 @@ mod tests {
         assert_eq!(c.values()[0], 10);
         let d = r.neg(&c);
         assert_eq!(r.add(&c, &d), r.zero(Domain::Coeff));
-    }
-
-    #[test]
-    fn inf_norm_centered() {
-        let r = ring();
-        let a = r.from_i64(&{
-            let mut v = vec![0i64; 16];
-            v[3] = -100;
-            v[4] = 99;
-            v
-        });
-        assert_eq!(r.inf_norm(&a), 100);
     }
 }

@@ -236,8 +236,6 @@ pub struct RnsBasis {
     /// `−(Q_i)^{-1}`: the "drop limb `i`" tables of the word-sized
     /// [`RnsBasis::scale_round`] arm (`≈ 2k²` words in all).
     drop_limb: Vec<BaseConverter>,
-    /// Q mod 2^64 convenience (lossy)
-    bits: usize,
 }
 
 impl RnsBasis {
@@ -267,7 +265,6 @@ impl RnsBasis {
                     .expect("hat invertible: primes coprime")
             })
             .collect();
-        let bits = product.bits();
         let moduli: Vec<Modulus> = rings.iter().map(|r| *r.modulus()).collect();
         let drop_limb = (0..primes.len())
             .map(|i| {
@@ -291,7 +288,6 @@ impl RnsBasis {
             hats,
             hat_invs,
             drop_limb,
-            bits,
         }
     }
 
@@ -328,11 +324,6 @@ impl RnsBasis {
     /// `Q = ∏ q_i`.
     pub fn product(&self) -> &UBig {
         &self.product
-    }
-
-    /// Bit size of `Q`.
-    pub fn product_bits(&self) -> usize {
-        self.bits
     }
 
     /// A sub-basis keeping only the first `k` primes.
@@ -591,11 +582,6 @@ impl RnsBasis {
     /// Polynomial multiplication (result in `Eval` domain).
     pub fn mul_poly(&self, a: &RnsPoly, b: &RnsPoly) -> RnsPoly {
         self.zip_polys(a, b, Ring::mul)
-    }
-
-    /// Multiplication by a small scalar (applied per limb).
-    pub fn scalar_mul_poly(&self, a: &RnsPoly, c: u64) -> RnsPoly {
-        self.map_limbs(a, |r, x| r.scalar_mul(x, c))
     }
 
     /// Multiplication by a signed scalar.

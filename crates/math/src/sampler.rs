@@ -3,7 +3,7 @@
 //! tests are reproducible.
 //!
 //! The accelerator mirrors this module in hardware as its PRNG unit, which
-//! regenerates the uniform `a`-halves of public/key-switching keys from
+//! regenerates the uniform `a`-halves of key-switching keys from
 //! seeds to halve key storage and bandwidth (as CraterLake and SHARP do).
 
 use crate::prng::Prng;

@@ -409,11 +409,6 @@ impl ModelSpec {
     pub fn total_macs(&self) -> u64 {
         self.layers.iter().map(|l| l.conv.macs()).sum()
     }
-
-    /// Number of convolution/FC layers.
-    pub fn linear_layer_count(&self) -> usize {
-        self.layers.len()
-    }
 }
 
 #[cfg(test)]
