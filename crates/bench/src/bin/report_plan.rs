@@ -149,7 +149,7 @@ fn main() {
 
         // Galois dedup accounting: per-consumer sets vs the merged plan set.
         let ks = ctx.params().keyswitch_key_bytes();
-        let s2c = engine.slot_to_coeff().required_galois_elements(ctx);
+        let s2c = engine.slot_to_coeff().required_galois_elements();
         let bsgs = match method {
             PackingMethod::Bsgs => {
                 BsgsPackingKey::required_galois_elements_for(ctx, ctx.params().lwe_n)

@@ -21,7 +21,7 @@ use athena_fhe::bfv::{BfvCiphertext, BfvContext, BfvEvaluator, GaloisKeys, Relin
 use athena_fhe::encoder::encode_coeff;
 use athena_fhe::extract::{mod_switch_rlwe, rlwe_secret_as_lwe_mod, sample_extract_one};
 use athena_fhe::fbs::{fbs_apply, FbsStats, Lut};
-use athena_fhe::linear::SlotToCoeff;
+use athena_fhe::linear::HomLinearTransform;
 use athena_fhe::lwe::{lwe_mod_switch, LweCiphertext, LweKeySwitchKey, LweSecret};
 use athena_fhe::pack::{BsgsPackingKey, ColumnPackingKey};
 use athena_fhe::params::BfvParams;
@@ -89,7 +89,7 @@ impl AthenaEvalKeys {
 #[derive(Debug)]
 pub struct AthenaEngine {
     ctx: BfvContext,
-    s2c: SlotToCoeff,
+    s2c: HomLinearTransform,
     q_mid: u64,
     packing: PackingMethod,
 }
@@ -131,7 +131,7 @@ impl AthenaEngine {
     /// Builds an engine with an explicit packing method.
     pub fn with_packing(params: BfvParams, packing: PackingMethod) -> Self {
         let ctx = BfvContext::new(params);
-        let s2c = SlotToCoeff::new(&ctx);
+        let s2c = HomLinearTransform::slot_to_coeff(&ctx);
         let q_mid = ctx.params().q_primes[0];
         Self {
             ctx,
@@ -168,7 +168,7 @@ impl AthenaEngine {
         let ctx = &self.ctx;
         let mut elements = Vec::new();
         if s2c {
-            elements.extend(self.s2c.required_galois_elements(ctx));
+            elements.extend(self.s2c.required_galois_elements());
         }
         if pack_bsgs {
             elements.extend(BsgsPackingKey::required_galois_elements_for(
@@ -209,11 +209,13 @@ impl AthenaEngine {
             LweKeySwitchKey::generate(&big, &small_mid, ctx.params().lwe_ks_base_log, sampler);
         let pack = ColumnPackingKey::generate(ctx, &sk, &lwe_sk, sampler);
         let pack_bsgs = pack_bsgs.then(|| {
-            let k = BsgsPackingKey::generate(ctx, &sk, &lwe_sk, sampler);
             // A packing schedule whose rotations the Galois set misses
             // fails at keygen, not mid-inference.
-            gk.ensure_covers(&k.required_galois_elements(ctx));
-            k
+            gk.ensure_covers(&BsgsPackingKey::required_galois_elements_for(
+                ctx,
+                lwe_sk.dim(),
+            ));
+            BsgsPackingKey::generate(ctx, &sk, &lwe_sk, sampler)
         });
         (
             AthenaSecrets { sk, lwe_sk },
@@ -329,7 +331,7 @@ impl AthenaEngine {
 
     /// The S2C transform the engine applies in Step ⑤ (the plan compiler
     /// reads its schedule: op counts and Galois requirements).
-    pub fn slot_to_coeff(&self) -> &SlotToCoeff {
+    pub fn slot_to_coeff(&self) -> &HomLinearTransform {
         &self.s2c
     }
 

@@ -3,7 +3,7 @@
 //! Three independent count models exist for the same computation:
 //!
 //! 1. the plan compiler's per-step `analytic` counts (schedule dry-runs:
-//!    `pack_expected_op_counts`, `expected_stats`, `SlotToCoeff::op_counts`);
+//!    `pack_expected_op_counts`, `expected_stats`, `HomLinearTransform::op_counts`);
 //! 2. the `op-stats` counters measured around the executor's real
 //!    homomorphic calls;
 //! 3. `trace.rs`'s closed-form production cost model (Table 3 constants,

@@ -13,7 +13,7 @@
 //! 3. [`extract::sample_extract_all`] + [`lwe`] — RLWE→LWE and `N → n`.
 //! 4. [`pack`] — homomorphic decryption packs LWEs into fresh slots.
 //! 5. [`fbs`] — LUT evaluation = non-linearity + remap + bootstrap;
-//!    then [`linear::SlotToCoeff`] re-enters step 1.
+//!    then [`linear::HomLinearTransform::slot_to_coeff`] re-enters step 1.
 //!
 //! ## Example
 //!

@@ -10,7 +10,7 @@
 //! baby-step/giant-step schedule keeps the number of key-switched rotations
 //! at `O(√N)` instead of `O(N)`.
 
-use athena_math::bsgs::BsgsSplit;
+use athena_math::bsgs::{bsgs_diagonal_counts, bsgs_diagonal_sum, BsgsSplit};
 use athena_math::modops::Modulus;
 use athena_math::par;
 use athena_math::poly::Domain;
@@ -18,6 +18,38 @@ use athena_math::rns::RnsPoly;
 use athena_math::stats::op_stats::HomOpCounts;
 
 use crate::bfv::{BfvCiphertext, BfvContext, BfvEvaluator, GaloisKeys};
+
+/// The Galois elements of a BSGS diagonal schedule under `split`: baby
+/// rotations `1..baby`, giant rotations `baby, 2·baby, …` and, when `swap`,
+/// the row swap; sorted and deduplicated.
+pub(crate) fn diagonal_galois_elements(
+    ctx: &BfvContext,
+    split: BsgsSplit,
+    swap: bool,
+) -> Vec<usize> {
+    let enc = ctx.encoder();
+    let babies = (1..split.baby).map(|k| enc.galois_for_rotation(k));
+    let giants = (1..split.giant).map(|g| enc.galois_for_rotation(g * split.baby));
+    let mut els: Vec<usize> = babies.chain(giants).collect();
+    if swap {
+        els.push(enc.galois_for_row_swap());
+    }
+    els.sort_unstable();
+    els.dedup();
+    els
+}
+
+/// Diagonal `d`'s slot values rotated right, within each row, by its
+/// group's shift `d − d mod baby`: the operand shape
+/// [`bsgs_diagonal_sum`] multiplies, so that the group's one giant
+/// rotation restores alignment.
+pub(crate) fn pre_rotate(ctx: &BfvContext, diag: &[u64], split: BsgsSplit, d: usize) -> Vec<u64> {
+    let row = ctx.encoder().row_size();
+    let shift = d - d % split.baby;
+    (0..diag.len())
+        .map(|i| diag[i - i % row + (i % row + row - shift) % row])
+        .collect()
+}
 
 /// A plaintext matrix to be applied homomorphically to the slot vector.
 ///
@@ -29,13 +61,13 @@ use crate::bfv::{BfvCiphertext, BfvContext, BfvEvaluator, GaloisKeys};
 pub struct HomLinearTransform {
     /// Row-major `N×N` matrix over `Z_t`.
     matrix: Vec<Vec<u64>>,
-    split: BsgsSplit,
-    /// Giant-group count of the BSGS schedule.
-    groups: usize,
-    /// Lifted Eval-form plaintext operands, flat index
-    /// `(g·baby + k2)·2 + bi`: the generalized diagonal `(g·baby + k2, bi)`
-    /// pre-rotated right by the group shift. `None` marks an all-zero (or
-    /// out-of-range) diagonal, skipped by the schedule.
+    /// The Galois elements of the schedule (see
+    /// [`required_galois_elements`](Self::required_galois_elements)).
+    galois: Vec<usize>,
+    /// Lifted Eval-form plaintext operands, flat index `d·2 + b` for the
+    /// `N/2` row rotations `d`: the generalized diagonal `(d, b)`
+    /// pre-rotated by its group shift. `None` marks an all-zero diagonal,
+    /// skipped by the schedule.
     diag_cache: Vec<Option<RnsPoly>>,
 }
 
@@ -52,54 +84,40 @@ impl HomLinearTransform {
         assert!(matrix.iter().all(|r| r.len() == n), "matrix must be N×N");
         let row = ctx.encoder().row_size();
         let split = BsgsSplit::balanced(row);
-        let groups = split.giant.min(row.div_ceil(split.baby.max(1)));
         let tmp = Self {
             matrix,
-            split,
-            groups,
+            galois: diagonal_galois_elements(ctx, split, true),
             diag_cache: Vec::new(),
         };
-        // Building the cache is `k + 1` NTTs for each of `2·groups·baby`
+        // Building the cache is `k + 1` NTTs for each of the `2·row`
         // diagonals, once per transform (the S2C one is built with every
         // engine). Run inline, engine set-up took +21 % on the
         // `fc_nofbs_t257` benchmark workload (2 hardware threads), so this
         // is the one fan-out kept besides `run_batch`'s.
-        let mut slots: Vec<(usize, Option<RnsPoly>)> = (0..groups * split.baby * 2)
-            .map(|idx| (idx, None))
-            .collect();
+        let mut slots: Vec<(usize, Option<RnsPoly>)> =
+            (0..2 * row).map(|idx| (idx, None)).collect();
         par::parallel_for_each_mut_with(par::num_threads(), &mut slots, |(idx, out)| {
-            *out = tmp.cached_operand(ctx, *idx)
+            *out = tmp.cached_operand(ctx, split, *idx)
         });
         let diag_cache = slots.into_iter().map(|(_, op)| op).collect();
         Self { diag_cache, ..tmp }
     }
 
+    /// The S2C transform: moves slot values into coefficient positions, so
+    /// that decrypting its output and reading raw coefficients yields the
+    /// former slot values.
+    pub fn slot_to_coeff(ctx: &BfvContext) -> Self {
+        Self::new(ctx, s2c_matrix(ctx))
+    }
+
     /// Entry `idx` of the diagonal cache (see the `diag_cache` field).
-    fn cached_operand(&self, ctx: &BfvContext, idx: usize) -> Option<RnsPoly> {
-        let n = ctx.n();
-        let row = ctx.encoder().row_size();
-        let baby = self.split.baby;
-        let bi = idx % 2;
-        let k2 = (idx / 2) % baby;
-        let g = idx / 2 / baby;
-        let shift = g * baby;
-        let k = shift + k2;
-        if k >= row {
-            return None;
-        }
-        let dv = self.diagonal(ctx, k, bi == 1);
+    fn cached_operand(&self, ctx: &BfvContext, split: BsgsSplit, idx: usize) -> Option<RnsPoly> {
+        let (d, b) = (idx / 2, idx % 2 == 1);
+        let dv = self.diagonal(ctx, d, b);
         if dv.iter().all(|&x| x == 0) {
             return None;
         }
-        // Pre-rotate the diagonal right by `shift` per row so the one
-        // giant rotation at the end restores alignment.
-        let pre: Vec<u64> = (0..n)
-            .map(|i| {
-                let r = i / row;
-                let c = i % row;
-                dv[r * row + (c + row - (shift % row)) % row]
-            })
-            .collect();
+        let pre = pre_rotate(ctx, &dv, split, d);
         Some(
             ctx.q_basis()
                 .poly_to_eval(&ctx.lift_plaintext(&ctx.encoder().encode(&pre))),
@@ -107,65 +125,26 @@ impl HomLinearTransform {
     }
 
     /// The Galois elements the BSGS schedule needs (generate keys for
-    /// these). Giant steps use the clamped group count — the shifts
-    /// [`apply`](Self::apply) actually performs.
-    pub fn required_galois_elements(&self, ctx: &BfvContext) -> Vec<usize> {
-        let enc = ctx.encoder();
-        let mut els = vec![enc.galois_for_row_swap()];
-        for b in 1..self.split.baby {
-            els.push(enc.galois_for_rotation(b));
-        }
-        for g in 1..self.groups {
-            els.push(enc.galois_for_rotation(g * self.split.baby));
-        }
-        els.sort_unstable();
-        els.dedup();
-        els
+    /// these): baby and giant rotations and the row swap, sorted and
+    /// deduplicated.
+    pub fn required_galois_elements(&self) -> &[usize] {
+        &self.galois
     }
 
-    /// Number of HRot operations one dense application performs: `baby − 1`
-    /// baby rotations of **each** of the two sources (identity and
-    /// row-swapped), `groups − 1` giant output rotations, and one row swap.
+    /// Number of HRot operations one [`apply`](Self::apply) performs.
     pub fn rotation_count(&self) -> usize {
-        2 * (self.split.baby - 1) + (self.groups - 1) + 1
+        self.op_counts().hrot as usize
     }
 
-    /// Exact operation counts of one [`apply`](Self::apply) call, derived
-    /// from the cached diagonal sparsity — these match the op-stats-measured
-    /// counts bit for bit (the schedule is deterministic):
-    ///
-    /// * `pmult` — one per cached (non-zero) generalized diagonal;
-    /// * `hrot` — the swap, all `2·(baby−1)` baby rotations (performed
-    ///   unconditionally), and one giant rotation per *non-empty* group
-    ///   beyond group 0;
-    /// * `hadd` — the in-group folds plus the final cross-group fold.
+    /// Exact operation counts of one [`apply`](Self::apply) call: a dry run
+    /// of its schedule over the cached diagonal sparsity, plus the row
+    /// swap. These match the op-stats-measured counts bit for bit.
     pub fn op_counts(&self) -> HomOpCounts {
-        let baby = self.split.baby;
-        let mut pmult = 0u64;
-        let mut hadd = 0u64;
-        let mut nonempty = 0u64;
-        let mut giant_rots = 0u64;
-        for g in 0..self.groups {
-            let terms = (0..2 * baby)
-                .filter(|i| self.diag_cache[g * 2 * baby + i].is_some())
-                .count() as u64;
-            if terms == 0 {
-                continue;
-            }
-            pmult += terms;
-            hadd += terms - 1;
-            nonempty += 1;
-            if g > 0 {
-                giant_rots += 1;
-            }
-        }
-        hadd += nonempty.saturating_sub(1);
-        HomOpCounts {
-            pmult,
-            hadd,
-            hrot: 1 + 2 * (baby as u64 - 1) + giant_rots,
-            ..HomOpCounts::default()
-        }
+        let mut counts = bsgs_diagonal_counts(self.diag_cache.len() / 2, 2, |d, b| {
+            self.diag_cache[d * 2 + b].is_some()
+        });
+        counts.hrot += 1;
+        counts
     }
 
     /// Reference (plaintext) application for tests: `out = M · v`.
@@ -199,10 +178,11 @@ impl HomLinearTransform {
             .collect()
     }
 
-    /// Applies the transform homomorphically. The whole schedule runs in
-    /// Eval form — one up-conversion of the input here, then every HRot,
-    /// the PMults against the cached Eval diagonals, and the HAdd folds are
-    /// NTT-resident — and the result is handed on in Eval form.
+    /// Applies the transform homomorphically through
+    /// [`bsgs_diagonal_sum`]. The whole schedule runs in Eval form — one
+    /// up-conversion of the input here, then every HRot, the PMults against
+    /// the cached Eval diagonals, and the HAdd folds are NTT-resident — and
+    /// the result is handed on in Eval form.
     ///
     /// Both BSGS sources are **hoisted**: the identity source and the
     /// row-swapped source each pay one digit decomposition, and all their
@@ -216,68 +196,24 @@ impl HomLinearTransform {
     /// Panics up front, with the full required-vs-available listing, if any
     /// Galois key of the schedule is missing.
     pub fn apply(&self, ctx: &BfvContext, ct: &BfvCiphertext, gk: &GaloisKeys) -> BfvCiphertext {
-        gk.ensure_covers(&self.required_galois_elements(ctx));
+        gk.ensure_covers(&self.galois);
         let ev = BfvEvaluator::new(ctx);
-        // Two "source" ciphertexts: identity and row-swapped, each with its
-        // c1 digits decomposed once (the swap itself rotates the hoisted
-        // identity source).
+        // Two sources, identity and row-swapped, each with its c1 digits
+        // decomposed once (the swap itself rotates the hoisted identity
+        // source).
         let hoisted = ev.hoist(ct);
         let swapped = ev.hoist(&hoisted.swap_rows(ctx, gk));
         let sources = [&hoisted, &swapped];
-        // Baby rotations of both sources — 2·baby digit permutations
-        // (flat index = bi * baby + k).
-        let baby_flat: Vec<BfvCiphertext> = (0..2 * self.split.baby)
-            .map(|idx| {
-                let (bi, k) = (idx / self.split.baby, idx % self.split.baby);
-                if k == 0 {
-                    sources[bi].ciphertext().clone()
-                } else {
-                    sources[bi].rotate_rows(ctx, k, gk)
-                }
-            })
-            .collect();
-        let baby: Vec<&[BfvCiphertext]> = baby_flat.chunks(self.split.baby).collect();
-        // Each giant group is the inner diagonal sum plus one output
-        // rotation; the groups are folded in order below.
-        let groups: Vec<Option<BfvCiphertext>> = (0..self.groups)
-            .map(|g| {
-                let shift = g * self.split.baby;
-                let mut inner: Option<BfvCiphertext> = None;
-                for (bi, chunk) in baby.iter().enumerate() {
-                    for (k2, src) in chunk.iter().enumerate() {
-                        let Some(lifted) = &self.diag_cache[(shift + k2) * 2 + bi] else {
-                            continue;
-                        };
-                        let term = ev.mul_plain_lifted(src, lifted);
-                        inner = Some(match inner {
-                            None => term,
-                            Some(mut a) => {
-                                ev.add_assign(&mut a, &term);
-                                a
-                            }
-                        });
-                    }
-                }
-                inner.map(|inn| {
-                    if shift == 0 {
-                        inn
-                    } else {
-                        ev.rotate_rows(&inn, shift, gk)
-                    }
-                })
-            })
-            .collect();
-        let mut acc: Option<BfvCiphertext> = None;
-        for rotated in groups.into_iter().flatten() {
-            acc = Some(match acc {
-                None => rotated,
-                Some(mut a) => {
-                    ev.add_assign(&mut a, &rotated);
-                    a
-                }
-            });
-        }
-        acc.unwrap_or_else(|| BfvCiphertext::zero_in(ctx, Domain::Eval))
+        bsgs_diagonal_sum(
+            self.diag_cache.len() / 2,
+            2,
+            &mut |b, k| sources[b].rotate_rows(ctx, k, gk),
+            &mut |d, b| self.diag_cache[d * 2 + b].as_ref(),
+            &mut |c, p| ev.mul_plain_lifted(c, p),
+            &mut |acc, term| ev.add_assign(acc, term),
+            &mut |c, shift| ev.rotate_rows(c, shift, gk),
+        )
+        .unwrap_or_else(|| BfvCiphertext::zero_in(ctx, Domain::Eval))
     }
 }
 
@@ -286,7 +222,7 @@ impl HomLinearTransform {
 /// applying `D` in slot space rewrites the slot values into the coefficient
 /// positions. `D[i][j] = ψ^{e_i · j}` where `e_i` is slot `i`'s evaluation
 /// exponent, composed with the inverse encode map.
-pub fn s2c_matrix(ctx: &BfvContext) -> Vec<Vec<u64>> {
+fn s2c_matrix(ctx: &BfvContext) -> Vec<Vec<u64>> {
     let enc = ctx.encoder();
     let n = ctx.n();
     let t = enc.ring().modulus();
@@ -313,43 +249,6 @@ pub fn s2c_matrix(ctx: &BfvContext) -> Vec<Vec<u64>> {
     e
 }
 
-/// The S2C transform packaged with its matrix.
-#[derive(Debug, Clone)]
-pub struct SlotToCoeff {
-    transform: HomLinearTransform,
-}
-
-impl SlotToCoeff {
-    /// Builds the S2C transform for a context.
-    pub fn new(ctx: &BfvContext) -> Self {
-        Self {
-            transform: HomLinearTransform::new(ctx, s2c_matrix(ctx)),
-        }
-    }
-
-    /// Galois elements needed by [`SlotToCoeff::apply`].
-    pub fn required_galois_elements(&self, ctx: &BfvContext) -> Vec<usize> {
-        self.transform.required_galois_elements(ctx)
-    }
-
-    /// Rotation count per application.
-    pub fn rotation_count(&self) -> usize {
-        self.transform.rotation_count()
-    }
-
-    /// Exact operation counts of one application (see
-    /// [`HomLinearTransform::op_counts`]).
-    pub fn op_counts(&self) -> HomOpCounts {
-        self.transform.op_counts()
-    }
-
-    /// Moves slot values into coefficient positions: after this, decrypting
-    /// and reading raw coefficients yields the former slot values.
-    pub fn apply(&self, ctx: &BfvContext, ct: &BfvCiphertext, gk: &GaloisKeys) -> BfvCiphertext {
-        self.transform.apply(ctx, ct, gk)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,8 +270,7 @@ mod tests {
     }
 
     fn keys_for(f: &mut Fx, tr: &HomLinearTransform) -> GaloisKeys {
-        let els = tr.required_galois_elements(&f.ctx);
-        GaloisKeys::generate(&f.ctx, &f.sk, &els, &mut f.sampler)
+        GaloisKeys::generate(&f.ctx, &f.sk, tr.required_galois_elements(), &mut f.sampler)
     }
 
     #[test]
@@ -413,9 +311,8 @@ mod tests {
     #[test]
     fn s2c_moves_slots_to_coefficients() {
         let mut f = setup();
-        let s2c = SlotToCoeff::new(&f.ctx);
-        let els = s2c.required_galois_elements(&f.ctx);
-        let gk = GaloisKeys::generate(&f.ctx, &f.sk, &els, &mut f.sampler);
+        let s2c = HomLinearTransform::slot_to_coeff(&f.ctx);
+        let gk = keys_for(&mut f, &s2c);
         let ev = BfvEvaluator::new(&f.ctx);
         let n = f.ctx.n();
         let vals: Vec<u64> = (0..n as u64).map(|i| (i * 5 + 3) % 257).collect();
@@ -429,8 +326,8 @@ mod tests {
     #[test]
     fn s2c_uses_sqrt_rotations() {
         let f = setup();
-        let s2c = SlotToCoeff::new(&f.ctx);
-        // N = 128 -> row 64 -> baby 8, groups 8 -> 2·7 baby + 7 giant +
+        let s2c = HomLinearTransform::slot_to_coeff(&f.ctx);
+        // N = 128 -> row 64 -> baby 8, giant 8 -> 2·7 baby + 7 giant +
         // 1 swap = 22 rotations, far below the 2·64 = 128 diagonals a
         // rotation-per-diagonal schedule would need.
         assert!(

@@ -14,7 +14,7 @@
 //!   rotation schedule (`O(√n)` HRot, `n` PMult). This matches the paper's
 //!   Table 3 complexity (`O(C)` PMult, `O(C)` HRot via BSGS \[7\]).
 
-use athena_math::bsgs::BsgsSplit;
+use athena_math::bsgs::{bsgs_diagonal_counts, bsgs_diagonal_sum, BsgsSplit};
 use athena_math::poly::Domain;
 use athena_math::sampler::Sampler;
 use athena_math::stats::op_stats::HomOpCounts;
@@ -23,6 +23,7 @@ use crate::bfv::{
     BfvCiphertext, BfvContext, BfvEvaluator, GaloisKeys, HoistedCiphertext, SecretKey,
 };
 use crate::error::FheError;
+use crate::linear::{diagonal_galois_elements, pre_rotate};
 use crate::lwe::{LweCiphertext, LweSecret};
 
 /// Validates the shared preconditions of both packing strategies, raising
@@ -162,7 +163,7 @@ impl ColumnPackingKey {
 }
 
 /// Packing key for the BSGS diagonal method: the LWE secret replicated
-/// across slots, plus the Galois keys for the rotation schedule.
+/// across slots, plus the Galois elements of the rotation schedule.
 ///
 /// The key ciphertext never changes between pack calls, so it is stored
 /// **hoisted** ([`HoistedCiphertext`]): its `c1` digit decomposition is
@@ -173,40 +174,20 @@ impl ColumnPackingKey {
 pub struct BsgsPackingKey {
     key: HoistedCiphertext,
     lwe_dim: usize,
-    split: BsgsSplit,
-    /// Giant-group count (`giant` clamped to the groups the schedule
-    /// actually visits).
-    groups: usize,
+    /// [`required_galois_elements_for`](Self::required_galois_elements_for)
+    /// of `lwe_dim`, checked before every pack.
+    galois: Vec<usize>,
 }
 
 impl BsgsPackingKey {
-    /// The BSGS schedule for an LWE dimension: the balanced split and the
-    /// clamped giant-group count. Static — the plan compiler sizes key
-    /// material from this before any key exists.
-    pub fn schedule(lwe_dim: usize) -> (BsgsSplit, usize) {
-        let split = BsgsSplit::balanced(lwe_dim);
-        let groups = split.giant.min(lwe_dim.div_ceil(split.baby.max(1)));
-        (split, groups)
-    }
-
-    /// The Galois elements the schedule for `lwe_dim` needs: rotations
-    /// `1..baby` (baby steps) and `baby, 2·baby, …` for the clamped giant
-    /// groups. The key no longer owns these — they are merged into the
-    /// engine's single deduplicated [`GaloisKeys`] set alongside the S2C
-    /// elements and passed to [`pack`](Self::pack).
+    /// The Galois elements the BSGS schedule for `lwe_dim` needs: rotations
+    /// `1..baby` (baby steps) and `baby, 2·baby, …` (giant steps). The key
+    /// owns no Galois keys — these are merged into the engine's single
+    /// deduplicated [`GaloisKeys`] set alongside the S2C elements and
+    /// passed to [`pack`](Self::pack). Static, so the plan compiler sizes
+    /// key material before any key exists.
     pub fn required_galois_elements_for(ctx: &BfvContext, lwe_dim: usize) -> Vec<usize> {
-        let (split, groups) = Self::schedule(lwe_dim);
-        let enc = ctx.encoder();
-        let mut elements = Vec::new();
-        for b in 1..split.baby {
-            elements.push(enc.galois_for_rotation(b));
-        }
-        for g in 1..groups {
-            elements.push(enc.galois_for_rotation(g * split.baby));
-        }
-        elements.sort_unstable();
-        elements.dedup();
-        elements
+        diagonal_galois_elements(ctx, BsgsSplit::balanced(lwe_dim), false)
     }
 
     /// Generates the key (the replicated-secret ciphertext and its hoisted
@@ -239,18 +220,11 @@ impl BsgsPackingKey {
         // Hoist the key once: the digit decomposition is part of the key
         // material, paid at generation instead of on every pack call.
         let key = ev.hoist(&ev.encrypt_sk(&enc.encode(&slots), rlwe_sk, sampler));
-        let (split, groups) = Self::schedule(n_lwe);
         Self {
             key,
             lwe_dim: n_lwe,
-            split,
-            groups,
+            galois: Self::required_galois_elements_for(ctx, n_lwe),
         }
-    }
-
-    /// The Galois elements this key's schedule needs.
-    pub fn required_galois_elements(&self, ctx: &BfvContext) -> Vec<usize> {
-        Self::required_galois_elements_for(ctx, self.lwe_dim)
     }
 
     /// Key size in bytes: 1 ciphertext + hoisted digit cache. The Galois
@@ -261,44 +235,27 @@ impl BsgsPackingKey {
     }
 
     /// Number of HRot operations one pack call performs: `baby − 1` baby
-    /// rotations of the key plus `groups − 1` giant output rotations.
+    /// rotations of the key plus `giant − 1` giant output rotations.
     pub fn rotation_count(&self) -> usize {
-        (self.split.baby - 1) + (self.groups - 1)
+        Self::expected_op_counts_for(self.lwe_dim).hrot as usize
     }
 
     /// Expected operation counts of one [`pack`](Self::pack) call over
-    /// `lwe_dim`-dimensional LWEs: one PMult per mask diagonal (there are
-    /// `lwe_dim` of them across the giant groups), the in-group and
-    /// cross-group HAdd folds, the bodies add, and
-    /// [`rotation_count`](Self::rotation_count) HRots. All-zero diagonals
-    /// are skipped at run time, so measured counts can only fall below this
-    /// (negligibly likely for real LWE masks). Computed from the dimension
-    /// alone, so the plan compiler can call it before any key exists.
+    /// `lwe_dim`-dimensional LWEs: a dry run of its schedule with every one
+    /// of the `lwe_dim` mask diagonals present, plus the bodies add.
+    /// All-zero diagonals are skipped at run time, so measured counts can
+    /// only fall below this (negligibly likely for real LWE masks).
+    /// Computed from the dimension alone, so the plan compiler can call it
+    /// before any key exists.
     pub fn expected_op_counts_for(lwe_dim: usize) -> HomOpCounts {
-        let (split, groups_n) = Self::schedule(lwe_dim);
-        let mut pmult = 0u64;
-        let mut hadd = 0u64;
-        for g in 0..groups_n {
-            let shift = g * split.baby;
-            let terms = split.baby.min(lwe_dim.saturating_sub(shift)) as u64;
-            if terms == 0 {
-                continue;
-            }
-            pmult += terms;
-            hadd += terms - 1;
-        }
-        hadd += groups_n as u64 - 1; // cross-group fold
-        hadd += 1; // plaintext bodies
-        HomOpCounts {
-            pmult,
-            hadd,
-            hrot: ((split.baby - 1) + (groups_n - 1)) as u64,
-            ..HomOpCounts::default()
-        }
+        let mut counts = bsgs_diagonal_counts(lwe_dim, 1, |_, _| true);
+        counts.hadd += 1;
+        counts
     }
 
-    /// Packs up to `N` LWE ciphertexts with the BSGS diagonal method,
-    /// rotating with the caller's (shared, deduplicated) Galois key set.
+    /// Packs up to `N` LWE ciphertexts with the BSGS diagonal method
+    /// ([`bsgs_diagonal_sum`] over the one hoisted key), rotating with the
+    /// caller's (shared, deduplicated) Galois key set.
     ///
     /// # Panics
     ///
@@ -310,91 +267,34 @@ impl BsgsPackingKey {
         let n_lwe = self.lwe_dim;
         check_pack_operands(lwes, n_slots, n_lwe, ctx.t());
         // Fail up front on a missing key, not mid-schedule.
-        gk.ensure_covers(&self.required_galois_elements(ctx));
+        gk.ensure_covers(&self.galois);
         let ev = BfvEvaluator::new(ctx);
         let enc = ctx.encoder();
-        // diag_d[i] = A[i][(c_i + d) mod n], c_i = (i mod row) mod n
-        let diag = |d: usize| -> Vec<u64> {
-            (0..n_slots)
-                .map(|i| {
-                    if i < lwes.len() {
-                        let c = (i % row) % n_lwe;
-                        lwes[i].a()[(c + d) % n_lwe]
-                    } else {
-                        0
-                    }
-                })
-                .collect()
+        let split = BsgsSplit::balanced(n_lwe);
+        // Mask diagonal d, encoded when the schedule reaches it:
+        // diag_d[i] = A[i][(c_i + d) mod n], c_i = (i mod row) mod n.
+        let mut operand = |d: usize, _| {
+            let mut dv = vec![0u64; n_slots];
+            for (i, ct) in lwes.iter().enumerate() {
+                dv[i] = ct.a()[((i % row) % n_lwe + d) % n_lwe];
+            }
+            let nonzero = dv.iter().any(|&x| x != 0);
+            nonzero.then(|| enc.encode(&pre_rotate(ctx, &dv, split, d)))
         };
-        // Baby rotations of the key are hoisted: each permutes the digit
-        // cache computed once at `generate` — no NTTs.
-        let key = &self.key;
-        let baby_keys: Vec<BfvCiphertext> = (0..self.split.baby)
-            .map(|b| {
-                if b == 0 {
-                    key.ciphertext().clone()
-                } else {
-                    key.rotate_rows(ctx, b, gk)
-                }
-            })
-            .collect();
-        // Each giant group is the inner diagonal sum plus one output
-        // rotation; the groups are folded in order below.
-        let groups: Vec<Option<BfvCiphertext>> = (0..self.groups)
-            .map(|g| {
-                let shift = g * self.split.baby;
-                // inner = Σ_b rot_{-shift}(diag_{shift+b}) ⊙ rot_b(key)
-                let mut inner: Option<BfvCiphertext> = None;
-                for (b, baby_key) in baby_keys.iter().enumerate() {
-                    let d = shift + b;
-                    if d >= n_lwe {
-                        break;
-                    }
-                    let dv = diag(d);
-                    if dv.iter().all(|&x| x == 0) {
-                        continue;
-                    }
-                    // Rotate the diagonal right by `shift` so that the final
-                    // left-rotation by `shift` restores alignment:
-                    // inv_rot[c] = dv[c - shift] (per row).
-                    let inv_rot: Vec<u64> = (0..n_slots)
-                        .map(|i| {
-                            let r = i / row;
-                            let c = i % row;
-                            dv[r * row + (c + row - (shift % row)) % row]
-                        })
-                        .collect();
-                    let term = ev.mul_plain(baby_key, &enc.encode(&inv_rot));
-                    inner = Some(match inner {
-                        None => term,
-                        Some(mut a) => {
-                            ev.add_assign(&mut a, &term);
-                            a
-                        }
-                    });
-                }
-                inner.map(|inn| {
-                    if shift == 0 {
-                        inn
-                    } else {
-                        ev.rotate_rows(&inn, shift, gk)
-                    }
-                })
-            })
-            .collect();
-        let mut acc: Option<BfvCiphertext> = None;
-        for rotated in groups.into_iter().flatten() {
-            acc = Some(match acc {
-                None => rotated,
-                Some(mut a) => {
-                    ev.add_assign(&mut a, &rotated);
-                    a
-                }
-            });
-        }
-        // The key, its baby rotations, and every group output are Eval, so
-        // the schedule never leaves NTT form; the result stays Eval too.
-        let acc = acc.unwrap_or_else(|| BfvCiphertext::zero_in(ctx, Domain::Eval));
+        // The key, its baby rotations (hoisted: each permutes the digit
+        // cache computed once at `generate`, no NTTs) and every group
+        // output are Eval, so the schedule never leaves NTT form; the
+        // result stays Eval too.
+        let acc = bsgs_diagonal_sum(
+            n_lwe,
+            1,
+            &mut |_, k| self.key.rotate_rows(ctx, k, gk),
+            &mut operand,
+            &mut |c, p| ev.mul_plain(c, p),
+            &mut |acc, term| ev.add_assign(acc, term),
+            &mut |c, shift| ev.rotate_rows(c, shift, gk),
+        )
+        .unwrap_or_else(|| BfvCiphertext::zero_in(ctx, Domain::Eval));
         let mut bodies = vec![0u64; n_slots];
         for (i, ct) in lwes.iter().enumerate() {
             bodies[i] = ct.b();
@@ -469,7 +369,7 @@ mod tests {
         let gk = GaloisKeys::generate(
             &f.ctx,
             &f.rlwe_sk,
-            &bsgs.required_galois_elements(&f.ctx),
+            &BsgsPackingKey::required_galois_elements_for(&f.ctx, f.lwe_sk.dim()),
             &mut f.sampler,
         );
         let msgs: Vec<u64> = (0..32u64).map(|i| i * 8 % 257).collect();

@@ -156,12 +156,13 @@ fn hoisted_schedule_shares_one_decomposition() {
     }
 }
 
-/// `HomLinearTransform::rotation_count()` equals the HRot count an actual
-/// dense `apply` performs, as measured by the rotation counters.
+/// `HomLinearTransform::op_counts()` equals every operation an actual
+/// dense `apply` performs, as measured by the counters, and
+/// `rotation_count()` is its HRot row.
 #[cfg(feature = "op-stats")]
 #[test]
 fn linear_rotation_count_matches_measured() {
-    use athena_math::stats::rot_stats;
+    use athena_math::stats::{measure, op_stats::HomOpCounts, rot_stats::RotCounts};
     let mut f = setup();
     let n = f.ctx.n();
     let mut rng = Sampler::from_seed(424_242);
@@ -170,14 +171,15 @@ fn linear_rotation_count_matches_measured() {
         .map(|_| (0..n).map(|_| 1 + rng.uniform_mod(256)).collect())
         .collect();
     let tr = HomLinearTransform::new(&f.ctx, m);
-    let els = tr.required_galois_elements(&f.ctx);
-    let gk = GaloisKeys::generate(&f.ctx, &f.sk, &els, &mut f.sampler);
+    let gk = GaloisKeys::generate(&f.ctx, &f.sk, tr.required_galois_elements(), &mut f.sampler);
     let ev = BfvEvaluator::new(&f.ctx);
     let enc = f.ctx.encoder();
     let vals: Vec<u64> = (0..n as u64).map(|i| (i * 3 + 2) % 257).collect();
     let ct = ev.encrypt_sk(&enc.encode(&vals), &f.sk, &mut f.sampler);
 
-    let (out, rot) = rot_stats::measure(|| tr.apply(&f.ctx, &ct, &gk));
+    let (out, counts) = measure(|| tr.apply(&f.ctx, &ct, &gk));
+    let rot = RotCounts::from(counts);
+    assert_eq!(HomOpCounts::from(counts), tr.op_counts());
     assert_eq!(
         rot.rotations() as usize,
         tr.rotation_count(),
@@ -195,27 +197,34 @@ fn linear_rotation_count_matches_measured() {
     );
 }
 
-/// `BsgsPackingKey::rotation_count()` equals the HRot count an actual
-/// `pack` call performs, and the baby rotations ride on the digit cache
-/// hoisted at `generate` time (zero decompositions during pack).
+/// `BsgsPackingKey::expected_op_counts_for` equals every operation an
+/// actual `pack` call performs, `rotation_count()` is its HRot row, and
+/// the baby rotations ride on the digit cache hoisted at `generate` time
+/// (zero decompositions during pack).
 #[cfg(feature = "op-stats")]
 #[test]
 fn pack_rotation_count_matches_measured() {
-    use athena_math::stats::rot_stats;
+    use athena_math::stats::{measure, op_stats::HomOpCounts, rot_stats::RotCounts};
     let mut f = setup();
-    let lwe_sk = LweSecret::generate(f.ctx.params().lwe_n, f.ctx.t(), &mut f.sampler);
+    let lwe_n = f.ctx.params().lwe_n;
+    let lwe_sk = LweSecret::generate(lwe_n, f.ctx.t(), &mut f.sampler);
     let pk = BsgsPackingKey::generate(&f.ctx, &f.sk, &lwe_sk, &mut f.sampler);
     let gk = GaloisKeys::generate(
         &f.ctx,
         &f.sk,
-        &pk.required_galois_elements(&f.ctx),
+        &BsgsPackingKey::required_galois_elements_for(&f.ctx, lwe_n),
         &mut f.sampler,
     );
     let lwes: Vec<LweCiphertext> = (0..32u64)
         .map(|i| LweCiphertext::encrypt((i * 8) % 257, &lwe_sk, &mut f.sampler))
         .collect();
 
-    let (_, rot) = rot_stats::measure(|| pk.pack(&f.ctx, &lwes, &gk));
+    let (_, counts) = measure(|| pk.pack(&f.ctx, &lwes, &gk));
+    let rot = RotCounts::from(counts);
+    assert_eq!(
+        HomOpCounts::from(counts),
+        BsgsPackingKey::expected_op_counts_for(lwe_n)
+    );
     assert_eq!(
         rot.rotations() as usize,
         pk.rotation_count(),

@@ -1,8 +1,12 @@
 //! Baby-step/giant-step decompositions used throughout Athena: polynomial
 //! evaluation (Alg. 2 of the paper, after Paterson–Stockmeyer, with the
-//! outer sum as a balanced tree) and matrix-vector rotation schedules.
+//! outer sum as a balanced tree) and the Halevi–Shoup diagonal
+//! matrix–vector product that packing (step ④) and S2C (step ⑤) run.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
+
+use crate::stats::op_stats::HomOpCounts;
 
 /// A baby-step/giant-step split of a problem of size `total`:
 /// `total <= baby * giant`, with `baby = ceil(sqrt(total))` by default.
@@ -266,6 +270,108 @@ where
         if l.is_none() {
             *l = Some((self.lift)(x));
         }
+    }
+}
+
+/// Halevi–Shoup's diagonal matrix–vector product with a baby-step/giant-step
+/// rotation schedule, over any algebra supplied via closures.
+///
+/// The product is `Σ_s Σ_{d<total} diag_{d,s} ⊙ rot_d(src_s)` over
+/// `sources` source vectors. With `split = BsgsSplit::balanced(total)`,
+/// diagonal `d = g·baby + k` meets baby rotation `k` of its source, and the
+/// sum of giant group `g` is rotated once, by `g·baby`:
+///
+/// `Σ_g rot_{g·baby}(Σ_s Σ_{k<baby} rot_{−g·baby}(diag_{g·baby+k,s}) ⊙ rot_k(src_s))`
+///
+/// so the operand of diagonal `d` comes pre-rotated right by its group's
+/// shift `d − d mod baby`.
+///
+/// * `baby(s, k)` is source `s` rotated by `k` (`k = 0` is the source
+///   itself). All `sources·baby` of them are made first, source by source.
+/// * `operand(d, s)` is the operand of diagonal `d` of source `s`, asked
+///   for right before its product; `None` (an all-zero diagonal) skips it.
+/// * `pmult` multiplies a baby rotation by an operand; `add` accumulates
+///   in place.
+/// * `giant(c, shift)` rotates the sum of a non-empty group by
+///   `shift = g·baby > 0`. Groups are folded in order as they are made.
+///
+/// That is `sources·(baby−1)` baby rotations, one `pmult` per present
+/// operand and one `add` fewer, and one giant rotation per non-empty group
+/// past the first; [`bsgs_diagonal_counts`] tallies them from the same
+/// run. Returns `None` when no operand is present.
+///
+/// # Panics
+///
+/// Panics if `total == 0`.
+pub fn bsgs_diagonal_sum<C, P>(
+    total: usize,
+    sources: usize,
+    baby: &mut impl FnMut(usize, usize) -> C,
+    operand: &mut impl FnMut(usize, usize) -> Option<P>,
+    pmult: &mut impl FnMut(&C, &P) -> C,
+    add: &mut impl FnMut(&mut C, &C),
+    giant: &mut impl FnMut(&C, usize) -> C,
+) -> Option<C> {
+    let split = BsgsSplit::balanced(total);
+    let rotated: Vec<Vec<C>> = (0..sources)
+        .map(|s| (0..split.baby).map(|k| baby(s, k)).collect())
+        .collect();
+    let mut acc = None;
+    for g in 0..split.giant {
+        let shift = g * split.baby;
+        let mut inner = None;
+        for (s, babies) in rotated.iter().enumerate() {
+            for (k, src) in babies.iter().enumerate().take(total - shift) {
+                if let Some(p) = operand(shift + k, s) {
+                    accumulate(&mut inner, pmult(src, &p), add);
+                }
+            }
+        }
+        if let Some(sum) = inner {
+            let sum = if shift == 0 { sum } else { giant(&sum, shift) };
+            accumulate(&mut acc, sum, add);
+        }
+    }
+    acc
+}
+
+fn accumulate<C>(acc: &mut Option<C>, term: C, add: &mut impl FnMut(&mut C, &C)) {
+    match acc {
+        None => *acc = Some(term),
+        Some(a) => add(a, &term),
+    }
+}
+
+/// The HRot, PMult and HAdd counts of one [`bsgs_diagonal_sum`] over
+/// `total` diagonals of each of `sources` sources, `present(d, s)` telling
+/// which operands exist: a dry run of the same schedule over a unit
+/// algebra, so it skips exactly what the real run skips. A `k = 0` baby
+/// "rotation" is the source itself and is not counted.
+pub fn bsgs_diagonal_counts(
+    total: usize,
+    sources: usize,
+    mut present: impl FnMut(usize, usize) -> bool,
+) -> HomOpCounts {
+    let (hrot, pmult, hadd) = (Cell::new(0), Cell::new(0), Cell::new(0));
+    let bump = |c: &Cell<u64>| c.set(c.get() + 1);
+    bsgs_diagonal_sum(
+        total,
+        sources,
+        &mut |_, k| {
+            if k > 0 {
+                bump(&hrot)
+            }
+        },
+        &mut |d, s| present(d, s).then_some(()),
+        &mut |_: &(), _: &()| bump(&pmult),
+        &mut |_: &mut (), _: &()| bump(&hadd),
+        &mut |_: &(), _| bump(&hrot),
+    );
+    HomOpCounts {
+        pmult: pmult.get(),
+        hadd: hadd.get(),
+        hrot: hrot.get(),
+        ..HomOpCounts::default()
     }
 }
 
@@ -565,5 +671,169 @@ mod tests {
             // (28 of 29 at t = 257, 280 of 281 at t = 65537).
             assert!(peak <= split.baby + 3 * log_gs, "t={t}: peak {peak}");
         }
+    }
+
+    /// Two rows of `row` slots mod 65537, the shape of the BFV slot
+    /// vector: rotation by `k` shifts each row cyclically left by `k`, the
+    /// swap exchanges the rows, products are slot by slot.
+    struct SlotAlgebra {
+        row: usize,
+        q: Modulus,
+    }
+
+    impl SlotAlgebra {
+        fn rot(&self, v: &[u64], k: usize) -> Vec<u64> {
+            let row = self.row;
+            (0..v.len())
+                .map(|i| v[i - i % row + (i % row + k) % row])
+                .collect()
+        }
+
+        fn swap(&self, v: &[u64]) -> Vec<u64> {
+            (0..v.len()).map(|i| v[(i + self.row) % v.len()]).collect()
+        }
+
+        /// The slot of source `s` that diagonal `d` reads into slot `i`.
+        fn source_slot(&self, i: usize, d: usize, s: usize) -> usize {
+            let (r, c) = (i / self.row, i % self.row);
+            ((r + s) % 2) * self.row + (c + d) % self.row
+        }
+
+        /// A random matrix over the slots (block diagonal per row with one
+        /// source, whose diagonals cannot leave their row), with every
+        /// third diagonal of each source and the whole of giant groups 1
+        /// and `giant − 1` planted to zero.
+        fn matrix(&self, sources: usize, seed: u64) -> Vec<Vec<u64>> {
+            let n = 2 * self.row;
+            let split = BsgsSplit::balanced(self.row);
+            let mut rng = crate::prng::Prng::seed_from_u64(seed);
+            let mut m: Vec<Vec<u64>> = (0..n)
+                .map(|_| (0..n).map(|_| rng.next_below(self.q.value())).collect())
+                .collect();
+            for d in 0..self.row {
+                let g = d / split.baby;
+                for s in 0..2 {
+                    let planted = (d + s).is_multiple_of(3) || g == 1 || g + 1 == split.giant;
+                    if s >= sources || planted {
+                        for (i, mi) in m.iter_mut().enumerate() {
+                            mi[self.source_slot(i, d, s)] = 0;
+                        }
+                    }
+                }
+            }
+            m
+        }
+
+        fn diagonal(&self, m: &[Vec<u64>], d: usize, s: usize) -> Vec<u64> {
+            (0..m.len())
+                .map(|i| m[i][self.source_slot(i, d, s)])
+                .collect()
+        }
+    }
+
+    /// `bsgs_diagonal_sum` over plain slot vectors equals the naive
+    /// matrix–vector product, with planted zero diagonals and empty giant
+    /// groups skipped, and performs exactly the operations its dry run
+    /// tallies and the closed forms in its documentation state.
+    #[test]
+    fn diagonal_sum_matches_naive_matvec() {
+        for row in [24usize, 32, 64] {
+            for sources in [1usize, 2] {
+                let alg = SlotAlgebra {
+                    row,
+                    q: Modulus::new(65537),
+                };
+                let q = &alg.q;
+                let split = BsgsSplit::balanced(row);
+                let m = alg.matrix(sources, (row * 10 + sources) as u64);
+                let v: Vec<u64> = (0..2 * row as u64)
+                    .map(|i| (i * 7919 + 11) % 65537)
+                    .collect();
+                let want: Vec<u64> = m
+                    .iter()
+                    .map(|mi| {
+                        mi.iter()
+                            .zip(&v)
+                            .fold(0, |acc, (&a, &x)| q.mul_add(a, x, acc))
+                    })
+                    .collect();
+                let present = |d: usize, s: usize| alg.diagonal(&m, d, s).iter().any(|&x| x != 0);
+                let srcs = [v.clone(), alg.swap(&v)];
+                let (mut babies, mut pmults, mut adds, mut giants) = (0u64, 0u64, 0u64, 0u64);
+                let got = bsgs_diagonal_sum(
+                    row,
+                    sources,
+                    &mut |s, k| {
+                        babies += u64::from(k > 0);
+                        alg.rot(&srcs[s], k)
+                    },
+                    &mut |d, s| {
+                        let dv = alg.diagonal(&m, d, s);
+                        let shift = d - d % split.baby;
+                        // Rotated right by the group shift.
+                        dv.iter()
+                            .any(|&x| x != 0)
+                            .then(|| alg.rot(&dv, row - shift))
+                    },
+                    &mut |c: &Vec<u64>, p: &Vec<u64>| {
+                        pmults += 1;
+                        c.iter().zip(p).map(|(&a, &b)| q.mul(a, b)).collect()
+                    },
+                    &mut |acc: &mut Vec<u64>, t: &Vec<u64>| {
+                        adds += 1;
+                        acc.iter_mut().zip(t).for_each(|(a, &b)| *a = q.add(*a, b));
+                    },
+                    &mut |c: &Vec<u64>, shift| {
+                        giants += 1;
+                        alg.rot(c, shift)
+                    },
+                );
+                let what = format!("row {row}, {sources} source(s)");
+                assert_eq!(got.expect("some diagonal is present"), want, "{what}");
+                let tally = bsgs_diagonal_counts(row, sources, present);
+                assert_eq!(
+                    (tally.hrot, tally.pmult, tally.hadd),
+                    (babies + giants, pmults, adds),
+                    "{what}"
+                );
+                let operands = (0..row)
+                    .flat_map(|d| (0..sources).map(move |s| (d, s)))
+                    .filter(|&(d, s)| present(d, s))
+                    .count() as u64;
+                let nonempty = (1..split.giant)
+                    .filter(|g| {
+                        let ds = g * split.baby..((g + 1) * split.baby).min(row);
+                        ds.flat_map(|d| (0..sources).map(move |s| (d, s)))
+                            .any(|(d, s)| present(d, s))
+                    })
+                    .count() as u64;
+                assert!(
+                    nonempty + 3 <= split.giant as u64,
+                    "{what}: groups planted empty"
+                );
+                assert_eq!(babies, (sources * (split.baby - 1)) as u64, "{what}");
+                assert_eq!(
+                    (pmults, adds, giants),
+                    (operands, operands - 1, nonempty),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn diagonal_sum_of_no_operands_is_none() {
+        let out = bsgs_diagonal_sum(
+            32,
+            2,
+            &mut |_, _| (),
+            &mut |_, _| None::<()>,
+            &mut |_: &(), _: &()| unreachable!("no operand to multiply"),
+            &mut |_: &mut (), _: &()| unreachable!("no term to add"),
+            &mut |_: &(), _| unreachable!("no group to rotate"),
+        );
+        assert!(out.is_none());
+        let tally = bsgs_diagonal_counts(32, 2, |_, _| false);
+        assert_eq!((tally.hrot, tally.pmult, tally.hadd), (10, 0, 0));
     }
 }
