@@ -18,7 +18,6 @@ use athena_fhe::fbs::{fbs_apply, Lut};
 use athena_fhe::params::BfvParams;
 use athena_math::ntt::NttTables;
 use athena_math::sampler::Sampler;
-use athena_nn::models::ConvShape;
 use athena_nn::tensor::ITensor;
 
 fn bench_ntt(opts: &BenchOpts) {
@@ -40,15 +39,7 @@ fn bench_framework_steps(opts: &BenchOpts) {
     let t = ctx_engine.context().t();
 
     // Step 1: conv via one PMult (Table 3's Conv row).
-    let shape = ConvShape {
-        hw: 6,
-        c_in: 2,
-        c_out: 1,
-        k: 3,
-        stride: 1,
-        padding: 0,
-    };
-    let enc = ConvEncoder::new(shape, n);
+    let enc = ConvEncoder::new(2, 1, [6, 6], 3, n);
     let img = ITensor::from_vec(&[2, 6, 6], (0..72).map(|i| (i % 7) - 3).collect());
     let ker = ITensor::from_vec(&[1, 2, 3, 3], (0..18).map(|i| (i % 5) - 2).collect());
     let positions: Vec<usize> = (0..n).collect();

@@ -7,7 +7,11 @@
 //! `M̂·K̂` carries output `O[c',y,x] = Σ_{c,i,j} M[c,y+i,x+j]·K[c',c,i,j]`
 //! at coefficient `T − c'·C_in·HW + y·W + x`. One `PMult` therefore computes
 //! a whole multi-channel multi-kernel convolution with **zero rotations**
-//! (Table 3's `Conv` row).
+//! (Table 3's `Conv` row). `H` and `W` are the padded input's height and
+//! width and need not be equal: `W` is the row stride of `M̂`.
+//! [`ConvEncoder::try_new`] holds the one fit rule, `T + C_in·HW ≤ N`,
+//! which the plan compiler's validating walk also uses to choose each
+//! layer's output-channel group.
 //!
 //! When `C_out·C_in·HW > N` the layer is split into channel groups.
 //! *Cheetah* \[16\] packs input channels first, so each result ciphertext
@@ -214,46 +218,69 @@ pub fn cheetah_packing(shape: &ConvShape, n: usize) -> Packing {
     }
 }
 
-/// A fully specified single-group conv encoding: `co_per_ct` output channels
-/// and `ci_per_ct` input channels in one ciphertext pair.
-#[derive(Debug, Clone)]
+/// A fully specified single-group conv encoding: `c_out` output channels
+/// and `c_in` input channels of an `h × w` (already padded) input in one
+/// ciphertext pair. `w` is the row stride of `M̂`, so `h` and `w` may
+/// differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvEncoder {
-    /// Layer shape (with `c_in`/`c_out` replaced by the group sizes).
-    pub shape: ConvShape,
+    /// Input channels of the group.
+    pub c_in: usize,
+    /// Output channels of the group.
+    pub c_out: usize,
+    /// Input height `H`.
+    pub h: usize,
+    /// Input width `W`.
+    pub w: usize,
+    /// Kernel size `K`.
+    pub k: usize,
     /// Ring degree.
     pub n: usize,
 }
 
 impl ConvEncoder {
-    /// Creates an encoder for a channel group.
+    /// Creates an encoder for a channel group over an `[h, w]` input.
     ///
     /// # Panics
     ///
     /// Panics if the group does not fit the ring degree
     /// ([`ConvEncoder::try_new`] is the fallible form).
-    pub fn new(shape: ConvShape, n: usize) -> Self {
-        Self::try_new(shape, n).unwrap_or_else(|e| panic!("{e}"))
+    pub fn new(c_in: usize, c_out: usize, hw: [usize; 2], k: usize, n: usize) -> Self {
+        Self::try_new(c_in, c_out, hw, k, n).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`ConvEncoder::new`]: returns a typed error when the group
-    /// does not fit the ring degree.
-    pub fn try_new(shape: ConvShape, n: usize) -> Result<Self, EncodingError> {
-        let t_idx = Self::t_index(&shape);
-        let input_len = shape.c_in * shape.hw * shape.hw;
-        if t_idx + input_len > n {
+    /// Fallible [`ConvEncoder::new`]: Eq. 1's fit rule. The product
+    /// `M̂·K̂` reaches coefficient `T + C_in·H·W − 1`, which must stay below
+    /// `N` so no output wraps negacyclically.
+    pub fn try_new(
+        c_in: usize,
+        c_out: usize,
+        [h, w]: [usize; 2],
+        k: usize,
+        n: usize,
+    ) -> Result<Self, EncodingError> {
+        let enc = Self {
+            c_in,
+            c_out,
+            h,
+            w,
+            k,
+            n,
+        };
+        let input_len = c_in * h * w;
+        if enc.t_index() + input_len > n {
             return Err(EncodingError::GroupTooLarge {
-                t_index: t_idx,
+                t_index: enc.t_index(),
                 input_len,
                 n,
             });
         }
-        Ok(Self { shape, n })
+        Ok(enc)
     }
 
     /// `T` of Eq. 1.
-    fn t_index(shape: &ConvShape) -> usize {
-        let hw = shape.hw * shape.hw;
-        hw * (shape.c_out * shape.c_in - 1) + shape.hw * (shape.k - 1) + shape.k - 1
+    fn t_index(&self) -> usize {
+        self.h * self.w * (self.c_out * self.c_in - 1) + self.w * (self.k - 1) + self.k - 1
     }
 
     /// Encodes the input feature map `[C_in, H, W]` into polynomial
@@ -270,22 +297,16 @@ impl ConvEncoder {
     /// Fallible [`ConvEncoder::encode_input`]: returns a typed error on an
     /// input-shape mismatch.
     pub fn try_encode_input(&self, m: &ITensor) -> Result<Vec<i64>, EncodingError> {
-        let s = &self.shape;
-        if m.shape() != [s.c_in, s.hw, s.hw] {
+        let expected = [self.c_in, self.h, self.w];
+        if m.shape() != expected {
             return Err(EncodingError::InputShapeMismatch {
-                expected: [s.c_in, s.hw, s.hw],
+                expected,
                 got: m.shape().to_vec(),
             });
         }
-        let hw = s.hw * s.hw;
-        let mut out = vec![0i64; self.n];
-        for c in 0..s.c_in {
-            for h in 0..s.hw {
-                for w in 0..s.hw {
-                    out[c * hw + h * s.hw + w] = m.data()[(c * s.hw + h) * s.hw + w];
-                }
-            }
-        }
+        // `M̂[c·HW + h·W + w]` is the row-major order of `[C_in, H, W]`.
+        let mut out = m.data().to_vec();
+        out.resize(self.n, 0);
         Ok(out)
     }
 
@@ -302,22 +323,22 @@ impl ConvEncoder {
     /// Fallible [`ConvEncoder::encode_kernel`]: returns a typed error on a
     /// kernel-shape mismatch.
     pub fn try_encode_kernel(&self, k: &ITensor) -> Result<Vec<i64>, EncodingError> {
-        let s = &self.shape;
-        if k.shape() != [s.c_out, s.c_in, s.k, s.k] {
+        let expected = [self.c_out, self.c_in, self.k, self.k];
+        if k.shape() != expected {
             return Err(EncodingError::KernelShapeMismatch {
-                expected: [s.c_out, s.c_in, s.k, s.k],
+                expected,
                 got: k.shape().to_vec(),
             });
         }
-        let hw = s.hw * s.hw;
-        let t = Self::t_index(s);
+        let hw = self.h * self.w;
+        let t = self.t_index();
         let mut out = vec![0i64; self.n];
-        for co in 0..s.c_out {
-            for ci in 0..s.c_in {
-                for i in 0..s.k {
-                    for j in 0..s.k {
-                        let idx = t - co * s.c_in * hw - ci * hw - i * s.hw - j;
-                        out[idx] = k.data()[((co * s.c_in + ci) * s.k + i) * s.k + j];
+        for co in 0..self.c_out {
+            for ci in 0..self.c_in {
+                for i in 0..self.k {
+                    for j in 0..self.k {
+                        let idx = t - co * self.c_in * hw - ci * hw - i * self.w - j;
+                        out[idx] = k.data()[((co * self.c_in + ci) * self.k + i) * self.k + j];
                     }
                 }
             }
@@ -326,17 +347,10 @@ impl ConvEncoder {
     }
 
     /// Coefficient index of output `(c_out, y, x)` — valid for
-    /// `y, x ∈ [0, H − K]` (stride-1 positions; strided layers subsample).
+    /// `y ∈ [0, H − K]`, `x ∈ [0, W − K]` (stride-1 positions; strided
+    /// layers subsample).
     pub fn output_index(&self, c_out: usize, y: usize, x: usize) -> usize {
-        let s = &self.shape;
-        let hw = s.hw * s.hw;
-        Self::t_index(s) - c_out * s.c_in * hw + y * s.hw + x
-    }
-
-    /// Number of valid stride-1 output positions per channel
-    /// (`(H − K + 1)²` on the padded input).
-    pub fn valid_out_hw(&self) -> usize {
-        self.shape.hw - self.shape.k + 1
+        self.t_index() - c_out * self.c_in * self.h * self.w + y * self.w + x
     }
 
     /// Reference plaintext check: computes the negacyclic product of the two
@@ -364,12 +378,13 @@ impl ConvEncoder {
                 }
             }
         }
-        let o = self.valid_out_hw();
-        let mut out = ITensor::zeros(&[self.shape.c_out, o, o]);
-        for co in 0..self.shape.c_out {
-            for y in 0..o {
-                for x in 0..o {
-                    out.data_mut()[(co * o + y) * o + x] = prod[self.output_index(co, y, x)] as i64;
+        let (oh, ow) = (self.h - self.k + 1, self.w - self.k + 1);
+        let mut out = ITensor::zeros(&[self.c_out, oh, ow]);
+        for co in 0..self.c_out {
+            for y in 0..oh {
+                for x in 0..ow {
+                    out.data_mut()[(co * oh + y) * ow + x] =
+                        prod[self.output_index(co, y, x)] as i64;
                 }
             }
         }
@@ -382,11 +397,11 @@ impl ConvEncoder {
 pub fn direct_conv_valid(m: &ITensor, k: &ITensor) -> ITensor {
     let (c_in, h, w) = (m.shape()[0], m.shape()[1], m.shape()[2]);
     let (c_out, kk) = (k.shape()[0], k.shape()[2]);
-    let o = h - kk + 1;
-    let mut out = ITensor::zeros(&[c_out, o, o]);
+    let (oh, ow) = (h - kk + 1, w - kk + 1);
+    let mut out = ITensor::zeros(&[c_out, oh, ow]);
     for co in 0..c_out {
-        for y in 0..o {
-            for x in 0..o {
+        for y in 0..oh {
+            for x in 0..ow {
                 let mut acc = 0i64;
                 for ci in 0..c_in {
                     for i in 0..kk {
@@ -396,7 +411,7 @@ pub fn direct_conv_valid(m: &ITensor, k: &ITensor) -> ITensor {
                         }
                     }
                 }
-                out.data_mut()[(co * o + y) * o + x] = acc;
+                out.data_mut()[(co * oh + y) * ow + x] = acc;
             }
         }
     }
@@ -474,27 +489,21 @@ mod tests {
     #[test]
     fn encoding_computes_convolution() {
         let mut s = Sampler::from_seed(41);
-        for (c_in, c_out, hw, k) in [
-            (1usize, 1usize, 6usize, 3usize),
-            (2, 2, 5, 3),
-            (3, 4, 4, 2),
-            (2, 3, 4, 1),
+        for (c_in, c_out, h, w, k) in [
+            (1usize, 1usize, 6usize, 6usize, 3usize),
+            (2, 2, 5, 5, 3),
+            (3, 4, 4, 4, 2),
+            (2, 3, 4, 4, 1),
+            (2, 2, 4, 6, 3),
+            (1, 2, 7, 3, 2),
         ] {
-            let shape = ConvShape {
-                hw,
-                c_in,
-                c_out,
-                k,
-                stride: 1,
-                padding: 0,
-            };
-            let enc = ConvEncoder::new(shape, 1024);
-            let m = random_itensor(&[c_in, hw, hw], 7, &mut s);
+            let enc = ConvEncoder::new(c_in, c_out, [h, w], k, 1024);
+            let m = random_itensor(&[c_in, h, w], 7, &mut s);
             let kk = random_itensor(&[c_out, c_in, k, k], 7, &mut s);
             assert_eq!(
                 enc.conv_via_polynomial(&m, &kk),
                 direct_conv_valid(&m, &kk),
-                "shape {shape:?}"
+                "{enc:?}"
             );
         }
     }
@@ -548,15 +557,7 @@ mod tests {
     #[test]
     fn strided_outputs_are_subsampled_valid_positions() {
         // stride-2 layers read every other valid position.
-        let shape = ConvShape {
-            hw: 6,
-            c_in: 1,
-            c_out: 1,
-            k: 2,
-            stride: 2,
-            padding: 0,
-        };
-        let enc = ConvEncoder::new(ConvShape { stride: 1, ..shape }, 256);
+        let enc = ConvEncoder::new(1, 1, [6, 6], 2, 256);
         let mut s = Sampler::from_seed(42);
         let m = random_itensor(&[1, 6, 6], 5, &mut s);
         let k = random_itensor(&[1, 1, 2, 2], 5, &mut s);

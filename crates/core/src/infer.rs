@@ -12,42 +12,28 @@
 //! [`crate::plan::RunPolicy`].
 //!
 //! Layouts: every intermediate value is held as a coefficient-encoded BFV
-//! ciphertext whose layout was chosen for its *consumer* — conv consumers
+//! ciphertext whose layout was chosen for its *consumers* — conv consumers
 //! get the padded `M̂` layout of Eq. 1, pooling and FC consumers get flat
-//! order. Residual skips re-extract LWEs from the stored producer
-//! ciphertext, scale-align them, and add them into the consumer's
-//! accumulator at the LWE level (exact mod-`t` arithmetic).
+//! order. Feature maps may be non-square (`H ≠ W`). Residual skips
+//! re-extract LWEs from the stored producer ciphertext, scale-align them,
+//! and add them into the consumer's accumulator at the LWE level (exact
+//! mod-`t` arithmetic).
 //!
 //! This module targets the reduced test parameter sets; model shapes must
-//! fit a single input-channel group per ciphertext (the plan compiler
-//! rejects the rest). Full-scale models — whose layers exceed that limit,
-//! so no plan backend can run them — are measured through the
-//! model-walking simulator ([`crate::simulate::simulate_inference`]) and
-//! the accelerator cost model, as in the paper.
+//! fit a single input-channel group per ciphertext (the plan compiler's
+//! validating walk refuses the rest with a typed
+//! [`crate::plan::CompileError`]; [`run_encrypted`] panics on it).
+//! Full-scale models — whose layers exceed that limit, so no plan backend
+//! can run them — are measured through the model-walking simulator
+//! ([`crate::simulate::simulate_inference`]) and the accelerator cost
+//! model, as in the paper.
 
 use athena_math::sampler::Sampler;
 use athena_nn::qmodel::QModel;
 use athena_nn::tensor::ITensor;
 
-use crate::pipeline::{AthenaEngine, AthenaEvalKeys, AthenaSecrets, PipelineStats};
-use crate::plan;
-
-/// Result of an encrypted inference.
-#[derive(Debug)]
-pub struct EncryptedInference {
-    /// Decrypted float logits.
-    pub logits: Vec<f64>,
-    /// Operation statistics.
-    pub stats: PipelineStats,
-}
-
-impl EncryptedInference {
-    /// Predicted class ([`crate::util::argmax`] over the logits, the same
-    /// tie-breaking as the simulated and plain-Q paths).
-    pub fn predicted(&self) -> usize {
-        crate::util::argmax(&self.logits)
-    }
-}
+use crate::pipeline::{AthenaEngine, AthenaEvalKeys, AthenaSecrets};
+use crate::plan::{self, PlanRun};
 
 /// Runs a quantized model under FHE on one quantized input image.
 ///
@@ -62,13 +48,9 @@ pub fn run_encrypted(
     model: &QModel,
     input: &ITensor,
     sampler: &mut Sampler,
-) -> EncryptedInference {
+) -> PlanRun {
     let compiled = plan::compile(engine, model, input.shape());
-    let run = plan::execute(engine, secrets, keys, &compiled, input, sampler);
-    EncryptedInference {
-        logits: run.logits,
-        stats: run.stats,
-    }
+    plan::execute(engine, secrets, keys, &compiled, input, sampler)
 }
 
 #[cfg(test)]

@@ -642,16 +642,7 @@ mod tests {
         let mut f = setup();
         let eng = &f.engine;
         use crate::encoding::ConvEncoder;
-        use athena_nn::models::ConvShape;
-        let shape = ConvShape {
-            hw: 4,
-            c_in: 1,
-            c_out: 1,
-            k: 2,
-            stride: 1,
-            padding: 0,
-        };
-        let enc = ConvEncoder::new(shape, eng.context().n());
+        let enc = ConvEncoder::new(1, 1, [4, 4], 2, eng.context().n());
         let img: Vec<i64> = (0..16).map(|i| (i % 7) - 3).collect();
         let kernel: Vec<i64> = vec![2, -1, 3, 1];
         let m = athena_nn::tensor::ITensor::from_vec(&[1, 4, 4], img.clone());

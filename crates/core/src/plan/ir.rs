@@ -4,13 +4,12 @@
 use athena_fhe::fbs::Lut;
 use athena_fhe::noise::{NoiseModel, StepDepths};
 use athena_math::sampler::Sampler;
-use athena_nn::models::ConvShape;
 use athena_nn::qmodel::{QLinear, QModel, QOp, QuantConfig};
 use athena_nn::tensor::ITensor;
 
 use std::fmt;
 
-use crate::encoding::{ConvEncoder, EncodingError};
+use crate::encoding::ConvEncoder;
 use crate::pipeline::{AthenaEngine, AthenaEvalKeys, AthenaSecrets, PackingMethod};
 use crate::trace::{LayerTrace, ModelTrace, OpCounts, Phase, TraceParams};
 
@@ -44,13 +43,6 @@ pub enum CompileError {
         node: usize,
         /// The out-of-range value index.
         value: usize,
-    },
-    /// A coefficient encoding rejected the layer.
-    Encoding {
-        /// Offending node index.
-        node: usize,
-        /// The underlying encoding failure.
-        source: EncodingError,
     },
     /// The layer does not fit the ring degree even with one output
     /// channel per group.
@@ -90,7 +82,7 @@ pub enum CompileError {
         /// Padded input extent the kernel must fit.
         extent: usize,
     },
-    /// A stride or pool kernel of zero.
+    /// A stride, pool kernel, or linear layer channel count of zero.
     ZeroDim {
         /// Offending node index.
         node: usize,
@@ -115,8 +107,7 @@ pub enum CompileError {
     },
     /// A value is consumed under conflicting layouts: every linear/pool
     /// consumer of one stored value must demand the same padding (the
-    /// value is packed into coefficient slots exactly once, for its
-    /// first consumer).
+    /// value is packed into coefficient slots exactly once).
     LayoutConflict {
         /// The multiply-consumed value index.
         value: usize,
@@ -148,7 +139,6 @@ impl fmt::Display for CompileError {
             CompileError::BadReference { node, value } => {
                 write!(f, "node {node}: reads value {value} which is not yet produced")
             }
-            CompileError::Encoding { node, source } => write!(f, "node {node}: {source}"),
             CompileError::LayerTooLarge { node, n } => write!(
                 f,
                 "node {node}: layer does not fit ring degree {n} even with one output channel"
@@ -171,7 +161,7 @@ impl fmt::Display for CompileError {
                 "node {node}: kernel {k} exceeds padded input extent {extent}"
             ),
             CompileError::ZeroDim { node } => {
-                write!(f, "node {node}: stride / pool kernel must be nonzero")
+                write!(f, "node {node}: stride, pool kernel and channel counts must be nonzero")
             }
             CompileError::PoolEmptyOutput { node, k, h } => {
                 write!(f, "node {node}: pool k={k} over extent {h} yields an empty output")
@@ -191,77 +181,7 @@ impl fmt::Display for CompileError {
     }
 }
 
-impl std::error::Error for CompileError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CompileError::Encoding { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
-
-/// The layout a consumer wants its input packed into.
-#[derive(Debug, Clone)]
-pub(crate) struct ConsumerLayout {
-    /// For each slot `s`, which flat activation index goes there (None =
-    /// trivial zero / padding).
-    pub slot_of: Vec<Option<usize>>,
-    /// `positions[i]` = slot (= coefficient after S2C) of flat activation
-    /// `i`.
-    pub positions: Vec<usize>,
-}
-
-pub(crate) fn flat_layout(len: usize, n: usize) -> ConsumerLayout {
-    assert!(len <= n, "value of {len} activations exceeds {n} slots");
-    let mut slot_of = vec![None; n];
-    for (i, s) in slot_of.iter_mut().take(len).enumerate() {
-        *s = Some(i);
-    }
-    ConsumerLayout {
-        slot_of,
-        positions: (0..len).collect(),
-    }
-}
-
-/// Padded `M̂` layout for a conv consumer: activation `(c,h,w)` of the
-/// unpadded tensor goes to slot `c·H'W' + (h+p)·W' + (w+p)`.
-pub(crate) fn conv_layout(shape: &[usize], padding: usize, n: usize) -> ConsumerLayout {
-    let (c, h, w) = (shape[0], shape[1], shape[2]);
-    let (hp, wp) = (h + 2 * padding, w + 2 * padding);
-    assert!(c * hp * wp <= n, "padded input does not fit the ring");
-    let mut slot_of = vec![None; n];
-    let mut positions = vec![0usize; c * h * w];
-    for ci in 0..c {
-        for y in 0..h {
-            for x in 0..w {
-                let flat = (ci * h + y) * w + x;
-                let slot = ci * hp * wp + (y + padding) * wp + (x + padding);
-                slot_of[slot] = Some(flat);
-                positions[flat] = slot;
-            }
-        }
-    }
-    ConsumerLayout { slot_of, positions }
-}
-
-/// Layout for the consumer of value `value_idx` (first node reading it):
-/// conv consumers get the padded `M̂` layout of Eq. 1, everything else flat.
-pub(crate) fn consumer_layout(
-    model: &QModel,
-    value_idx: usize,
-    shape: &[usize],
-    n: usize,
-) -> ConsumerLayout {
-    for node in &model.nodes {
-        if node.input == value_idx {
-            return match &node.op {
-                QOp::Linear(l) if !l.is_fc => conv_layout(shape, l.padding, n),
-                _ => flat_layout(shape.iter().product(), n),
-            };
-        }
-    }
-    flat_layout(shape.iter().product(), n)
-}
+impl std::error::Error for CompileError {}
 
 /// One typed step of the plan.
 #[derive(Debug, Clone)]
@@ -343,10 +263,6 @@ pub enum StepOp {
     S2C {
         /// Output value index.
         value: usize,
-        /// Coefficient positions of the stored value (for its consumers).
-        positions: Vec<usize>,
-        /// Logical shape of the stored value.
-        shape: Vec<usize>,
     },
     /// Client-side decryption of the accumulator and dequantization by
     /// `scale`.
@@ -403,6 +319,19 @@ pub struct PlanStep {
     /// constraint). Probed runs ([`super::RunPolicy::probe`]) pin
     /// `charge ≥ measured consumption` per step.
     pub noise_bits: u32,
+}
+
+impl PlanStep {
+    /// A step whose analytic counts [`try_compile`] backfills once the
+    /// plan is complete.
+    fn new(phase: Phase, noise_bits: u32, op: StepOp) -> Self {
+        Self {
+            op,
+            phase,
+            analytic: OpCounts::default(),
+            noise_bits,
+        }
+    }
 }
 
 /// All steps of one model node.
@@ -557,135 +486,68 @@ fn fbs_runtime_charge(t: u64, mask: bool, nm: &NoiseModel, ks_slack: u32) -> u32
         + ks_slack
 }
 
-/// One output-channel group of a linear layer, fully resolved.
-struct LinearGroupPlan {
-    kernel: Vec<i64>,
-    bias: Vec<(usize, i64)>,
-    positions: Vec<usize>,
+/// A stored value's geometry, as [`validate_model`] works it out.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ValueGeometry {
+    /// Logical shape `[c, h, w]`.
+    pub shape: [usize; 3],
+    /// Zero padding, on each side, of the layout the value is stored in:
+    /// its conv consumers' padding; 0 when FC or pooling reads it, or
+    /// nothing does.
+    pub padding: usize,
 }
 
-/// Splits a linear layer into output-channel groups that fit the ring and
-/// resolves each group's encoded kernel, bias placement, and output
-/// positions (the planner half of the old `run_linear_accumulate`).
-/// `node` only labels errors.
-fn plan_linear_groups(
-    node: usize,
-    n: usize,
-    in_shape: &[usize],
-    in_len: usize,
-    l: &QLinear,
-) -> Result<(Vec<LinearGroupPlan>, Vec<usize>), CompileError> {
-    let (c_out, c_in, k) = (
-        l.weight.shape()[0],
-        l.weight.shape()[1],
-        l.weight.shape()[2],
-    );
-    // Effective input spatial dims (padded for conv; 1×1 for FC). The
-    // shape-level constraints (channel/bias/kernel fit, nonzero stride)
-    // were checked by `validate_model` before planning started.
-    let (hp, wp) = if l.is_fc {
-        (1usize, 1usize)
-    } else {
-        (in_shape[1] + 2 * l.padding, in_shape[2] + 2 * l.padding)
-    };
-    let eff_cin = if l.is_fc { in_len } else { c_in };
-    debug_assert_eq!(
-        if l.is_fc { eff_cin } else { c_in },
-        if l.is_fc { c_in } else { in_shape[0] },
-        "input channel mismatch"
-    );
-    // Choose output-channel group size that fits.
-    let hw = hp * wp;
-    let mut co_g = c_out;
-    loop {
-        let t_idx = hw * (co_g * eff_cin - 1) + wp * (k - 1) + k - 1;
-        if t_idx + eff_cin * hw <= n {
-            break;
-        }
-        if co_g == 1 {
-            return Err(CompileError::LayerTooLarge { node, n });
-        }
-        co_g = co_g.div_ceil(2);
+impl ValueGeometry {
+    /// Coefficient position of each flat activation in the padded `M̂`
+    /// layout of Eq. 1: `(c, y, x)` goes to `c·H'W' + (y+p)·W' + (x+p)`.
+    /// Padding 0 is the flat order.
+    fn positions(&self) -> Vec<usize> {
+        let ([c, h, w], p) = (self.shape, self.padding);
+        let (hp, wp) = (h + 2 * p, w + 2 * p);
+        (0..c)
+            .flat_map(|ci| {
+                (0..h).flat_map(move |y| (0..w).map(move |x| ci * hp * wp + (y + p) * wp + x + p))
+            })
+            .collect()
     }
-    let groups = c_out.div_ceil(co_g);
-    let valid = hp - k + 1;
-    let out_hw = if l.is_fc {
-        1
-    } else {
-        (in_shape[1] + 2 * l.padding - k) / l.stride + 1
-    };
-    let mut out = Vec::with_capacity(groups);
-    for g in 0..groups {
-        let co_lo = g * co_g;
-        let co_hi = ((g + 1) * co_g).min(c_out);
-        let g_cout = co_hi - co_lo;
-        let shape = ConvShape {
-            hw: hp,
-            c_in: eff_cin,
-            c_out: g_cout,
-            k,
-            stride: 1,
-            padding: 0,
-        };
-        let enc = ConvEncoder::try_new(shape, n)
-            .map_err(|source| CompileError::Encoding { node, source })?;
-        let per = eff_cin * k * k;
-        let kw = ITensor::from_vec(
-            &[g_cout, eff_cin, k, k],
-            l.weight.data()[co_lo * per..co_hi * per].to_vec(),
-        );
-        let mut bias = Vec::new();
-        let mut positions = Vec::new();
-        for co in 0..g_cout {
-            for oy in 0..out_hw {
-                for ox in 0..out_hw {
-                    let (y, x) = (oy * l.stride, ox * l.stride);
-                    debug_assert!(y < valid && x < valid);
-                    let pos = enc.output_index(co, y, x);
-                    positions.push(pos);
-                    let b = l.bias[co_lo + co];
-                    if b != 0 {
-                        bias.push((pos, b));
-                    }
-                }
-            }
-        }
-        out.push(LinearGroupPlan {
-            kernel: enc
-                .try_encode_kernel(&kw)
-                .map_err(|source| CompileError::Encoding { node, source })?,
-            bias,
-            positions,
-        });
-    }
-    Ok((out, vec![c_out, out_hw, out_hw]))
+}
+
+/// What the one validating walk over a model works out.
+pub(crate) struct ModelGeometry {
+    /// Per value: index 0 is the input, `i + 1` the output of node `i`.
+    pub values: Vec<ValueGeometry>,
+    /// Per node: for a linear node, the encoder of its largest
+    /// output-channel group that fits the ring (an FC layer reads a `1×1`
+    /// input of `C·H·W` channels); `None` for pooling.
+    pub groups: Vec<Option<ConvEncoder>>,
 }
 
 /// Shape-level validation of a model against a ring degree: walks the
-/// dataflow once (no encoding work), inferring every value's shape and
-/// rejecting anything the planner or the executor would otherwise panic
-/// on. Also enforces the one-layout-per-value rule: every linear/pool
-/// consumer of a stored value must demand the same padding, because the
-/// value is packed into coefficient slots exactly once (for its first
-/// consumer).
+/// dataflow once (no encoding work), working out every value's shape and
+/// layout and every linear node's output-channel group, and rejecting
+/// anything the planner or the executor would otherwise panic on. Also
+/// enforces the one-layout-per-value rule: every linear/pool consumer of a
+/// stored value must demand the same padding, because the value is packed
+/// into coefficient slots exactly once.
 pub(crate) fn validate_model(
     model: &QModel,
     input_shape: &[usize],
     n: usize,
-) -> Result<Vec<Vec<usize>>, CompileError> {
+) -> Result<ModelGeometry, CompileError> {
     if model.nodes.is_empty() {
         return Err(CompileError::EmptyModel);
     }
-    if input_shape.len() != 3 {
+    let &[c0, h0, w0] = input_shape else {
         return Err(CompileError::BadInputShape {
             shape: input_shape.to_vec(),
         });
-    }
+    };
     let last = model.nodes.len() - 1;
     if !matches!(model.nodes[last].op, QOp::Linear(_)) {
         return Err(CompileError::PoolingFinal { node: last });
     }
-    let mut shapes: Vec<Vec<usize>> = vec![input_shape.to_vec()];
+    let mut shapes = vec![[c0, h0, w0]];
+    let mut groups = Vec::with_capacity(model.nodes.len());
     for (ni, node) in model.nodes.iter().enumerate() {
         if node.input > ni {
             return Err(CompileError::BadReference {
@@ -693,15 +555,15 @@ pub(crate) fn validate_model(
                 value: node.input,
             });
         }
-        let in_shape = shapes[node.input].clone();
-        let out_shape: Vec<usize> = match &node.op {
+        let [c, h, w] = shapes[node.input];
+        let (out_shape, group) = match &node.op {
             QOp::Linear(l) => {
                 let (c_out, c_in, k) = (
                     l.weight.shape()[0],
                     l.weight.shape()[1],
                     l.weight.shape()[2],
                 );
-                if l.stride == 0 {
+                if l.stride == 0 || c_out == 0 || c_in == 0 {
                     return Err(CompileError::ZeroDim { node: ni });
                 }
                 if l.bias.len() != c_out {
@@ -711,62 +573,48 @@ pub(crate) fn validate_model(
                         got: l.bias.len(),
                     });
                 }
-                if l.is_fc {
-                    let in_len: usize = in_shape.iter().product();
-                    if c_in != in_len {
-                        return Err(CompileError::ChannelMismatch {
-                            node: ni,
-                            expected: c_in,
-                            got: in_len,
-                        });
-                    }
-                    if k != 1 {
-                        return Err(CompileError::KernelExceedsInput {
-                            node: ni,
-                            k,
-                            extent: 1,
-                        });
-                    }
-                    // Single-output-channel group fit (the planner's co_g=1
-                    // floor): 2·in_len − 1 coefficients.
-                    if 2 * in_len - 1 > n {
-                        return Err(CompileError::LayerTooLarge { node: ni, n });
-                    }
-                    vec![c_out, 1, 1]
+                let (got, extent) = if l.is_fc {
+                    (c * h * w, 1)
                 } else {
-                    if c_in != in_shape[0] {
-                        return Err(CompileError::ChannelMismatch {
-                            node: ni,
-                            expected: c_in,
-                            got: in_shape[0],
-                        });
-                    }
-                    let extent = in_shape[1].min(in_shape[2]) + 2 * l.padding;
-                    if k == 0 || k > extent {
-                        return Err(CompileError::KernelExceedsInput {
-                            node: ni,
-                            k,
-                            extent,
-                        });
-                    }
-                    // Single-output-channel group fit (the planner's co_g=1
-                    // floor): the tail kernel tap plus one input copy.
-                    let (hp, wp) = (in_shape[1] + 2 * l.padding, in_shape[2] + 2 * l.padding);
-                    let hw = hp * wp;
-                    let t_idx = hw * (c_in - 1) + wp * (k - 1) + k - 1;
-                    if t_idx + c_in * hw > n {
-                        return Err(CompileError::LayerTooLarge { node: ni, n });
-                    }
-                    let oh = (in_shape[1] + 2 * l.padding - k) / l.stride + 1;
-                    let ow = (in_shape[2] + 2 * l.padding - k) / l.stride + 1;
-                    vec![c_out, oh, ow]
+                    (c, h.min(w) + 2 * l.padding)
+                };
+                if c_in != got {
+                    return Err(CompileError::ChannelMismatch {
+                        node: ni,
+                        expected: c_in,
+                        got,
+                    });
                 }
+                if k == 0 || k > extent {
+                    return Err(CompileError::KernelExceedsInput {
+                        node: ni,
+                        k,
+                        extent,
+                    });
+                }
+                let (padded, out_shape) = if l.is_fc {
+                    ([1, 1], [c_out, 1, 1])
+                } else {
+                    let (hp, wp) = (h + 2 * l.padding, w + 2 * l.padding);
+                    let out = [c_out, (hp - k) / l.stride + 1, (wp - k) / l.stride + 1];
+                    ([hp, wp], out)
+                };
+                // The largest output-channel group that fits, halving from
+                // all of them.
+                let mut co_g = c_out;
+                let enc = loop {
+                    match ConvEncoder::try_new(c_in, co_g, padded, k, n) {
+                        Ok(enc) => break enc,
+                        Err(_) if co_g > 1 => co_g = co_g.div_ceil(2),
+                        Err(_) => return Err(CompileError::LayerTooLarge { node: ni, n }),
+                    }
+                };
+                (out_shape, Some(enc))
             }
             QOp::MaxPool { k } | QOp::AvgPool { k } => {
                 if *k == 0 {
                     return Err(CompileError::ZeroDim { node: ni });
                 }
-                let (c, h, w) = (in_shape[0], in_shape[1], in_shape[2]);
                 if h / k == 0 || w / k == 0 {
                     return Err(CompileError::PoolEmptyOutput {
                         node: ni,
@@ -774,7 +622,7 @@ pub(crate) fn validate_model(
                         h: h.min(w),
                     });
                 }
-                vec![c, h / k, w / k]
+                ([c, h / k, w / k], None)
             }
         };
         if let Some((skip_idx, _)) = node.skip {
@@ -795,12 +643,14 @@ pub(crate) fn validate_model(
             }
         }
         shapes.push(out_shape);
+        groups.push(group);
     }
     // One layout per stored value: collect the padding every linear/pool
     // consumer demands (FC and pooling read the flat layout, which equals
     // a conv layout of padding 0) and reject conflicts. Residual skips
     // read by stored positions, so they are layout-agnostic.
-    for (value, s) in shapes.iter().enumerate() {
+    let mut values = Vec::with_capacity(shapes.len());
+    for (value, shape) in shapes.into_iter().enumerate() {
         let mut paddings: Vec<usize> = Vec::new();
         for node in &model.nodes {
             if node.input != value {
@@ -818,22 +668,57 @@ pub(crate) fn validate_model(
             return Err(CompileError::LayoutConflict { value, paddings });
         }
         let p = paddings.first().copied().unwrap_or(0);
-        let len = s[0] * (s[1] + 2 * p) * (s[2] + 2 * p);
+        let len = shape[0] * (shape[1] + 2 * p) * (shape[2] + 2 * p);
         if len > n {
             return Err(CompileError::ValueTooLarge { value, len, n });
         }
+        values.push(ValueGeometry { shape, padding: p });
     }
-    Ok(shapes)
+    Ok(ModelGeometry { values, groups })
+}
+
+/// Encodes output channels `co_lo..co_lo + enc.c_out` of `l` as one
+/// group: the kernel polynomial, the bias at every output coefficient it
+/// lands on, and the coefficient of each of the group's `[oh, ow]`
+/// (strided) outputs, in flat order.
+fn encode_group(
+    l: &QLinear,
+    enc: &ConvEncoder,
+    co_lo: usize,
+    [oh, ow]: [usize; 2],
+) -> (Vec<i64>, Vec<(usize, i64)>, Vec<usize>) {
+    let per = enc.c_in * enc.k * enc.k;
+    let kw = ITensor::from_vec(
+        &[enc.c_out, enc.c_in, enc.k, enc.k],
+        l.weight.data()[co_lo * per..(co_lo + enc.c_out) * per].to_vec(),
+    );
+    let mut bias = Vec::new();
+    let mut positions = Vec::with_capacity(enc.c_out * oh * ow);
+    for co in 0..enc.c_out {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let pos = enc.output_index(co, oy * l.stride, ox * l.stride);
+                positions.push(pos);
+                let b = l.bias[co_lo + co];
+                if b != 0 {
+                    bias.push((pos, b));
+                }
+            }
+        }
+    }
+    (enc.encode_kernel(&kw), bias, positions)
 }
 
 /// Compiles a quantized model into an [`ExecutionPlan`] for an engine.
 ///
-/// The structural pass below resolves layouts, group splits, LUTs, key
-/// requirements, and per-step noise charges; the per-step *analytic op
-/// counts* are then backfilled by dry-running the finished plan through
-/// [`super::CountingBackend`] — the same `run_step` interpreter the
-/// executor walks, so the analytic accounting cannot drift from the
-/// execution semantics.
+/// One validating walk works out every value's shape and layout and every
+/// linear node's group split, refusing the model before any encoding
+/// work; compilation only reads them to encode kernels, place biases,
+/// materialize LUTs, and charge noise per step. The
+/// per-step *analytic op counts* are then backfilled by dry-running the
+/// finished plan through [`super::CountingBackend`] — the same `run_step`
+/// interpreter the executor walks, so the analytic accounting cannot drift
+/// from the execution semantics.
 ///
 /// # Panics
 ///
@@ -855,7 +740,7 @@ pub fn try_compile(
     let n = ctx.n();
     let t = ctx.t();
     let a_max = model.cfg.a_max();
-    validate_model(model, input_shape, n)?;
+    let geo = validate_model(model, input_shape, n)?;
 
     // The Table-4 noise model at this engine's parameters, and the charges
     // of the two fixed-shape tail steps. The S2C fan-in is the single-stage
@@ -881,187 +766,116 @@ pub fn try_compile(
         .noise_bits(&nm)
         + ks_slack;
 
-    struct PlannedValue {
-        positions: Vec<usize>,
-        shape: Vec<usize>,
-    }
-    let in_layout = consumer_layout(model, 0, input_shape, n);
-    let mut values: Vec<Option<PlannedValue>> = vec![Some(PlannedValue {
-        positions: in_layout.positions.clone(),
-        shape: input_shape.to_vec(),
-    })];
-
+    let positions: Vec<Vec<usize>> = geo.values.iter().map(ValueGeometry::positions).collect();
     let mut layers = Vec::with_capacity(model.nodes.len());
 
     for (ni, node) in model.nodes.iter().enumerate() {
         let is_last = ni == model.nodes.len() - 1;
-        let sv = values[node.input].as_ref().expect("producer planned");
-        let (sv_positions, sv_shape) = (sv.positions.clone(), sv.shape.clone());
         let mut steps: Vec<PlanStep> = Vec::new();
-        let out_shape: Vec<usize> = match &node.op {
+        match &node.op {
             QOp::Linear(l) => {
+                let enc = geo.groups[ni].expect("linear node has a group encoder");
                 // Structural accumulation fan-in of the step: all of
                 // `C_in·k²` taps (the paper's production row charges the
                 // channel fan-in only; counting the spatial taps too is
                 // strictly more conservative).
-                let k = l.weight.shape()[2];
-                let eff_cin = if l.is_fc {
-                    sv_positions.len()
-                } else {
-                    l.weight.shape()[1]
-                };
-                let fan_in = (eff_cin * k * k).max(1) as u64;
-                let (groups, out_shape) =
-                    plan_linear_groups(ni, n, &sv_shape, sv_positions.len(), l)?;
-                for g in groups {
-                    let has_bias = !g.bias.is_empty();
-                    steps.push(PlanStep {
-                        phase: Phase::Linear,
-                        analytic: OpCounts::default(),
-                        noise_bits: StepDepths::linear(fan_in)
-                            .with_hadd(u32::from(has_bias))
-                            .noise_bits(&nm),
-                        op: StepOp::Linear {
-                            value: node.input,
-                            kernel: g.kernel,
-                            bias: g.bias,
-                        },
-                    });
-                    steps.push(PlanStep {
-                        phase: Phase::Conversion,
-                        analytic: OpCounts::default(),
-                        noise_bits: 0,
-                        op: StepOp::ModSwitch { value: None },
-                    });
-                    steps.push(PlanStep {
-                        phase: Phase::Conversion,
-                        analytic: OpCounts::default(),
-                        noise_bits: 0,
-                        op: StepOp::ExtractLwes {
-                            positions: g.positions,
-                        },
-                    });
-                    steps.push(PlanStep {
-                        phase: Phase::Conversion,
-                        analytic: OpCounts::default(),
-                        noise_bits: 0,
-                        op: StepOp::DimSwitch {
-                            drop_to_t: !is_last,
-                        },
-                    });
+                let fan_in = (enc.c_in * enc.k * enc.k).max(1) as u64;
+                let [c_out, oh, ow] = geo.values[ni + 1].shape;
+                for co_lo in (0..c_out).step_by(enc.c_out) {
+                    let group = ConvEncoder {
+                        c_out: enc.c_out.min(c_out - co_lo),
+                        ..enc
+                    };
+                    let (kernel, bias, out_positions) = encode_group(l, &group, co_lo, [oh, ow]);
+                    let noise_bits = StepDepths::linear(fan_in)
+                        .with_hadd(u32::from(!bias.is_empty()))
+                        .noise_bits(&nm);
+                    steps.extend([
+                        PlanStep::new(
+                            Phase::Linear,
+                            noise_bits,
+                            StepOp::Linear {
+                                value: node.input,
+                                kernel,
+                                bias,
+                            },
+                        ),
+                        PlanStep::new(Phase::Conversion, 0, StepOp::ModSwitch { value: None }),
+                        PlanStep::new(
+                            Phase::Conversion,
+                            0,
+                            StepOp::ExtractLwes {
+                                positions: out_positions,
+                            },
+                        ),
+                        PlanStep::new(
+                            Phase::Conversion,
+                            0,
+                            StepOp::DimSwitch {
+                                drop_to_t: !is_last,
+                            },
+                        ),
+                    ]);
                 }
-                if let Some((skip_idx, mult)) = node.skip {
-                    let skip = values[skip_idx].as_ref().expect("skip planned");
-                    steps.push(PlanStep {
-                        phase: Phase::Conversion,
-                        analytic: OpCounts::default(),
-                        noise_bits: 0,
-                        op: StepOp::ResidualAdd {
-                            skip: skip_idx,
-                            positions: skip.positions.clone(),
+                if let Some((skip, mult)) = node.skip {
+                    steps.push(PlanStep::new(
+                        Phase::Conversion,
+                        0,
+                        StepOp::ResidualAdd {
+                            skip,
+                            positions: positions[skip].clone(),
                             mult,
                             drop_to_t: !is_last,
                         },
-                    });
+                    ));
                 }
-                out_shape
             }
-            QOp::MaxPool { k } => {
-                let (c, h, w) = (sv_shape[0], sv_shape[1], sv_shape[2]);
-                steps.push(PlanStep {
-                    phase: Phase::Conversion,
-                    analytic: OpCounts::default(),
-                    noise_bits: 0,
-                    op: StepOp::ModSwitch {
-                        value: Some(node.input),
-                    },
-                });
-                steps.push(PlanStep {
-                    phase: Phase::Conversion,
-                    analytic: OpCounts::default(),
-                    noise_bits: 0,
-                    op: StepOp::ExtractLwes {
-                        positions: sv_positions.clone(),
-                    },
-                });
-                steps.push(PlanStep {
-                    phase: Phase::Conversion,
-                    analytic: OpCounts::default(),
-                    noise_bits: 0,
-                    op: StepOp::DimSwitch { drop_to_t: true },
-                });
-                steps.push(PlanStep {
-                    phase: Phase::Pooling,
-                    analytic: OpCounts::default(),
+            QOp::MaxPool { k } | QOp::AvgPool { k } => {
+                let (k, shape) = (*k, geo.values[node.input].shape);
+                steps.extend([
+                    PlanStep::new(
+                        Phase::Conversion,
+                        0,
+                        StepOp::ModSwitch {
+                            value: Some(node.input),
+                        },
+                    ),
+                    PlanStep::new(
+                        Phase::Conversion,
+                        0,
+                        StepOp::ExtractLwes {
+                            positions: positions[node.input].clone(),
+                        },
+                    ),
+                    PlanStep::new(Phase::Conversion, 0, StepOp::DimSwitch { drop_to_t: true }),
+                ]);
+                steps.push(match node.op {
                     // Each inner round runs a full pack → FBS(ReLU) → S2C
                     // chain that restarts from fresh packing noise, so the
                     // composite's charge is one round's chain total.
-                    noise_bits: pack_charge
-                        + fbs_runtime_charge(t, false, &nm, ks_slack)
-                        + s2c_charge,
-                    op: StepOp::MaxReduce {
-                        k: *k,
-                        shape: [c, h, w],
-                    },
+                    QOp::MaxPool { .. } => PlanStep::new(
+                        Phase::Pooling,
+                        pack_charge + fbs_runtime_charge(t, false, &nm, ks_slack) + s2c_charge,
+                        StepOp::MaxReduce { k, shape },
+                    ),
+                    _ => PlanStep::new(Phase::Pooling, 0, StepOp::AvgReduce { k, shape }),
                 });
-                vec![c, h / k, w / k]
             }
-            QOp::AvgPool { k } => {
-                let (c, h, w) = (sv_shape[0], sv_shape[1], sv_shape[2]);
-                steps.push(PlanStep {
-                    phase: Phase::Conversion,
-                    analytic: OpCounts::default(),
-                    noise_bits: 0,
-                    op: StepOp::ModSwitch {
-                        value: Some(node.input),
-                    },
-                });
-                steps.push(PlanStep {
-                    phase: Phase::Conversion,
-                    analytic: OpCounts::default(),
-                    noise_bits: 0,
-                    op: StepOp::ExtractLwes {
-                        positions: sv_positions.clone(),
-                    },
-                });
-                steps.push(PlanStep {
-                    phase: Phase::Conversion,
-                    analytic: OpCounts::default(),
-                    noise_bits: 0,
-                    op: StepOp::DimSwitch { drop_to_t: true },
-                });
-                steps.push(PlanStep {
-                    phase: Phase::Pooling,
-                    analytic: OpCounts::default(),
-                    noise_bits: 0,
-                    op: StepOp::AvgReduce {
-                        k: *k,
-                        shape: [c, h, w],
-                    },
-                });
-                vec![c, h / k, w / k]
-            }
-        };
+        }
 
         if is_last {
             let scale = match &node.op {
                 QOp::Linear(l) => l.in_scale * l.w_scale,
                 _ => 1.0,
             };
-            steps.push(PlanStep {
-                phase: Phase::Linear,
-                analytic: OpCounts::default(),
-                noise_bits: 0,
-                op: StepOp::Output { scale },
-            });
-            values.push(None);
+            steps.push(PlanStep::new(Phase::Linear, 0, StepOp::Output { scale }));
             layers.push(PlanLayer { node: ni, steps });
             continue;
         }
 
-        // The five-step tail: pack into the consumer's layout, bootstrap
-        // through the fused remap LUT, and bridge back to coefficients.
-        let layout = consumer_layout(model, ni + 1, &out_shape, n);
+        // The five-step tail: pack into the stored value's layout,
+        // bootstrap through the fused remap LUT, and bridge back to
+        // coefficients.
         let lut = match &node.op {
             QOp::Linear(l) => {
                 let lc = l.clone();
@@ -1075,39 +889,24 @@ pub fn try_compile(
             }
             QOp::MaxPool { .. } => Lut::from_signed_fn(t, |v| v),
         };
-        steps.push(PlanStep {
-            phase: Phase::Conversion,
-            analytic: OpCounts::default(),
-            noise_bits: pack_charge,
-            op: StepOp::Pack {
-                slot_of: layout.slot_of.clone(),
-            },
-        });
-        let needs_mask = lut.get(0) != 0 && layout.slot_of.iter().any(|s| s.is_none());
+        let mut slot_of = vec![None; n];
+        for (flat, &pos) in positions[ni + 1].iter().enumerate() {
+            slot_of[pos] = Some(flat);
+        }
+        let needs_mask = lut.get(0) != 0 && slot_of.iter().any(Option::is_none);
         let fbs_phase = match &node.op {
             QOp::Linear(_) => Phase::Activation,
             _ => Phase::Pooling,
         };
-        steps.push(PlanStep {
-            phase: fbs_phase,
-            analytic: OpCounts::default(),
-            noise_bits: fbs_runtime_charge(t, needs_mask, &nm, ks_slack),
-            op: StepOp::Fbs { lut },
-        });
-        steps.push(PlanStep {
-            phase: Phase::Conversion,
-            analytic: OpCounts::default(),
-            noise_bits: s2c_charge,
-            op: StepOp::S2C {
-                value: ni + 1,
-                positions: layout.positions.clone(),
-                shape: out_shape.clone(),
-            },
-        });
-        values.push(Some(PlannedValue {
-            positions: layout.positions,
-            shape: out_shape,
-        }));
+        steps.extend([
+            PlanStep::new(Phase::Conversion, pack_charge, StepOp::Pack { slot_of }),
+            PlanStep::new(
+                fbs_phase,
+                fbs_runtime_charge(t, needs_mask, &nm, ks_slack),
+                StepOp::Fbs { lut },
+            ),
+            PlanStep::new(Phase::Conversion, s2c_charge, StepOp::S2C { value: ni + 1 }),
+        ]);
         layers.push(PlanLayer { node: ni, steps });
     }
 
@@ -1133,7 +932,7 @@ pub fn try_compile(
         lwe_n: ctx.params().lwe_n,
         limbs: ctx.params().q_primes.len(),
         packing: engine.packing_method(),
-        input_positions: in_layout.positions,
+        input_positions: positions[0].clone(),
         input_shape: input_shape.to_vec(),
         layers,
         keys,

@@ -2,10 +2,14 @@
 //! [`athena_nn::qmodel::QModel`] ahead of any ciphertext work.
 //!
 //! The planner ([`compile`]) resolves everything that is static for a
-//! (model, engine) pair up front — consumer layouts, output-channel group
-//! splits, encoded kernels and bias positions, materialized remap LUTs,
-//! Galois-element and key requirements, and per-step *analytic* operation
-//! counts. Execution is one generic interpreter (`exec::run_step`) under
+//! (model, engine) pair up front. One validating walk over the model
+//! works out the geometry: every value's `[c, h, w]` shape (inputs need
+//! not be square) and the padded layout its consumers read it in, and
+//! every linear node's output-channel group split. It runs first, so a
+//! model is refused with a typed [`CompileError`] before any encoding
+//! work. The compiler then only reads that geometry to encode kernels,
+//! place biases, materialize remap LUTs, and work out Galois-element and
+//! key requirements and per-step *analytic* operation counts. Execution is one generic interpreter (`exec::run_step`) under
 //! one generic driver (`exec::drive`), both parameterized by a
 //! [`PlanBackend`] — the step structure, group accumulation, residual
 //! re-extraction and pooling decompositions, and around them the step

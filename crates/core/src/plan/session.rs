@@ -28,11 +28,10 @@ use athena_math::sampler::Sampler;
 use athena_nn::qmodel::{QModel, QOp};
 use athena_nn::tensor::ITensor;
 
-use crate::infer::EncryptedInference;
 use crate::pipeline::{AthenaEngine, AthenaEvalKeys, AthenaSecrets};
 
 use super::error::{panic_text, AthenaError, RunPolicy};
-use super::exec::execute_resilient;
+use super::exec::{execute_resilient, PlanRun};
 use super::ir::{try_compile, CompileError, ExecutionPlan};
 
 /// 64-bit FNV-1a — a tiny deterministic fingerprint hasher, enough to key
@@ -283,7 +282,7 @@ impl InferenceSession {
         model: &QModel,
         input: &ITensor,
         sampler: &mut Sampler,
-    ) -> Result<EncryptedInference, AthenaError> {
+    ) -> Result<PlanRun, AthenaError> {
         self.run_encrypted_with(model, input, sampler, &RunPolicy::default())
     }
 
@@ -295,7 +294,7 @@ impl InferenceSession {
         input: &ITensor,
         sampler: &mut Sampler,
         policy: &RunPolicy,
-    ) -> Result<EncryptedInference, AthenaError> {
+    ) -> Result<PlanRun, AthenaError> {
         let mut fork = sampler.fork();
         let entry = self
             .entry_for(model, input.shape())
@@ -324,7 +323,7 @@ impl InferenceSession {
         model: &QModel,
         inputs: &[ITensor],
         sampler: &mut Sampler,
-    ) -> Result<Vec<Result<EncryptedInference, AthenaError>>, AthenaError> {
+    ) -> Result<Vec<Result<PlanRun, AthenaError>>, AthenaError> {
         self.run_batch_with(model, inputs, sampler, &RunPolicy::default())
     }
 
@@ -337,7 +336,7 @@ impl InferenceSession {
         inputs: &[ITensor],
         sampler: &mut Sampler,
         policy: &RunPolicy,
-    ) -> Result<Vec<Result<EncryptedInference, AthenaError>>, AthenaError> {
+    ) -> Result<Vec<Result<PlanRun, AthenaError>>, AthenaError> {
         let Some(first) = inputs.first() else {
             return Ok(Vec::new());
         };
@@ -353,7 +352,7 @@ impl InferenceSession {
         let entry = self
             .entry_for(model, first.shape())
             .map_err(AthenaError::from)?;
-        type JobResult = Result<EncryptedInference, AthenaError>;
+        type JobResult = Result<PlanRun, AthenaError>;
         let mut jobs: Vec<(usize, Sampler, Option<JobResult>)> = inputs
             .iter()
             .enumerate()
@@ -436,8 +435,8 @@ fn run_one(
     fork: &mut Sampler,
     policy: &RunPolicy,
     input_idx: Option<usize>,
-) -> Result<EncryptedInference, AthenaError> {
-    let run = execute_resilient(
+) -> Result<PlanRun, AthenaError> {
+    execute_resilient(
         engine,
         &entry.secrets,
         &entry.keys,
@@ -446,11 +445,7 @@ fn run_one(
         fork,
         policy,
         input_idx,
-    )?;
-    Ok(EncryptedInference {
-        logits: run.logits,
-        stats: run.stats,
-    })
+    )
 }
 
 #[cfg(test)]

@@ -1,11 +1,14 @@
 //! Degenerate-shape coverage: 1×1 convolutions (with and without
 //! padding), output-channel counts that do not divide the packing group
-//! split, and single-layer models — each run through all four
-//! differential oracles (plain reference, fast sim, plan sim, real
-//! encryption at reduced parameters) via the fuzz harness.
+//! split, single-layer models, and non-square inputs — each run through
+//! the differential oracles (plain reference, plan sim, real encryption
+//! at reduced parameters) via the fuzz harness — and zero-channel layers,
+//! which compilation refuses.
 
 use athena_core::fuzz::{run_case, CaseParams, FuzzCase, OracleCtx};
-use athena_core::pipeline::PackingMethod;
+use athena_core::pipeline::{AthenaEngine, PackingMethod};
+use athena_core::plan::{try_compile, CompileError};
+use athena_fhe::params::BfvParams;
 use athena_nn::qmodel::{Activation, QLinear, QModel, QNode, QOp, QuantConfig};
 use athena_nn::tensor::ITensor;
 
@@ -44,9 +47,14 @@ fn conv(
 }
 
 fn check(name: &str, model: QModel, input: ITensor, packing: PackingMethod) {
+    check_at(name, params(packing), model, input);
+}
+
+fn check_at(name: &str, params: CaseParams, model: QModel, input: ITensor) {
+    let packing = params.packing;
     let case = FuzzCase {
         seed: 0,
-        params: params(packing),
+        params,
         model,
         input,
     };
@@ -208,4 +216,97 @@ fn stride_two_with_dangling_tail() {
         input,
         PackingMethod::Column,
     );
+}
+
+/// Non-square inputs: Eq. 1's row stride is the padded *width*, and the
+/// output extent is `oh × ow`. Conv(3×3, pad 1, 1→2, ReLU) → FC on
+/// 4×6 and 3×5 (once miscompiled into wrong logits), 6×4 (once refused
+/// as too large for the ring), and a stride-2 5×7 whose two output
+/// channels only fit the ring one per group.
+#[test]
+fn non_square_conv_then_fc_all_oracles() {
+    for (h, w, stride) in [(4, 6, 1), (3, 5, 1), (6, 4, 1), (5, 7, 2)] {
+        let (oh, ow) = ((h - 1) / stride + 1, (w - 1) / stride + 1);
+        let flat = 2 * oh * ow;
+        let fc = QNode {
+            op: QOp::Linear(QLinear {
+                weight: ITensor::from_vec(
+                    &[2, flat, 1, 1],
+                    (0..2 * flat as i64)
+                        .map(|i| [1, 0, -1, 0][i as usize % 4])
+                        .collect(),
+                ),
+                bias: vec![0, 1],
+                stride: 1,
+                padding: 0,
+                is_fc: true,
+                act: Activation::Identity,
+                in_scale: 0.5,
+                w_scale: 0.5,
+                out_scale: 1.0,
+            }),
+            input: 1,
+            skip: None,
+        };
+        let model = QModel {
+            nodes: vec![
+                conv(
+                    ITensor::from_vec(&[2, 1, 3, 3], (0..18).map(|i| (i % 5) - 2).collect()),
+                    vec![1, -1],
+                    stride,
+                    1,
+                    Activation::ReLU,
+                    0,
+                ),
+                fc,
+            ],
+            input_scale: 0.5,
+            cfg: QuantConfig::new(3, 3),
+        };
+        let input = ITensor::from_vec(
+            &[1, h, w],
+            (0..(h * w) as i64).map(|i| (i % 5) - 2).collect(),
+        );
+        assert_eq!(model.forward(&input).len(), 2);
+        for packing in [PackingMethod::Column, PackingMethod::Bsgs] {
+            let params = CaseParams {
+                n: 128,
+                lwe_n: 32,
+                ks_base_log: 4,
+                packing,
+            };
+            check_at(
+                &format!("conv {h}×{w} stride {stride} → fc"),
+                params,
+                model.clone(),
+                input.clone(),
+            );
+        }
+    }
+}
+
+/// A linear layer with no output or no input channels is a typed
+/// `ZeroDim` refusal, not an arithmetic overflow in the fit rule.
+#[test]
+fn zero_channel_layers_are_refused() {
+    let engine = AthenaEngine::new(BfvParams::test_small());
+    for (c_out, c_in, input_shape) in [(0, 1, [1, 4, 4]), (1, 0, [0, 4, 4])] {
+        let model = QModel {
+            nodes: vec![conv(
+                ITensor::from_vec(&[c_out, c_in, 3, 3], vec![]),
+                vec![0; c_out],
+                1,
+                0,
+                Activation::Identity,
+                0,
+            )],
+            input_scale: 1.0,
+            cfg: QuantConfig::new(3, 3),
+        };
+        assert_eq!(
+            try_compile(&engine, &model, &input_shape).err(),
+            Some(CompileError::ZeroDim { node: 0 }),
+            "c_out {c_out}, c_in {c_in}"
+        );
+    }
 }

@@ -1,11 +1,11 @@
 //! `InferenceSession` contracts: plan-cache pointer identity, LRU
-//! eviction, and `run_batch` ≡ sequential `run_encrypted` bit-identity at
-//! every worker count.
+//! eviction, `run_batch` ≡ sequential `run_encrypted` bit-identity at
+//! every worker count, and per-step reports that reach the caller.
 
 use std::sync::Arc;
 
 use athena_core::pipeline::AthenaEngine;
-use athena_core::plan::InferenceSession;
+use athena_core::plan::{self, InferenceSession, RunPolicy};
 use athena_fhe::params::BfvParams;
 use athena_math::par;
 use athena_math::sampler::Sampler;
@@ -183,6 +183,52 @@ fn run_batch_matches_sequential_at_any_thread_count() {
         // not one per input.
         let stats = session.stats();
         assert_eq!((stats.misses, stats.hits), (1, 0));
+    }
+}
+
+/// A `run_batch` item is the whole `PlanRun` of its request: the same
+/// logits and, step by step, the same measured op and limb-allocation
+/// counts as that input run alone through `execute_resilient` with the
+/// session's key material and the item's sampler fork.
+#[test]
+fn run_batch_items_carry_their_step_reports() {
+    let model = model_with(-2);
+    let imgs = inputs(3);
+    let mut session = InferenceSession::new(AthenaEngine::new(BfvParams::test_small()), 4, 77);
+    let mut sampler = Sampler::from_seed(555);
+    let batch = session
+        .run_batch(&model, &imgs, &mut sampler)
+        .expect("batch runs");
+
+    let compiled = session.plan_for(&model, &[1, 5, 5]);
+    let engine = session.engine();
+    // The session's first compile draws its keys from the first fork of
+    // its key sampler, and each batch item encrypts under the next fork
+    // of the caller's sampler.
+    let (secrets, keys) = engine.keygen_for_plan(&compiled, &mut Sampler::from_seed(77).fork());
+    let mut sampler = Sampler::from_seed(555);
+    for (i, (item, img)) in batch.iter().zip(&imgs).enumerate() {
+        let item = item.as_ref().expect("clean batch item");
+        let alone = plan::execute_resilient(
+            engine,
+            &secrets,
+            &keys,
+            &compiled,
+            img,
+            &mut sampler.fork(),
+            &RunPolicy::default(),
+            None,
+        )
+        .expect("clean run");
+        assert_eq!(item.logits, alone.logits, "input {i}");
+        assert_eq!(item.steps.len(), compiled.step_count(), "input {i}");
+        assert_eq!(item.steps.len(), alone.steps.len(), "input {i}");
+        for (b, a) in item.steps.iter().zip(&alone.steps) {
+            let at = format!("input {i} node {} step {} ({})", b.node, b.step, b.label);
+            assert_eq!((b.node, b.step, b.label), (a.node, a.step, a.label), "{at}");
+            assert_eq!(b.measured, a.measured, "{at}: measured counts");
+            assert_eq!(b.alloc, a.alloc, "{at}: limb allocations");
+        }
     }
 }
 

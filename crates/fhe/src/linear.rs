@@ -11,7 +11,6 @@
 //! at `O(√N)` instead of `O(N)`.
 
 use athena_math::bsgs::{bsgs_diagonal_counts, bsgs_diagonal_sum, BsgsSplit};
-use athena_math::modops::Modulus;
 use athena_math::par;
 use athena_math::poly::Domain;
 use athena_math::rns::RnsPoly;
@@ -59,8 +58,6 @@ pub(crate) fn pre_rotate(ctx: &BfvContext, diag: &[u64], split: BsgsSplit, d: us
 /// operands and [`apply`](Self::apply) runs the whole schedule NTT-resident.
 #[derive(Debug, Clone)]
 pub struct HomLinearTransform {
-    /// Row-major `N×N` matrix over `Z_t`.
-    matrix: Vec<Vec<u64>>,
     /// The Galois elements of the schedule (see
     /// [`required_galois_elements`](Self::required_galois_elements)).
     galois: Vec<usize>,
@@ -72,23 +69,19 @@ pub struct HomLinearTransform {
 }
 
 impl HomLinearTransform {
-    /// Wraps a matrix (must be `N×N` with entries reduced mod `t`) and
-    /// precomputes the Eval-form diagonal cache.
+    /// Precomputes the Eval-form diagonal cache of a row-major `N×N`
+    /// matrix over `Z_t` (entries reduced mod `t`); the matrix itself is
+    /// not kept.
     ///
     /// # Panics
     ///
     /// Panics if the matrix is not square `N×N`.
-    pub fn new(ctx: &BfvContext, matrix: Vec<Vec<u64>>) -> Self {
+    pub fn new(ctx: &BfvContext, matrix: &[Vec<u64>]) -> Self {
         let n = ctx.n();
         assert_eq!(matrix.len(), n, "matrix must have N rows");
         assert!(matrix.iter().all(|r| r.len() == n), "matrix must be N×N");
         let row = ctx.encoder().row_size();
         let split = BsgsSplit::balanced(row);
-        let tmp = Self {
-            matrix,
-            galois: diagonal_galois_elements(ctx, split, true),
-            diag_cache: Vec::new(),
-        };
         // Building the cache is `k + 1` NTTs for each of the `2·row`
         // diagonals, once per transform (the S2C one is built with every
         // engine). Run inline, engine set-up took +21 % on the
@@ -97,31 +90,19 @@ impl HomLinearTransform {
         let mut slots: Vec<(usize, Option<RnsPoly>)> =
             (0..2 * row).map(|idx| (idx, None)).collect();
         par::parallel_for_each_mut_with(par::num_threads(), &mut slots, |(idx, out)| {
-            *out = tmp.cached_operand(ctx, split, *idx)
+            *out = cached_operand(ctx, matrix, split, *idx)
         });
-        let diag_cache = slots.into_iter().map(|(_, op)| op).collect();
-        Self { diag_cache, ..tmp }
+        Self {
+            galois: diagonal_galois_elements(ctx, split, true),
+            diag_cache: slots.into_iter().map(|(_, op)| op).collect(),
+        }
     }
 
     /// The S2C transform: moves slot values into coefficient positions, so
     /// that decrypting its output and reading raw coefficients yields the
     /// former slot values.
     pub fn slot_to_coeff(ctx: &BfvContext) -> Self {
-        Self::new(ctx, s2c_matrix(ctx))
-    }
-
-    /// Entry `idx` of the diagonal cache (see the `diag_cache` field).
-    fn cached_operand(&self, ctx: &BfvContext, split: BsgsSplit, idx: usize) -> Option<RnsPoly> {
-        let (d, b) = (idx / 2, idx % 2 == 1);
-        let dv = self.diagonal(ctx, d, b);
-        if dv.iter().all(|&x| x == 0) {
-            return None;
-        }
-        let pre = pre_rotate(ctx, &dv, split, d);
-        Some(
-            ctx.q_basis()
-                .poly_to_eval(&ctx.lift_plaintext(&ctx.encoder().encode(&pre))),
-        )
+        Self::new(ctx, &s2c_matrix(ctx))
     }
 
     /// The Galois elements the BSGS schedule needs (generate keys for
@@ -145,37 +126,6 @@ impl HomLinearTransform {
         });
         counts.hrot += 1;
         counts
-    }
-
-    /// Reference (plaintext) application for tests: `out = M · v`.
-    pub fn apply_plain(&self, ctx: &BfvContext, v: &[u64]) -> Vec<u64> {
-        let t = Modulus::new(ctx.t());
-        self.matrix
-            .iter()
-            .map(|row| {
-                let mut acc = 0u64;
-                for (m, &x) in row.iter().zip(v) {
-                    acc = t.mul_add(*m % t.value(), x, acc);
-                }
-                acc
-            })
-            .collect()
-    }
-
-    /// Generalized diagonal `(k, b)`: entry `i` is `M[i][π_{k,b}(i)]` where
-    /// `π_{k,b}` rotates rows by `k` and swaps rows if `b`.
-    fn diagonal(&self, ctx: &BfvContext, k: usize, b: bool) -> Vec<u64> {
-        let n = ctx.n();
-        let row = ctx.encoder().row_size();
-        (0..n)
-            .map(|i| {
-                let r = i / row;
-                let c = i % row;
-                let src_r = if b { 1 - r } else { r };
-                let src_c = (c + k) % row;
-                self.matrix[i][src_r * row + src_c]
-            })
-            .collect()
     }
 
     /// Applies the transform homomorphically through
@@ -215,6 +165,41 @@ impl HomLinearTransform {
         )
         .unwrap_or_else(|| BfvCiphertext::zero_in(ctx, Domain::Eval))
     }
+}
+
+/// Entry `idx` of a transform's diagonal cache (see the `diag_cache`
+/// field of [`HomLinearTransform`]).
+fn cached_operand(
+    ctx: &BfvContext,
+    matrix: &[Vec<u64>],
+    split: BsgsSplit,
+    idx: usize,
+) -> Option<RnsPoly> {
+    let (d, b) = (idx / 2, idx % 2 == 1);
+    let dv = diagonal(ctx, matrix, d, b);
+    if dv.iter().all(|&x| x == 0) {
+        return None;
+    }
+    let pre = pre_rotate(ctx, &dv, split, d);
+    Some(
+        ctx.q_basis()
+            .poly_to_eval(&ctx.lift_plaintext(&ctx.encoder().encode(&pre))),
+    )
+}
+
+/// Generalized diagonal `(k, b)` of `matrix`: entry `i` is `M[i][π_{k,b}(i)]`
+/// where `π_{k,b}` rotates rows by `k` and swaps rows if `b`.
+fn diagonal(ctx: &BfvContext, matrix: &[Vec<u64>], k: usize, b: bool) -> Vec<u64> {
+    let row = ctx.encoder().row_size();
+    (0..ctx.n())
+        .map(|i| {
+            let r = i / row;
+            let c = i % row;
+            let src_r = if b { 1 - r } else { r };
+            let src_c = (c + k) % row;
+            matrix[i][src_r * row + src_c]
+        })
+        .collect()
 }
 
 /// Builds the S2C matrix `D`: for a plaintext polynomial with coefficient
@@ -281,7 +266,7 @@ mod tests {
         for (i, row) in m.iter_mut().enumerate() {
             row[i] = 1;
         }
-        let tr = HomLinearTransform::new(&f.ctx, m);
+        let tr = HomLinearTransform::new(&f.ctx, &m);
         let gk = keys_for(&mut f, &tr);
         let ev = BfvEvaluator::new(&f.ctx);
         let vals: Vec<u64> = (0..n as u64).map(|i| (i * 3 + 1) % 257).collect();
@@ -298,11 +283,14 @@ mod tests {
         let m: Vec<Vec<u64>> = (0..n)
             .map(|_| (0..n).map(|_| rng.uniform_mod(257)).collect())
             .collect();
-        let tr = HomLinearTransform::new(&f.ctx, m);
+        let tr = HomLinearTransform::new(&f.ctx, &m);
         let gk = keys_for(&mut f, &tr);
         let ev = BfvEvaluator::new(&f.ctx);
         let vals: Vec<u64> = (0..n as u64).map(|i| (7 * i + 2) % 257).collect();
-        let want = tr.apply_plain(&f.ctx, &vals);
+        let want: Vec<u64> = m
+            .iter()
+            .map(|row| row.iter().zip(&vals).map(|(a, b)| a * b).sum::<u64>() % f.ctx.t())
+            .collect();
         let ct = ev.encrypt_sk(&f.ctx.encoder().encode(&vals), &f.sk, &mut f.sampler);
         let out = tr.apply(&f.ctx, &ct, &gk);
         assert_eq!(f.ctx.encoder().decode(&ev.decrypt(&out, &f.sk)), want);
