@@ -3,6 +3,10 @@
 //! bottleneck per Table 3 / Fig. 9), measured on real ciphertexts at the
 //! reduced parameter set.
 //!
+//! The NTT and pointwise kernels are timed on a rotating pool of random
+//! inputs (`/fresh`) beside the same kernel replaying one input
+//! (`/replayed`); only the fresh figure is what a request pays.
+//!
 //! This is a `std`-only harness (`harness = false`, timed with
 //! `std::time::Instant`) so the workspace builds with zero external
 //! dependencies. Run with `cargo bench -p athena-bench`.
@@ -16,16 +20,47 @@ use athena_fhe::bfv::{BfvEvaluator, RelinKey, SecretKey};
 use athena_fhe::extract::{mod_switch_rlwe, sample_extract_all};
 use athena_fhe::fbs::{fbs_apply, Lut};
 use athena_fhe::params::BfvParams;
-use athena_math::ntt::NttTables;
+use athena_math::poly::{Domain, Poly, Ring};
+use athena_math::prng::Prng;
 use athena_math::sampler::Sampler;
 use athena_nn::tensor::ITensor;
 
+/// Random inputs each kernel rotates through. Ciphertext words are
+/// uniform mod `q`; replaying one input lets the branch predictor learn
+/// it, so a branchy kernel would look faster than any request sees it.
+const POOL: usize = 64;
+
+/// Times `f(i)` twice: on input 0 every call (`replayed`), then on the
+/// next pool input each call (`fresh`, the number that counts).
+fn replayed_and_fresh(opts: &BenchOpts, name: &str, mut f: impl FnMut(usize)) {
+    run_named(opts, &format!("{name}/replayed"), || f(0));
+    let mut i = 0;
+    run_named(opts, &format!("{name}/fresh"), || {
+        i = (i + 1) % POOL;
+        f(i)
+    });
+}
+
 fn bench_ntt(opts: &BenchOpts) {
     for n in [1024usize, 4096] {
-        let tables = NttTables::new(athena_math::prime::ntt_primes(50, n, 1)[0], n);
-        let mut data: Vec<u64> = (0..n as u64).collect();
-        run_named(opts, &format!("ntt/forward_{n}"), || {
-            tables.forward(std::hint::black_box(&mut data))
+        let ring = Ring::new(athena_math::prime::ntt_primes(50, n, 1)[0], n);
+        let q = ring.modulus().value();
+        let mut rng = Prng::seed_from_u64(n as u64);
+        let pool: Vec<Poly> = (0..POOL)
+            .map(|_| Poly::from_values((0..n).map(|_| rng.next_below(q)).collect(), Domain::Eval))
+            .collect();
+        let mut buf = vec![0u64; n];
+        replayed_and_fresh(opts, &format!("ntt/forward_{n}"), |i| {
+            buf.copy_from_slice(pool[i].values());
+            ring.ntt().forward(std::hint::black_box(&mut buf));
+        });
+        replayed_and_fresh(opts, &format!("ntt/inverse_{n}"), |i| {
+            buf.copy_from_slice(pool[i].values());
+            ring.ntt().inverse(std::hint::black_box(&mut buf));
+        });
+        replayed_and_fresh(opts, &format!("ntt/pointwise_mul_{n}"), |i| {
+            let b = &pool[(i + POOL / 2) % POOL];
+            std::hint::black_box(ring.mul_eval(std::hint::black_box(&pool[i]), b));
         });
     }
 }

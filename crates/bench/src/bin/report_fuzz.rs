@@ -64,6 +64,10 @@ fn main() {
             vec!["avgpool nodes".into(), report.op_counts[3].to_string()],
             vec!["residual skips".into(), report.op_counts[4].to_string()],
             vec![
+                "non-square inputs".into(),
+                report.non_square_inputs.to_string(),
+            ],
+            vec![
                 "column-packed cases".into(),
                 report.packing_counts[0].to_string(),
             ],

@@ -138,8 +138,11 @@ fn divisor_at_most(x: usize, cap: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// Athena's output-channel-first packing: maximize output channels per
-/// result ciphertext, then fit input-channel groups.
+/// Athena's output-channel-first packing: the input-channel group is the
+/// largest one whose slots (`co·ci·HW + margin ≤ N`) the full output-channel
+/// set leaves room for (at least one channel), then the output-channel
+/// group steps down through the divisors of `C_out` until Eq. 1's fit rule
+/// ([`ConvEncoder::try_new`], on the padded input) holds.
 ///
 /// # Panics
 ///
@@ -157,27 +160,15 @@ pub fn try_athena_packing(shape: &ConvShape, n: usize) -> Result<Packing, Encodi
     if hw + m >= n {
         return Err(EncodingError::ChannelTooLarge { hw, margin: m, n });
     }
-    // Largest ci group with room for at least one output channel.
-    // Prefer maximizing co first: try co from C_out downward (pow2 splits).
-    let mut best: Option<(usize, usize)> = None;
-    let mut co = divisor_at_most(shape.c_out, shape.c_out);
-    loop {
-        // max ci group that fits with this co
-        let budget = n.saturating_sub(m);
-        let max_ci = budget / (co * hw);
-        if max_ci >= 1 {
-            let ci = divisor_at_most(shape.c_in, max_ci.min(shape.c_in));
-            if best.is_none() {
-                best = Some((co, ci));
-                break;
-            }
-        }
+    let mut co = shape.c_out.max(1);
+    let ci = divisor_at_most(shape.c_in, n.saturating_sub(m) / (co * hw));
+    let padded = shape.hw + 2 * shape.padding;
+    while let Err(e) = ConvEncoder::try_new(ci, co, [padded, padded], shape.k, n) {
         if co == 1 {
-            break;
+            return Err(e);
         }
-        co /= 2;
+        co = divisor_at_most(shape.c_out, co - 1);
     }
-    let (co, ci) = best.expect("at least (1,1) fits");
     let co_groups = shape.c_out / co;
     let ci_groups = shape.c_in / ci;
     Ok(Packing {
@@ -525,18 +516,13 @@ mod tests {
 
     #[test]
     fn athena_ratios_match_table2_rows() {
-        // Rows where the paper's numbers follow directly from
-        // out-channel-first packing at N = 2^15.
+        // Table 2's Athena column at N = 2^15, row by row.
         let n = 1 << 15;
-        let shapes = table2_shapes();
-        let expect = [0.50, 0.50, 0.25, 0.25, 0.125, 0.125];
-        for (shape, &want) in shapes.iter().zip(&expect) {
-            let p = athena_packing(shape, n);
-            let ratio = p.valid_ratio(shape, n);
+        let expect = [0.50, 0.50, 0.25, 0.25, 0.0625, 0.125];
+        for (shape, &want) in table2_shapes().iter().zip(&expect) {
+            let ratio = athena_packing(shape, n).valid_ratio(shape, n);
             assert!(
-                (ratio - want).abs() < 1e-9
-                    || (ratio - want / 2.0).abs() < 1e-9
-                    || (ratio - want * 2.0).abs() < 1e-9,
+                (ratio - want).abs() < 1e-9,
                 "{shape:?}: ratio {ratio} vs paper {want}"
             );
         }
@@ -545,7 +531,18 @@ mod tests {
     #[test]
     fn packing_respects_capacity() {
         let n = 1 << 15;
-        for shape in table2_shapes() {
+        // Beside Table 2: 18 output channels of a 64² map fit at most 7
+        // to a group; halving 18 → 9 → 4 lands on a non-divisor (4 groups
+        // of 4 cover 16 channels), the divisors give 6.
+        let odd = ConvShape {
+            hw: 64,
+            c_in: 1,
+            c_out: 18,
+            k: 1,
+            stride: 1,
+            padding: 0,
+        };
+        for shape in table2_shapes().into_iter().chain([odd]) {
             let p = athena_packing(&shape, n);
             let hw = shape.hw * shape.hw;
             assert!(p.co_per_ct * p.ci_per_ct * hw <= n, "{shape:?} overpacked");

@@ -110,10 +110,12 @@ fn try_gen(seed: u64, r: &mut Prng) -> Option<FuzzCase> {
     let cfg = QuantConfig::new(2 + r.next_below(3) as u32, 3 + r.next_below(3) as u32);
     let (w_max, a_max) = (cfg.w_max(), cfg.a_max());
 
-    // Input shape: small square images, 1–3 channels.
+    // Input shape: small images, 1–3 channels, height and width drawn
+    // apart (about a fifth of the draws come out square).
     let c0 = 1 + r.next_below(3) as usize;
     let h0 = 2 + r.next_below(5) as usize;
-    let mut shape = [c0, h0, h0];
+    let w0 = 2 + r.next_below(5) as usize;
+    let mut shape = [c0, h0, w0];
     let n_nodes = 1 + r.next_below(4) as usize;
 
     let mut nodes: Vec<QNode> = Vec::with_capacity(n_nodes);
@@ -122,6 +124,7 @@ fn try_gen(seed: u64, r: &mut Prng) -> Option<FuzzCase> {
     for ni in 0..n_nodes {
         let is_last = ni == n_nodes - 1;
         let flat: usize = shape.iter().product();
+        let side = shape[1].min(shape[2]);
         // Node kind: the final node must be linear; pools need room.
         let kind = if is_last {
             if flat <= 24 && r.next_bool() {
@@ -131,19 +134,19 @@ fn try_gen(seed: u64, r: &mut Prng) -> Option<FuzzCase> {
             }
         } else {
             match r.next_below(10) {
-                0..=4 => 0,                  // conv
-                5..=6 if flat <= 24 => 1,    // fc
-                7..=8 if shape[1] >= 2 => 2, // maxpool
-                _ if shape[1] >= 2 => 3,     // avgpool
+                0..=4 => 0,               // conv
+                5..=6 if flat <= 24 => 1, // fc
+                7..=8 if side >= 2 => 2,  // maxpool
+                _ if side >= 2 => 3,      // avgpool
                 _ => 0,
             }
         };
         let op = match kind {
             0 => {
                 let padding = r.next_below(2) as usize;
-                let extent = shape[1] + 2 * padding;
+                let extent = side + 2 * padding;
                 let k = (1 + r.next_below(3) as usize).min(extent);
-                let stride = if shape[1] >= 4 && r.next_below(4) == 0 {
+                let stride = if side >= 4 && r.next_below(4) == 0 {
                     2
                 } else {
                     1
@@ -157,8 +160,8 @@ fn try_gen(seed: u64, r: &mut Prng) -> Option<FuzzCase> {
                         .collect(),
                 );
                 let bias = (0..c_out).map(|_| r.next_i64_in(-a_max, a_max)).collect();
-                let oh = (shape[1] + 2 * padding - k) / stride + 1;
-                shape = [c_out, oh, oh];
+                let out = |x: usize| (x + 2 * padding - k) / stride + 1;
+                shape = [c_out, out(shape[1]), out(shape[2])];
                 QOp::Linear(QLinear {
                     weight,
                     bias,
@@ -197,7 +200,7 @@ fn try_gen(seed: u64, r: &mut Prng) -> Option<FuzzCase> {
                 // Pool kernel 2, or 3 when it still leaves an output;
                 // non-dividing extents (h % k != 0) are deliberately
                 // allowed — floor windows are an edge case worth fuzzing.
-                let k = if shape[1] >= 3 && r.next_bool() { 3 } else { 2 };
+                let k = if side >= 3 && r.next_bool() { 3 } else { 2 };
                 shape = [shape[0], shape[1] / k, shape[2] / k];
                 if k_id == 2 {
                     QOp::MaxPool { k }

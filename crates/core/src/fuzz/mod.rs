@@ -77,6 +77,8 @@ pub struct FuzzReport {
     pub op_counts: [usize; 5],
     /// Cases compiled per packing method: `[column, bsgs]`.
     pub packing_counts: [usize; 2],
+    /// Cases whose input height and width differ.
+    pub non_square_inputs: usize,
 }
 
 /// Runs a sweep of `cfg.cases` seeded cases. On the first failing case,
@@ -109,6 +111,8 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> Result<FuzzReport, Box<FuzzFailure>> {
                         report.op_counts[4] += 1;
                     }
                 }
+                let shape = case.input.shape();
+                report.non_square_inputs += usize::from(shape[1] != shape[2]);
                 match case.params.packing {
                     crate::pipeline::PackingMethod::Column => report.packing_counts[0] += 1,
                     crate::pipeline::PackingMethod::Bsgs => report.packing_counts[1] += 1,

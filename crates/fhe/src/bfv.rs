@@ -286,16 +286,20 @@ impl BfvContext {
                     .iter()
                     .map(|r| {
                         let m = r.modulus();
-                        let out = vals
-                            .iter()
-                            .map(|&v| {
-                                if v <= half {
-                                    m.reduce(v)
-                                } else {
-                                    m.neg(m.reduce(qi - v))
-                                }
-                            })
-                            .collect();
+                        let qj = m.value();
+                        // A residue v > q_i/2 is the digit v − q_i; adding
+                        // `shift` (K − q_i, K the least multiple of q_j above
+                        // q_i/2) selects it by mask and keeps the sum ≥ 0.
+                        // When q_i/2 < q_j (always, for primes of one size),
+                        // K = q_j and the sum is already canonical.
+                        let shift = (qj * (half / qj + 1)).wrapping_sub(qi);
+                        let digit =
+                            |v: u64| v.wrapping_add(shift & 0u64.wrapping_sub((v > half) as u64));
+                        let out = if half < qj {
+                            vals.iter().map(|&v| digit(v)).collect()
+                        } else {
+                            vals.iter().map(|&v| m.reduce(digit(v))).collect()
+                        };
                         Poly::from_values(out, Domain::Coeff)
                     })
                     .collect();
@@ -488,6 +492,11 @@ impl KeySwitchKey {
         Self { pairs }
     }
 
+    /// The pairs `(b_i, a_i)`, one per limb digit, in Eval form.
+    pub fn pairs(&self) -> &[(RnsPoly, RnsPoly)] {
+        &self.pairs
+    }
+
     /// Applies the key to a coefficient-form polynomial `d` (interpreted
     /// mod `Q`): returns `(p0, p1)` in **Eval form** with
     /// `p0 + p1·s ≈ d·s_src`.
@@ -506,26 +515,47 @@ impl KeySwitchKey {
     /// [`BfvContext::decompose_lift`] once and then only pay this part per
     /// Galois element — it performs **zero** NTTs.
     ///
+    /// Both inner products are one fused multiply–accumulate per limb:
+    /// every coefficient sums its `k` products `digit·key` in a `u128`
+    /// register and is reduced once per [`lazy_mac_terms`] products (once
+    /// per coefficient at the limb sizes run here), so the only buffers
+    /// made are the `2k` output limbs.
+    ///
     /// # Panics
     ///
-    /// Panics unless there is exactly one digit per key pair.
+    /// Panics unless there is exactly one Eval-form digit per key pair.
     pub fn apply_digits(&self, ctx: &BfvContext, digits: &[RnsPoly]) -> (RnsPoly, RnsPoly) {
         assert_eq!(digits.len(), self.pairs.len(), "one digit per key pair");
-        let terms: Vec<(RnsPoly, RnsPoly)> = digits
-            .iter()
-            .zip(&self.pairs)
-            .map(|(digit, (k0, k1))| (ctx.qb.mul_poly(digit, k0), ctx.qb.mul_poly(digit, k1)))
-            .collect();
-        // Fold from the first term (0 + x = x exactly, so this is
-        // bit-identical to seeding with zero polynomials but skips two
-        // accumulator allocations and a full pass).
-        let mut terms = terms.into_iter();
-        let (mut p0, mut p1) = terms.next().expect("at least one digit");
-        for (t0, t1) in terms {
-            ctx.qb.add_assign_poly(&mut p0, &t0);
-            ctx.qb.add_assign_poly(&mut p1, &t1);
+        assert!(
+            digits.iter().all(|d| d.domain() == Domain::Eval),
+            "key-switch digits must be in Eval form"
+        );
+        let n = ctx.params.n;
+        let (mut p0, mut p1) = (Vec::new(), Vec::new());
+        for (j, r) in ctx.qb.rings().iter().enumerate() {
+            let m = r.modulus();
+            // Limb j of each digit and of its key pair.
+            let rows: Vec<[&[u64]; 3]> = (digits.iter().zip(&self.pairs))
+                .map(|(d, (k0, k1))| [d, k0, k1].map(|p| p.limbs()[j].values()))
+                .collect();
+            let (mut out0, mut out1) = (vec![0u64; n], vec![0u64; n]);
+            for (c, (o0, o1)) in out0.iter_mut().zip(out1.iter_mut()).enumerate() {
+                let (mut acc0, mut acc1) = (0u128, 0u128);
+                for run in rows.chunks(lazy_mac_terms(m.bits(), m.bits())) {
+                    for [xs, ys0, ys1] in run {
+                        let x = xs[c] as u128;
+                        acc0 += x * ys0[c] as u128;
+                        acc1 += x * ys1[c] as u128;
+                    }
+                    acc0 = m.reduce_u128(acc0) as u128;
+                    acc1 = m.reduce_u128(acc1) as u128;
+                }
+                (*o0, *o1) = (acc0 as u64, acc1 as u64);
+            }
+            p0.push(Poly::from_values(out0, Domain::Eval));
+            p1.push(Poly::from_values(out1, Domain::Eval));
         }
-        (p0, p1)
+        (RnsPoly::from_limbs(p0), RnsPoly::from_limbs(p1))
     }
 }
 

@@ -5,7 +5,7 @@
 //!
 //! Decryption convention: `ct = (a⃗, b)` decrypts as `b + ⟨a⃗, s⃗⟩ mod t`.
 
-use athena_math::modops::Modulus;
+use athena_math::modops::{lazy_mac_terms, Modulus};
 use athena_math::sampler::Sampler;
 
 /// An LWE secret key: signed ternary coefficients.
@@ -141,9 +141,9 @@ impl LweCiphertext {
 /// the paper's `e_ms ~ N(0, (t·σ/Q)² + (‖s‖² + 1)/12)` noise on the result.
 pub fn lwe_mod_switch(ct: &LweCiphertext, new_q: u64) -> LweCiphertext {
     let q = ct.q();
+    let qm = Modulus::new(q);
     let round = |x: u64| -> u64 {
         // centered rounding: treat x as signed in (-q/2, q/2]
-        let qm = Modulus::new(q);
         let c = qm.center(x);
         let scaled = (c as i128 * new_q as i128
             + if c >= 0 {
@@ -207,6 +207,11 @@ impl LweKeySwitchKey {
         }
     }
 
+    /// The key ciphertexts: entry `[j][d]` encrypts `s_src[j]·2^(d·base_log)`.
+    pub fn keys(&self) -> &[Vec<LweCiphertext>] {
+        &self.keys
+    }
+
     /// Number of decomposition digits.
     pub fn digits(&self) -> usize {
         self.digits
@@ -219,6 +224,11 @@ impl LweKeySwitchKey {
 
     /// Switches a ciphertext from the source to the destination dimension.
     ///
+    /// One fused multiply–accumulate: every output word sums its
+    /// `digit·key` products in a `u128` lane, reduced once per
+    /// [`lazy_mac_terms`] products (once at the end, at the sizes run
+    /// here). Zero digits are multiplied like any other.
+    ///
     /// # Panics
     ///
     /// Panics if `ct` does not match the source dimension/modulus.
@@ -226,25 +236,31 @@ impl LweKeySwitchKey {
         assert_eq!(ct.dim(), self.keys.len(), "source dimension mismatch");
         assert_eq!(ct.q(), self.q, "modulus mismatch");
         let qm = Modulus::new(self.q);
-        let mask = (1u64 << self.base_log) - 1;
-        let mut acc = LweCiphertext::trivial(ct.b(), self.dst_dim, self.q);
-        for (j, &aj) in ct.a().iter().enumerate() {
-            let mut rest = aj;
-            for d in 0..self.digits {
-                let digit = rest & mask;
-                rest >>= self.base_log;
-                if digit == 0 {
-                    continue;
+        let (base_log, mask) = (self.base_log, (1u64 << self.base_log) - 1);
+        let run = lazy_mac_terms(base_log, qm.bits());
+        // Lanes 0..dst_dim accumulate a⃗, the last one b.
+        let mut lanes = vec![0u128; self.dst_dim + 1];
+        lanes[self.dst_dim] = ct.b() as u128;
+        let mut left = run;
+        for (&aj, keys) in ct.a().iter().zip(&self.keys) {
+            for (d, key) in keys.iter().enumerate() {
+                if left == 0 {
+                    for lane in lanes.iter_mut() {
+                        *lane = qm.reduce_u128(*lane) as u128;
+                    }
+                    left = run;
                 }
-                let key = &self.keys[j][d];
-                // acc += digit * key
-                for (x, &ka) in acc.a.iter_mut().zip(key.a()) {
-                    *x = qm.add(*x, qm.mul(digit, ka));
+                left -= 1;
+                let digit = ((aj >> (d as u32 * base_log)) & mask) as u128;
+                let words = key.a().iter().copied().chain([key.b()]);
+                for (lane, w) in lanes.iter_mut().zip(words) {
+                    *lane += digit * w as u128;
                 }
-                acc.b = qm.add(acc.b, qm.mul(digit, key.b()));
             }
         }
-        acc
+        let mut a: Vec<u64> = lanes.iter().map(|&lane| qm.reduce_u128(lane)).collect();
+        let b = a.pop().expect("the b lane");
+        LweCiphertext { a, b, q: self.q }
     }
 }
 

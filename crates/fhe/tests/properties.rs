@@ -5,11 +5,11 @@
 //! the in-repo PRNG (fixed seeds, N random cases each) so the suite runs
 //! with zero external dependencies.
 
-use athena_fhe::bfv::{BfvContext, BfvEvaluator, RelinKey, SecretKey};
+use athena_fhe::bfv::{BfvContext, BfvEvaluator, GaloisKeys, RelinKey, SecretKey};
 use athena_fhe::encoder::SlotEncoder;
 use athena_fhe::extract::{mod_switch_to_t, rlwe_secret_as_lwe, sample_extract_all, SmallRlwe};
 use athena_fhe::fbs::Lut;
-use athena_fhe::lwe::LweSecret;
+use athena_fhe::lwe::{LweCiphertext, LweKeySwitchKey, LweSecret};
 use athena_fhe::params::BfvParams;
 use athena_math::modops::Modulus;
 use athena_math::prng::Prng;
@@ -553,5 +553,162 @@ fn kernel_mac_matches_the_per_term_chain() {
         assert!(ev
             .linear_combination([(&random_ct(&mut rng, Domain::Coeff), 0)])
             .is_none());
+    }
+}
+
+/// Residue polynomials over every limb of `ctx`: uniformly random, all
+/// zero and all `q_j − 1`, in the given domain.
+fn residue_zoo(ctx: &BfvContext, rng: &mut Prng, domain: Domain) -> Vec<RnsPoly> {
+    let (moduli, n) = (ctx.q_basis().moduli(), ctx.n());
+    let make = |f: &mut dyn FnMut(u64) -> u64| {
+        let limbs = moduli
+            .iter()
+            .map(|&q| Poly::from_values((0..n).map(|_| f(q)).collect(), domain));
+        RnsPoly::from_limbs(limbs.collect())
+    };
+    vec![
+        make(&mut |q| rng.next_below(q)),
+        make(&mut |q| rng.next_below(q)),
+        make(&mut |_| 0),
+        make(&mut |q| q - 1),
+    ]
+}
+
+/// A 32-limb basis of 62-bit primes (the `Modulus` ceiling) at `N = 64`:
+/// a `u128` lane holds only 15 such products, and 32 of them overflow it,
+/// so the key-switch MAC must fold its lanes inside every inner product.
+fn wide_limb_params() -> BfvParams {
+    BfvParams {
+        n: 64,
+        q_primes: ntt_primes(62, 64, 32),
+        ..BfvParams::test_small()
+    }
+}
+
+#[test]
+fn kernel_apply_digits_matches_the_per_term_mac() {
+    for params in [BfvParams::test_small(), wide_limb_params()] {
+        let ctx = BfvContext::new(params);
+        let mut sampler = Sampler::from_seed(0x50);
+        let sk = SecretKey::generate(&ctx, &mut sampler);
+        let gk = GaloisKeys::generate(&ctx, &sk, &[3], &mut sampler);
+        let key = gk.key(3).expect("generated");
+        let (k, moduli) = (ctx.q_basis().len(), ctx.q_basis().moduli());
+        let mut rng = Prng::seed_from_u64(0x51);
+        let zoo = residue_zoo(&ctx, &mut rng, Domain::Eval);
+        let decomposed = ctx.decompose_lift(&residue_zoo(&ctx, &mut rng, Domain::Coeff)[0]);
+        // Each digit set: the zoo rotated, every digit all `q_j − 1` (the
+        // largest products), and the lift of a real polynomial.
+        let sets = (0..zoo.len())
+            .map(|r| {
+                (0..k)
+                    .map(|i| zoo[(i + r) % zoo.len()].clone())
+                    .collect::<Vec<_>>()
+            })
+            .chain([vec![zoo[3].clone(); k], decomposed]);
+        for (s, digits) in sets.enumerate() {
+            let (p0, p1) = key.apply_digits(&ctx, &digits);
+            for (part, got) in [(0, &p0), (1, &p1)] {
+                assert_eq!(got.domain(), Domain::Eval);
+                for (j, &q) in moduli.iter().enumerate() {
+                    let want: Vec<u64> = (0..ctx.n())
+                        .map(|c| {
+                            let terms = digits.iter().zip(key.pairs()).map(|(d, pair)| {
+                                let kp = if part == 0 { &pair.0 } else { &pair.1 };
+                                let x = d.limbs()[j].values()[c] as u128;
+                                x * kp.limbs()[j].values()[c] as u128 % q as u128
+                            });
+                            terms.fold(0u128, |acc, t| (acc + t) % q as u128) as u64
+                        })
+                        .collect();
+                    assert_eq!(
+                        got.limbs()[j].values(),
+                        &want[..],
+                        "set {s}, part {part}, limb {j}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn kernel_decompose_lift_matches_the_centred_lift() {
+    // Primes of one size, and mixed sizes where q_i/2 exceeds a later q_j
+    // (the lift must reduce there).
+    let mixed = vec![
+        ntt_primes(50, 128, 1)[0],
+        ntt_primes(30, 128, 1)[0],
+        ntt_primes(40, 128, 1)[0],
+    ];
+    for primes in [BfvParams::test_small().q_primes, mixed] {
+        let ctx = BfvContext::new(BfvParams {
+            q_primes: primes,
+            ..BfvParams::test_small()
+        });
+        let moduli = ctx.q_basis().moduli();
+        let mut rng = Prng::seed_from_u64(0x52);
+        for d in residue_zoo(&ctx, &mut rng, Domain::Coeff) {
+            let digits = ctx.decompose_lift(&d);
+            assert_eq!(digits.len(), moduli.len());
+            for (i, digit) in digits.iter().enumerate() {
+                let qi = moduli[i] as i128;
+                let back = ctx.q_basis().poly_to_coeff(digit);
+                for (j, &qj) in moduli.iter().enumerate() {
+                    let want: Vec<u64> = (d.limbs()[i].values().iter())
+                        .map(|&v| {
+                            let c = if v as i128 > qi / 2 {
+                                v as i128 - qi
+                            } else {
+                                v as i128
+                            };
+                            c.rem_euclid(qj as i128) as u64
+                        })
+                        .collect();
+                    assert_eq!(back.limbs()[j].values(), &want[..], "digit {i}, limb {j}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn kernel_lwe_switch_matches_the_per_term_mac() {
+    // test_small's base 2^4 at a 50-bit prime, and one base-2^61 digit
+    // per word at a 61-bit prime: a u128 lane holds only 63 such products
+    // and 512 of them overflow it, so the switch must fold mid-way.
+    for (bits, base_log, dim) in [(50u32, 4u32, 128usize), (61, 61, 512)] {
+        let q = ntt_primes(bits, 64, 1)[0];
+        let mut sampler = Sampler::from_seed(0x53);
+        let big = LweSecret::generate(dim, q, &mut sampler);
+        let small = LweSecret::generate(32, q, &mut sampler);
+        let ksk = LweKeySwitchKey::generate(&big, &small, base_log, &mut sampler);
+        let mut rng = Prng::seed_from_u64(0x54);
+        let mask = (1u64 << base_log) - 1;
+        let random: Vec<u64> = (0..dim).map(|_| rng.next_below(q)).collect();
+        for (a, b) in [
+            (random, rng.next_below(q)),
+            (vec![q - 1; dim], q - 1),
+            (vec![0; dim], 0),
+        ] {
+            let ct = LweCiphertext::from_parts(a.clone(), b, q);
+            let (mut want_a, mut want_b) = (vec![0u128; 32], b as u128);
+            for (&aj, keys) in a.iter().zip(ksk.keys()) {
+                for (d, key) in keys.iter().enumerate() {
+                    let digit = ((aj >> (d as u32 * base_log)) & mask) as u128;
+                    for (acc, &ka) in want_a.iter_mut().zip(key.a()) {
+                        *acc = (*acc + digit * ka as u128 % q as u128) % q as u128;
+                    }
+                    want_b = (want_b + digit * key.b() as u128 % q as u128) % q as u128;
+                }
+            }
+            let got = ksk.switch(&ct);
+            let want_a: Vec<u64> = want_a.into_iter().map(|v| v as u64).collect();
+            assert_eq!(
+                (got.a(), got.b()),
+                (&want_a[..], want_b as u64),
+                "{bits}-bit q, base 2^{base_log}"
+            );
+        }
     }
 }

@@ -7,6 +7,20 @@
 //! The hot paths (NTT butterflies, element-wise modular multiply-accumulate)
 //! use [`Modulus`], which precomputes a Barrett constant, and Shoup
 //! multiplication for operand-invariant multiplies.
+//!
+//! No operation here branches on a residue. Ciphertext words are uniform
+//! mod `q`, so a data-dependent `if` is mispredicted about half the time;
+//! every final correction is a sign-mask select instead (`csub`).
+
+/// `x − m` if `x ≥ m`, else `x`, without a branch: the one correction
+/// every operation here ends with. Valid for `x < m + 2^63` with
+/// `m < 2^63`, so that `x − m` is negative as an `i64` exactly when
+/// `x < m`.
+#[inline(always)]
+pub(crate) fn csub(x: u64, m: u64) -> u64 {
+    let d = x.wrapping_sub(m);
+    d.wrapping_add(m & ((d as i64 >> 63) as u64))
+}
 
 /// A prime (or prime-power) modulus with precomputed Barrett reduction data.
 ///
@@ -33,6 +47,7 @@ impl Modulus {
     /// Panics if `value < 2` or `value >= 2^62`.
     pub fn new(value: u64) -> Self {
         assert!(value >= 2, "modulus must be >= 2");
+        // 4q < 2^64: the NTT's lazy butterflies hold values below 4q.
         assert!(value < (1u64 << 62), "modulus must fit in 62 bits");
         // floor(2^128 / v), computed from (2^128 - 1) = q*v + r:
         // floor(2^128 / v) is q unless r == v-1, in which case it is q+1.
@@ -78,47 +93,32 @@ impl Modulus {
         let hh = xh * bh; // contributes fully above 2^128
         let mid = lh + hl + (ll >> 64);
         let qhat = hh + (mid >> 64);
+        // qhat = ⌊x·b / 2^128⌋ exactly, and b ≥ 2^128/q − 1 with x < 2^128,
+        // so qhat ≥ ⌊x/q⌋ − 1: the remainder lies in [0, 2q) and one
+        // correction makes it canonical.
         let rem = x.wrapping_sub(qhat.wrapping_mul(self.value as u128)) as u64;
-        // qhat may be off by a small amount; correct with subtractions.
-        let mut r = rem;
-        while r >= self.value {
-            r -= self.value;
-        }
-        r
+        csub(rem, self.value)
     }
 
     /// Modular addition of two values already in `[0, q)`.
     #[inline(always)]
     pub fn add(&self, a: u64, b: u64) -> u64 {
         debug_assert!(a < self.value && b < self.value);
-        let s = a + b;
-        if s >= self.value {
-            s - self.value
-        } else {
-            s
-        }
+        csub(a + b, self.value)
     }
 
     /// Modular subtraction of two values already in `[0, q)`.
     #[inline(always)]
     pub fn sub(&self, a: u64, b: u64) -> u64 {
         debug_assert!(a < self.value && b < self.value);
-        if a >= b {
-            a - b
-        } else {
-            a + self.value - b
-        }
+        csub(a + self.value - b, self.value)
     }
 
     /// Modular negation of a value already in `[0, q)`.
     #[inline(always)]
     pub fn neg(&self, a: u64) -> u64 {
         debug_assert!(a < self.value);
-        if a == 0 {
-            0
-        } else {
-            self.value - a
-        }
+        self.sub(0, a)
     }
 
     /// Modular multiplication of two values already in `[0, q)`.
@@ -194,19 +194,23 @@ impl Modulus {
         (((w as u128) << 64) / self.value as u128) as u64
     }
 
-    /// Shoup multiplication `a * w mod q`, where `w_shoup = shoup(w)`.
+    /// Shoup multiplication `a * w mod q`, where `w_shoup = shoup(w)`, for
+    /// any `a < 2^64` (`w < q`).
     ///
     /// Roughly twice as fast as Barrett because the quotient estimate is a
     /// single high multiply.
     #[inline(always)]
     pub fn mul_shoup(&self, a: u64, w: u64, w_shoup: u64) -> u64 {
+        csub(self.mul_shoup_lazy(a, w, w_shoup), self.value)
+    }
+
+    /// [`Modulus::mul_shoup`] without its final correction: `a·w mod q`
+    /// as a value in `[0, 2q)`, for **any** `a < 2^64` (`w < q`). This is
+    /// what lets NTT operands stay unreduced between stages.
+    #[inline(always)]
+    pub fn mul_shoup_lazy(&self, a: u64, w: u64, w_shoup: u64) -> u64 {
         let q = ((a as u128 * w_shoup as u128) >> 64) as u64;
-        let r = a.wrapping_mul(w).wrapping_sub(q.wrapping_mul(self.value));
-        if r >= self.value {
-            r - self.value
-        } else {
-            r
-        }
+        a.wrapping_mul(w).wrapping_sub(q.wrapping_mul(self.value))
     }
 }
 

@@ -7,8 +7,14 @@
 //! as in Longa–Naehrig and Microsoft SEAL. The forward transform maps the
 //! coefficient vector of `a(X)` to the evaluations `a(ψ^{2·brv(j)+1})` stored
 //! at index `j` (bit-reversed evaluation order); the inverse undoes it.
+//!
+//! Butterflies are Harvey's lazy ones ("Faster arithmetic for
+//! number-theoretic transforms", 2014): forward operands live in `[0, 4q)`,
+//! inverse operands in `[0, 2q)`, and each transform ends with one
+//! mask-select correction pass, so no butterfly branches on a residue. The
+//! ranges need `4q < 2^64`, which [`Modulus::new`]'s `q < 2^62` guarantees.
 
-use crate::modops::Modulus;
+use crate::modops::{csub, Modulus};
 use crate::prime::root_of_unity;
 use crate::stats::{record, Counter};
 
@@ -54,8 +60,11 @@ pub struct NttTables {
     /// psi^{-brv(i)} tables for the inverse transform.
     ipsi_br: Vec<u64>,
     ipsi_br_shoup: Vec<u64>,
-    n_inv: u64,
-    n_inv_shoup: u64,
+    /// `n⁻¹` and its Shoup form, folded into the inverse's last stage.
+    n_inv: (u64, u64),
+    /// `ψ^{-brv(1)}·n⁻¹` and its Shoup form: the last inverse stage's root
+    /// with the `n⁻¹` scaling folded in.
+    last_inv: (u64, u64),
     psi: u64,
 }
 
@@ -80,8 +89,10 @@ impl NttTables {
     ///
     /// # Panics
     ///
-    /// Panics if `psi` is not a primitive `2n`-th root of unity mod `q`.
+    /// Panics if `n < 2` or `psi` is not a primitive `2n`-th root of unity
+    /// mod `q`.
     pub fn with_psi(q: u64, n: usize, psi: u64) -> Self {
+        assert!(n >= 2, "degree must be >= 2");
         let modulus = Modulus::new(q);
         assert_eq!(modulus.pow(psi, 2 * n as u64), 1, "psi^2n must be 1");
         assert_eq!(modulus.pow(psi, n as u64), q - 1, "psi^n must be -1");
@@ -101,6 +112,7 @@ impl NttTables {
         let psi_br_shoup = psi_br.iter().map(|&w| modulus.shoup(w)).collect();
         let ipsi_br_shoup = ipsi_br.iter().map(|&w| modulus.shoup(w)).collect();
         let n_inv = modulus.inv(n as u64).expect("n invertible mod prime");
+        let last_inv = modulus.mul(ipsi_br[1], n_inv);
         Self {
             modulus,
             n,
@@ -108,8 +120,8 @@ impl NttTables {
             psi_br_shoup,
             ipsi_br,
             ipsi_br_shoup,
-            n_inv,
-            n_inv_shoup: modulus.shoup(n_inv),
+            n_inv: (n_inv, modulus.shoup(n_inv)),
+            last_inv: (last_inv, modulus.shoup(last_inv)),
             psi,
         }
     }
@@ -131,7 +143,9 @@ impl NttTables {
 
     /// In-place forward negacyclic NTT.
     ///
-    /// After the call, index `j` holds `a(ψ^{2·brv(j)+1})`.
+    /// After the call, index `j` holds `a(ψ^{2·brv(j)+1})`, canonical in
+    /// `[0, q)`. Harvey's lazy butterflies: operands stay in `[0, 4q)`
+    /// between stages and are corrected once, by mask, at the end.
     ///
     /// # Panics
     ///
@@ -139,28 +153,38 @@ impl NttTables {
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n);
         record(Counter::NttForward, 1);
-        let q = &self.modulus;
+        let q = self.modulus.value();
+        let two_q = 2 * q;
         let mut t = self.n;
         let mut m = 1;
         while m < self.n {
             t /= 2;
-            for i in 0..m {
-                let s = self.psi_br[m + i];
-                let s_sh = self.psi_br_shoup[m + i];
-                let j1 = 2 * i * t;
-                for j in j1..j1 + t {
-                    let u = a[j];
-                    let v = q.mul_shoup(a[j + t], s, s_sh);
-                    a[j] = q.add(u, v);
-                    a[j + t] = q.sub(u, v);
+            let roots = self.psi_br[m..2 * m]
+                .iter()
+                .zip(&self.psi_br_shoup[m..2 * m]);
+            for (block, (&w, &w_shoup)) in a.chunks_exact_mut(2 * t).zip(roots) {
+                let (lo, hi) = block.split_at_mut(t);
+                for (x, y) in lo.iter_mut().zip(hi) {
+                    // x, y ∈ [0, 4q) → u, v ∈ [0, 2q) → x', y' ∈ [0, 4q).
+                    let u = csub(*x, two_q);
+                    let v = self.modulus.mul_shoup_lazy(*y, w, w_shoup);
+                    *x = u + v;
+                    *y = u + two_q - v;
                 }
             }
             m *= 2;
         }
+        for x in a.iter_mut() {
+            *x = csub(csub(*x, two_q), q);
+        }
     }
 
     /// In-place inverse negacyclic NTT (consumes the layout produced by
-    /// [`NttTables::forward`]).
+    /// [`NttTables::forward`]; the output is canonical in `[0, q)`).
+    ///
+    /// Lazy Gentleman–Sande butterflies keep operands in `[0, 2q)`; the
+    /// `n⁻¹` scaling is folded into the last stage's two multiplies, whose
+    /// outputs get the one final correction.
     ///
     /// # Panics
     ///
@@ -168,28 +192,32 @@ impl NttTables {
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n);
         record(Counter::NttInverse, 1);
-        let q = &self.modulus;
+        let two_q = 2 * self.modulus.value();
         let mut t = 1;
         let mut m = self.n;
-        while m > 1 {
+        while m > 2 {
             let h = m / 2;
-            let mut j1 = 0;
-            for i in 0..h {
-                let s = self.ipsi_br[h + i];
-                let s_sh = self.ipsi_br_shoup[h + i];
-                for j in j1..j1 + t {
-                    let u = a[j];
-                    let v = a[j + t];
-                    a[j] = q.add(u, v);
-                    a[j + t] = q.mul_shoup(q.sub(u, v), s, s_sh);
+            let roots = self.ipsi_br[h..m].iter().zip(&self.ipsi_br_shoup[h..m]);
+            for (block, (&w, &w_shoup)) in a.chunks_exact_mut(2 * t).zip(roots) {
+                let (lo, hi) = block.split_at_mut(t);
+                for (x, y) in lo.iter_mut().zip(hi) {
+                    // x, y ∈ [0, 2q) → x', y' ∈ [0, 2q).
+                    let (u, v) = (*x, *y);
+                    *x = csub(u + v, two_q);
+                    *y = self.modulus.mul_shoup_lazy(u + two_q - v, w, w_shoup);
                 }
-                j1 += 2 * t;
             }
             t *= 2;
             m = h;
         }
-        for x in a.iter_mut() {
-            *x = q.mul_shoup(*x, self.n_inv, self.n_inv_shoup);
+        // Last stage (one block of n/2 pairs, root ψ^{-brv(1)}), with n⁻¹
+        // multiplied into both outputs by the correcting `mul_shoup`.
+        let (lo, hi) = a.split_at_mut(self.n / 2);
+        let ((n_inv, n_inv_shoup), (w, w_shoup)) = (self.n_inv, self.last_inv);
+        for (x, y) in lo.iter_mut().zip(hi) {
+            let (u, v) = (*x, *y);
+            *x = self.modulus.mul_shoup(u + v, n_inv, n_inv_shoup);
+            *y = self.modulus.mul_shoup(u + two_q - v, w, w_shoup);
         }
     }
 

@@ -467,3 +467,171 @@ fn kernel_fast_and_exact_conversions_share_their_inner_products() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Kernel oracles of the branch-free scalar ops and the lazy NTT: every
+// expected value below is computed with `u128` `%` and schoolbook sums,
+// never with `Modulus` or `NttTables` themselves.
+// ---------------------------------------------------------------------
+
+/// Moduli from tiny to the `2^62` ceiling of [`Modulus::new`]: odd
+/// composites included, as none of the checked ops needs a prime.
+fn edge_moduli() -> Vec<u64> {
+    vec![
+        2,
+        3,
+        257,
+        65537,
+        ntt_primes(30, 128, 1)[0],
+        ntt_primes(50, 128, 1)[0],
+        ntt_primes(61, 128, 1)[0],
+        ntt_primes(62, 128, 1)[0],
+        (1 << 62) - 57,
+        (1 << 62) - 1,
+    ]
+}
+
+/// Residues at the edges of `[0, q)` plus a few random ones.
+fn edge_residues(q: u64, rng: &mut Prng) -> Vec<u64> {
+    let mut v = vec![0, 1, 2, q / 2 - 1, q / 2, q / 2 + 1, q - 2, q - 1];
+    v.extend((0..8).map(|_| rng.next_below(q)));
+    v.retain(|&x| x < q);
+    v
+}
+
+#[test]
+fn kernel_modulus_ops_match_remainder_on_edge_values() {
+    let mut rng = Prng::seed_from_u64(0x40);
+    for q in edge_moduli() {
+        let m = Modulus::new(q);
+        let w = q as u128;
+        let xs = edge_residues(q, &mut rng);
+        for &a in &xs {
+            assert_eq!(m.neg(a) as u128, (w - a as u128) % w, "q={q}: -{a}");
+            for &b in &xs {
+                let (a1, b1) = (a as u128, b as u128);
+                assert_eq!(m.add(a, b) as u128, (a1 + b1) % w, "q={q}: {a}+{b}");
+                assert_eq!(m.sub(a, b) as u128, (a1 + w - b1) % w, "q={q}: {a}-{b}");
+                assert_eq!(m.mul(a, b) as u128, a1 * b1 % w, "q={q}: {a}·{b}");
+                let (ws, prod) = (m.shoup(b), a1 * b1 % w);
+                assert_eq!(m.mul_shoup(a, b, ws) as u128, prod, "q={q}: {a}·{b} Shoup");
+                // The lazy form accepts any word and stays below 2q.
+                for x in [a, a.wrapping_add(3 * q), u64::MAX - a] {
+                    let lazy = m.mul_shoup_lazy(x, b, ws);
+                    assert!((lazy as u128) < 2 * w, "q={q}: lazy {x}·{b} = {lazy}");
+                    assert_eq!(lazy as u128 % w, x as u128 * b1 % w, "q={q}: lazy {x}·{b}");
+                }
+            }
+        }
+        // Barrett on 128-bit inputs: multiples of q and their neighbours,
+        // square products, and words up to the u128 ceiling.
+        let (qm1, big) = (w - 1, u128::MAX / w * w);
+        let mut wide = vec![0, qm1, w, w + 1, 2 * w - 1, qm1 * qm1, w * w, w << 64];
+        wide.extend([(w << 64) - 1, big - 1, big, u128::from(u64::MAX)]);
+        wide.extend((0..8).map(|_| (rng.next_u64() as u128) << 64 | rng.next_u64() as u128));
+        for x in wide {
+            assert_eq!(m.reduce_u128(x) as u128, x % w, "q={q}: {x} mod q");
+        }
+    }
+}
+
+/// `a·b mod (X^n + 1, q)` by the schoolbook double sum.
+fn schoolbook_negacyclic(a: &[u64], b: &[u64], q: u64) -> Vec<u64> {
+    let (n, w) = (a.len(), q as u128);
+    let mut out = vec![0u128; n];
+    for (i, &x) in a.iter().enumerate() {
+        for (j, &y) in b.iter().enumerate() {
+            let p = x as u128 * y as u128 % w;
+            let k = (i + j) % n;
+            out[k] = if i + j < n {
+                (out[k] + p) % w
+            } else {
+                (out[k] + w - p) % w
+            };
+        }
+    }
+    out.into_iter().map(|v| v as u64).collect()
+}
+
+#[test]
+fn kernel_ntt_matches_schoolbook_negacyclic_product() {
+    let mut rng = Prng::seed_from_u64(0x41);
+    for n in [64usize, 128] {
+        for bits in [30u32, 50, 61] {
+            let q = ntt_primes(bits, n, 1)[0];
+            let tables = NttTables::new(q, n);
+            let random = |rng: &mut Prng| (0..n).map(|_| rng.next_below(q)).collect::<Vec<_>>();
+            let inputs = [
+                vec![0; n],
+                vec![q - 1; n],
+                (0..n).map(|i| if i % 2 == 0 { q - 1 } else { 0 }).collect(),
+                random(&mut rng),
+                random(&mut rng),
+            ];
+            for a in &inputs {
+                for b in &inputs {
+                    let (mut fa, mut fb) = (a.clone(), b.clone());
+                    tables.forward(&mut fa);
+                    tables.forward(&mut fb);
+                    assert!(
+                        fa.iter().all(|&v| v < q),
+                        "n={n} q={q}: forward not canonical"
+                    );
+                    let mut fc: Vec<u64> = (fa.iter().zip(&fb))
+                        .map(|(&x, &y)| (x as u128 * y as u128 % q as u128) as u64)
+                        .collect();
+                    tables.inverse(&mut fc);
+                    assert_eq!(fc, schoolbook_negacyclic(a, b, q), "n={n} q={q}");
+                    tables.inverse(&mut fa);
+                    assert_eq!(&fa, a, "n={n} q={q}: roundtrip");
+                }
+            }
+        }
+    }
+}
+
+/// `base^e mod q` by squaring, on `u128` remainders.
+fn pow_mod(base: u64, mut e: u64, q: u64) -> u64 {
+    let (mut acc, mut b, w) = (1u128, base as u128 % q as u128, q as u128);
+    while e > 0 {
+        if e & 1 == 1 {
+            acc = acc * b % w;
+        }
+        b = b * b % w;
+        e >>= 1;
+    }
+    acc as u64
+}
+
+#[test]
+fn kernel_ntt_is_evaluation_at_production_degree() {
+    // N = 2^15 with a 60-bit prime, the production ring shape: output j
+    // is a(ψ^{2·brv(j)+1}), checked by Horner's rule at 24 sampled j
+    // (both ends included), then the transform is undone.
+    let (n, bits) = (1usize << 15, 15u32);
+    let q = ntt_primes(60, n, 1)[0];
+    let tables = NttTables::new(q, n);
+    let psi = tables.psi();
+    assert_eq!(
+        pow_mod(psi, n as u64, q),
+        q - 1,
+        "ψ is a primitive 2N-th root"
+    );
+    let mut rng = Prng::seed_from_u64(0x42);
+    let a: Vec<u64> = (0..n).map(|_| rng.next_below(q)).collect();
+    let mut f = a.clone();
+    tables.forward(&mut f);
+    let mut js = vec![0, 1, n - 2, n - 1];
+    js.extend((0..20).map(|_| rng.next_below(n as u64) as usize));
+    for j in js {
+        let brv = j.reverse_bits() >> (usize::BITS - bits);
+        let x = pow_mod(psi, 2 * brv as u64 + 1, q) as u128;
+        let want = a
+            .iter()
+            .rev()
+            .fold(0u128, |acc, &c| (acc * x + c as u128) % q as u128);
+        assert_eq!(f[j] as u128, want, "output index {j}");
+    }
+    tables.inverse(&mut f);
+    assert_eq!(f, a, "roundtrip at N = 2^15");
+}
