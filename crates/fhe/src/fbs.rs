@@ -21,12 +21,13 @@
 //! memoises the polynomial, the plan compiler's dry run
 //! ([`expected_stats`]) warms it, and a served request never interpolates.
 
-use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use athena_math::bsgs::bsgs_polynomial_eval;
 use athena_math::modops::Modulus;
 use athena_math::ntt::CyclicNtt;
+use athena_math::par;
 use athena_math::prime::{is_prime, primitive_root};
 use athena_math::stats::{record, Counter};
 
@@ -213,23 +214,24 @@ pub struct FbsStats {
 /// schedule decides how long it lives (a baby power only while it is a
 /// factor of a higher one, each giant `X^{2^j}` for the whole tree, each
 /// node's `hi` for its single product), so each is computed once and
-/// every further product against it counts as a reused lift.
+/// every further product against it — on whichever worker — counts as a
+/// reused lift.
 struct Lifted {
     op: TensorOperand,
-    used: Cell<bool>,
+    used: AtomicBool,
 }
 
 impl Lifted {
     fn new(ev: &BfvEvaluator, ct: &BfvCiphertext) -> Self {
         Self {
             op: ev.lift_for_mul(ct),
-            used: Cell::new(false),
+            used: AtomicBool::new(false),
         }
     }
 
     /// The lift as a CMult operand.
     fn operand(&self) -> &TensorOperand {
-        if self.used.replace(true) {
+        if self.used.swap(true, Ordering::Relaxed) {
             record(Counter::LiftReused, 1);
         }
         &self.op
@@ -237,7 +239,9 @@ impl Lifted {
 }
 
 /// Evaluates the LUT homomorphically on a slot-encoded ciphertext:
-/// every slot `x` becomes `LUT(x)` (Alg. 2). Returns the result and the
+/// every slot `x` becomes `LUT(x)` (Alg. 2), forked over
+/// [`par::num_threads`] workers where the schedule is large enough to pay
+/// (bit-identical at any worker count). Returns the result and the
 /// operation counts.
 ///
 /// # Panics
@@ -258,10 +262,11 @@ pub fn fbs_apply(
     // Eval-resident input (e.g. fresh out of packing) is normalized to
     // coefficient form once here instead of inside every product.
     let out = bsgs_polynomial_eval(
+        par::num_threads(),
         lut.coeffs(),
         ct.to_coeff(ctx),
-        &mut |x: &BfvCiphertext| Lifted::new(&ev, x),
-        &mut |a: &Lifted, b: &Lifted| {
+        &|x: &BfvCiphertext| Lifted::new(&ev, x),
+        &|a: &Lifted, b: &Lifted| {
             tally.mul();
             let tensored = ev.mul_no_relin_lifted(a.operand(), b.operand());
             ev.relinearize(&tensored, rlk)
@@ -269,7 +274,7 @@ pub fn fbs_apply(
         // A leaf is one in-place MAC writing one ciphertext plus its
         // boundary coefficient as a plaintext constant, tallied as the
         // per-term SMult/HAdd chain it stands for.
-        &mut |xs: &[BfvCiphertext], cs: &[u64], c: u64| {
+        &|xs: &[BfvCiphertext], cs: &[u64], c: u64| {
             tally.lincomb(cs, c);
             match ev.linear_combination(xs.iter().zip(cs.iter().copied())) {
                 None => BfvCiphertext::trivial(ctx, &constant(c)),
@@ -277,7 +282,7 @@ pub fn fbs_apply(
                 Some(sum) => ev.add_plain(&sum, &constant(c)),
             }
         },
-        &mut |a: &BfvCiphertext, b: &BfvCiphertext| {
+        &|a: &BfvCiphertext, b: &BfvCiphertext| {
             tally.add();
             ev.add(a, b)
         },
@@ -290,44 +295,46 @@ pub fn fbs_apply(
 /// different rules: a leaf is one SMult per evaluated (non-zero) term, one
 /// HAdd between terms and one HAdd for a non-zero constant, however the
 /// algebra fuses it; a constant alone is a trivial ciphertext, no op.
+/// Atomic, because the schedule's workers tally into it together.
 #[derive(Default)]
 struct Tally {
-    cmult: Cell<usize>,
-    smult: Cell<usize>,
-    hadd: Cell<usize>,
+    cmult: AtomicUsize,
+    smult: AtomicUsize,
+    hadd: AtomicUsize,
 }
 
 impl Tally {
     fn mul(&self) {
-        self.cmult.set(self.cmult.get() + 1);
+        self.cmult.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Tallies `c + Σ cs[k]·xs[k]`.
     fn lincomb(&self, cs: &[u64], c: u64) {
         let terms = cs.iter().filter(|&&c| c != 0).count();
         if terms > 0 {
-            self.smult.set(self.smult.get() + terms);
+            self.smult.fetch_add(terms, Ordering::Relaxed);
             self.hadd
-                .set(self.hadd.get() + terms - 1 + usize::from(c != 0));
+                .fetch_add(terms - 1 + usize::from(c != 0), Ordering::Relaxed);
         }
     }
 
     fn add(&self) {
-        self.hadd.set(self.hadd.get() + 1);
+        self.hadd.fetch_add(1, Ordering::Relaxed);
     }
 
     fn stats(&self) -> FbsStats {
         FbsStats {
-            cmult: self.cmult.get(),
-            smult: self.smult.get(),
-            hadd: self.hadd.get(),
+            cmult: self.cmult.load(Ordering::Relaxed),
+            smult: self.smult.load(Ordering::Relaxed),
+            hadd: self.hadd.load(Ordering::Relaxed),
         }
     }
 }
 
 /// Exact operation counts one [`fbs_apply`] of this LUT will incur,
-/// computed by dry-running Alg. 2's schedule over a unit algebra (the same
-/// [`bsgs_polynomial_eval`] drives both, so zero-coefficient skipping — the
+/// computed by dry-running Alg. 2's schedule over a unit algebra on one
+/// worker (the same [`bsgs_polynomial_eval`] drives both, and its counts
+/// do not depend on the worker count, so zero-coefficient skipping — the
 /// data-dependent part of the count — is reproduced exactly). The
 /// constant `c_0 = LUT(0)` is part of the schedule (the first leaf's
 /// plaintext constant), so these are all of the call's ops.
@@ -338,12 +345,13 @@ impl Tally {
 pub fn expected_stats(lut: &Lut) -> FbsStats {
     let tally = Tally::default();
     bsgs_polynomial_eval(
+        1,
         lut.coeffs(),
         (),
-        &mut |_: &()| (),
-        &mut |_: &(), _: &()| tally.mul(),
-        &mut |_: &[()], cs: &[u64], c: u64| tally.lincomb(cs, c),
-        &mut |_: &(), _: &()| tally.add(),
+        &|_: &()| (),
+        &|_: &(), _: &()| tally.mul(),
+        &|_: &[()], cs: &[u64], c: u64| tally.lincomb(cs, c),
+        &|_: &(), _: &()| tally.add(),
     );
     tally.stats()
 }
@@ -408,15 +416,16 @@ mod tests {
         for t in [17u64, 257, 65537] {
             let lut = Lut::from_signed_fn(t, |x| x.max(0));
             let depth = bsgs_polynomial_eval(
+                1,
                 lut.coeffs(),
                 0u32,
-                &mut |d: &u32| *d,
-                &mut |a: &u32, b: &u32| a.max(b) + 1,
-                &mut |xs: &[u32], cs: &[u64], _: u64| {
+                &|d: &u32| *d,
+                &|a: &u32, b: &u32| a.max(b) + 1,
+                &|xs: &[u32], cs: &[u64], _: u64| {
                     let used = xs.iter().zip(cs).filter(|(_, &c)| c != 0);
                     used.map(|(d, _)| *d).max().unwrap_or(0)
                 },
-                &mut |a: &u32, b: &u32| *a.max(b),
+                &|a: &u32, b: &u32| *a.max(b),
             );
             let split = BsgsSplit::balanced(t as usize);
             assert_eq!(

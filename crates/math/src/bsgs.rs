@@ -5,7 +5,10 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
+use crate::par;
 use crate::stats::op_stats::HomOpCounts;
 
 /// A baby-step/giant-step split of a problem of size `total`:
@@ -63,23 +66,42 @@ impl BsgsSplit {
     }
 }
 
+/// The fewest products each side of a fork of [`bsgs_polynomial_eval`]
+/// must hold: a baby-power level is split into runs of at least this many
+/// products, and an outer subtree forks only when both halves hold at
+/// least this many leaves.
+///
+/// At 16, a `t = 65537` FBS forks its levels of 32, 64 and 128 products
+/// and its 128 | 128 tree — four spawns per FBS at two workers, which cut
+/// `cnn_t65537`'s `latency_min_ms` by 38.8 % in ten benchmark pairs on a
+/// two-thread host — while every `t = 257` FBS (levels of at most 8
+/// products, 8 | 8 leaves) and every smaller one stays on its caller's
+/// thread. Forking those too (a threshold of 2, ten pairs on `cnn_t257`)
+/// bought 10.3 % of `latency_min_ms` for 7.9 % more `cpu_s_per_inf` and
+/// 3.4 % more `peak_rss_mb`, both worse in every pair, and would spawn
+/// threads for every FBS of the fuzz sweeps' tiny rings.
+pub const FORK_MIN: usize = 16;
+
 /// Evaluates the polynomial `Σ_i c_i x^i` (degree < `coeffs.len()`) over
 /// any "ciphertext-like" algebra supplied via closures, using the BSGS
-/// schedule of Alg. 2 with a balanced outer tree.
+/// schedule of Alg. 2 with a balanced outer tree, forked over up to
+/// `workers` threads.
 ///
 /// With `bs = ⌈√(d+1)⌉` for the top non-zero degree `d`, `X = x^bs` and the
 /// leaves `leaf_g(x) = Σ_{k<bs} c_{g·bs+k} x^k`, the polynomial is
 /// `Σ_g leaf_g(x)·X^g`:
 ///
 /// * the baby powers `x^1..x^bs` are built by the half-split tree
-///   (`x^m = x^⌈m/2⌉·x^⌊m/2⌋`, multiplicative depth `⌈log₂ bs⌉`);
+///   (`x^m = x^⌈m/2⌉·x^⌊m/2⌋`, multiplicative depth `⌈log₂ bs⌉`), level by
+///   level: level `j` is the products `x^m` for `m ∈ (2^{j−1}, 2^j]`;
+/// * the giants `X, X², X⁴, …` up to `X^{2^{⌈log₂ gs⌉−1}}` are squared
+///   next;
 /// * each leaf is one `lincomb` of the baby powers whose constant is the
 ///   leaf's boundary coefficient `c_{g·bs}`;
 /// * the outer sum over the `gs` leaves is a balanced tree walked
-///   depth-first, each node `lo + X^{2^j}·hi` with `2^j` leaves under `lo`.
-///   It needs only the squarings `X², X⁴, …` up to `X^{2^{⌈log₂ gs⌉−1}}`
-///   and one `mul` per node whose `hi` is not a constant; a constant `hi`
-///   is a scalar multiple of `X^{2^j}` (one `lincomb` term).
+///   depth-first, each node `lo + X^{2^j}·hi` with `2^j` leaves under `lo`:
+///   one `mul` per node whose `hi` is not a constant; a constant `hi` is a
+///   scalar multiple of `X^{2^j}` (one `lincomb` term).
 ///
 /// For a dense polynomial that is `(bs−1) + (⌈log₂ gs⌉−1) + (gs−1)`
 /// multiplications (≈ 2√d) at multiplicative depth
@@ -88,11 +110,9 @@ impl BsgsSplit {
 /// The closures are the algebra. `lift` prepares a value as a `mul`
 /// operand, `mul` is the expensive product of two lifted operands (for
 /// BFV, a lift is the tensor-basis conversion of a CMult operand). The
-/// schedule lifts each value right before its uses and drops the lift
-/// after its last one: a baby power only while it is a factor of a higher
-/// baby power, each `X^{2^j}` once, and each node's `hi` once. At most
-/// `bs` baby powers plus `O(log gs)` giants, lifts and partial sums are
-/// alive at any moment.
+/// schedule lifts each value once, right before its first use, and drops
+/// the lift after its last one: a baby power only while it is a factor of
+/// a higher baby power, each `X^{2^j}` once, and each node's `hi` once.
 ///
 /// `lincomb(xs, cs, c)` is `c + Σ_k cs[k]·xs[k]` over the non-zero
 /// `cs[k]`: logically one scalar multiplication per term, one addition
@@ -101,17 +121,37 @@ impl BsgsSplit {
 /// FRU's modular-MAC datapath, §4.2). With no non-zero `cs[k]` it must
 /// return the constant `c` as a value. `add` sums two values.
 ///
+/// **Forks.** A baby-power level of at least `2·`[`FORK_MIN`] products is
+/// split into contiguous runs, one per worker, each sliding its own window
+/// of lifts; the one factor two neighbouring runs share is lifted before
+/// the fork and borrowed by both. The outer tree forks at the first node
+/// whose halves both hold at least [`FORK_MIN`] leaves, and further down
+/// while workers remain; the subtrees run on their own threads and the
+/// nodes above them are combined in tree order. Every spawn comes from the
+/// calling thread (see [`crate::par::parallel_join`]), so inside a `par`
+/// worker all of it runs inline. Every product, lift, `lincomb` and `add`
+/// is the same call at any `workers` — only which thread makes it changes
+/// — so the result and every count are identical for any `workers`,
+/// including `1`, which spawns nothing. At most `bs` baby powers plus
+/// `O(log gs)` giants, lifts and partial sums per worker are alive at any
+/// moment.
+///
 /// The closure design lets the exact same schedule drive (a) real BFV
 /// ciphertexts, (b) plain modular integers in tests, and (c) the
 /// op-counting cost model.
 pub fn bsgs_polynomial_eval<T, L>(
+    workers: usize,
     coeffs: &[u64],
     x: T,
-    lift: &mut impl FnMut(&T) -> L,
-    mul: &mut impl FnMut(&L, &L) -> T,
-    lincomb: &mut impl FnMut(&[T], &[u64], u64) -> T,
-    add: &mut impl FnMut(&T, &T) -> T,
-) -> T {
+    lift: &(impl Fn(&T) -> L + Sync),
+    mul: &(impl Fn(&L, &L) -> T + Sync),
+    lincomb: &(impl Fn(&[T], &[u64], u64) -> T + Sync),
+    add: &(impl Fn(&T, &T) -> T + Sync),
+) -> T
+where
+    T: Send + Sync,
+    L: Send + Sync,
+{
     let c0 = coeffs.first().copied().unwrap_or(0);
     // Highest non-constant coefficient actually present.
     let Some(max_idx) = (1..coeffs.len()).rev().find(|&i| coeffs[i] != 0) else {
@@ -120,45 +160,143 @@ pub fn bsgs_polynomial_eval<T, L>(
     let bs = BsgsSplit::balanced(max_idx + 1).baby;
     let leaves = max_idx / bs + 1;
     // Baby powers: powers[i] = x^{i+1}, up to x^bs when there is an outer
-    // tree (X = x^bs), else up to the degree. x^k is a factor of x^{2k−1},
-    // x^{2k} and x^{2k+1} only, so at most two lifts are alive here.
-    let baby_needed = bs.min(max_idx);
-    let mut powers: Vec<T> = Vec::with_capacity(baby_needed);
-    powers.push(x);
-    let mut factors: VecDeque<L> = VecDeque::new();
-    let mut first = 1; // factors[0] is the lift of x^first
-    for m in 2..=baby_needed {
-        let (hi, lo) = (m.div_ceil(2), m / 2);
-        while first < lo {
-            factors.pop_front();
-            first += 1;
-        }
-        while first + factors.len() <= hi {
-            factors.push_back(lift(&powers[first + factors.len() - 1]));
-        }
-        let p = mul(&factors[hi - first], &factors[lo - first]);
-        powers.push(p);
-    }
-    drop(factors);
+    // tree (X = x^bs), else up to the degree.
+    let mut powers = baby_powers(workers, x, bs.min(max_idx), lift, mul);
     if leaves == 1 {
         return lincomb(&powers, &coeffs[1..=max_idx], c0);
     }
-    let top = powers.pop();
-    let mut tree = OuterTree {
+    // The last leaf holds c_{max_idx} ≠ 0, so the top node multiplies by
+    // X^{2^j} for its own j, the largest in the tree: the whole chain up
+    // to it is needed.
+    let top_j = (leaves - 1).ilog2() as usize;
+    let mut giants: Vec<(T, OnceLock<L>)> = Vec::with_capacity(top_j + 1);
+    giants.push((powers.pop().expect("x^bs"), OnceLock::new()));
+    for j in 0..top_j {
+        let (x, l) = &giants[j];
+        let l = l.get_or_init(|| lift(x));
+        let square = mul(l, l);
+        giants.push((square, OnceLock::new()));
+    }
+    let tree = OuterTree {
         coeffs: &coeffs[..=max_idx],
         bs,
         powers,
-        top,
-        giants: Vec::new(),
+        giants,
         lift,
         mul,
         lincomb,
         add,
     };
-    match tree.eval(0, leaves) {
-        Node::Const(c) => (tree.lincomb)(&[], &[], c),
+    match tree.eval(0, leaves, workers) {
+        Node::Const(c) => lincomb(&[], &[], c),
         Node::Value(v) => v,
     }
+}
+
+/// Runs every task — the first on the calling thread, each other one on a
+/// worker of its own — and returns their results in order.
+fn fork_all<R: Send>(mut tasks: Vec<impl FnOnce() -> R + Send>) -> Vec<R> {
+    let last = tasks.pop().expect("at least one task");
+    if tasks.is_empty() {
+        return vec![last()];
+    }
+    let (mut out, r) = par::parallel_join(|| fork_all(tasks), last);
+    out.push(r);
+    out
+}
+
+/// `x^1..x^needed`, level by level. `x^k` is a factor of `x^{2k−1}`,
+/// `x^{2k}` and `x^{2k+1}` only, so a run's window holds at most two
+/// lifts, and the last lift of a level is the first factor of the next
+/// level, carried over to it.
+fn baby_powers<T, L>(
+    workers: usize,
+    x: T,
+    needed: usize,
+    lift: &(impl Fn(&T) -> L + Sync),
+    mul: &(impl Fn(&L, &L) -> T + Sync),
+) -> Vec<T>
+where
+    T: Send + Sync,
+    L: Send + Sync,
+{
+    let mut powers = Vec::with_capacity(needed);
+    powers.push(x);
+    let mut carry: Option<Arc<L>> = None;
+    let mut a = 2;
+    while a <= needed {
+        // Level (a−1, 2(a−1)], cut at the top power needed.
+        let b = (2 * (a - 1)).min(needed);
+        let n = b - a + 1;
+        let runs = workers.min(n / FORK_MIN).max(1);
+        let starts: Vec<usize> = (0..=runs).map(|r| a + r * n / runs).collect();
+        // Run r − 1 ends on factor ⌈(s−1)/2⌉ and run r starts on ⌊s/2⌋, the
+        // same one, for s = starts[r].
+        let shared: Vec<Arc<L>> = starts[1..runs]
+            .iter()
+            .map(|&s| Arc::new(lift(&powers[s / 2 - 1])))
+            .collect();
+        let done: &[T] = &powers;
+        let tasks: Vec<_> = (0..runs)
+            .map(|r| {
+                let first = if r == 0 {
+                    carry.take()
+                } else {
+                    Some(Arc::clone(&shared[r - 1]))
+                };
+                let last = shared.get(r).map(Arc::clone);
+                let ms = starts[r]..starts[r + 1];
+                move || baby_run(done, ms, first, last, lift, mul)
+            })
+            .collect();
+        drop(shared);
+        let mut outs = fork_all(tasks);
+        carry = outs.last_mut().and_then(|(_, back)| back.take());
+        for (out, _) in outs {
+            powers.extend(out);
+        }
+        a = b + 1;
+    }
+    powers
+}
+
+/// The products `x^m` for `m ∈ ms`, from the powers below them in `done`,
+/// sliding a window of lifts over their factors `⌊ms.start/2⌋ ..=
+/// ⌈(ms.end−1)/2⌉`. The first and last factor come pre-lifted when
+/// `first` / `last` hold them. Returns the products and the lift of the
+/// last factor.
+fn baby_run<T, L>(
+    done: &[T],
+    ms: Range<usize>,
+    mut first: Option<Arc<L>>,
+    mut last: Option<Arc<L>>,
+    lift: &impl Fn(&T) -> L,
+    mul: &impl Fn(&L, &L) -> T,
+) -> (Vec<T>, Option<Arc<L>>) {
+    let (low, high) = (ms.start / 2, (ms.end - 1).div_ceil(2));
+    let mut out = Vec::with_capacity(ms.len());
+    let mut window: VecDeque<Arc<L>> = VecDeque::new();
+    let mut front = low; // window[0] is the lift of x^front
+    for m in ms {
+        let (hi, lo) = (m.div_ceil(2), m / 2);
+        while front < lo {
+            window.pop_front();
+            front += 1;
+        }
+        while front + window.len() <= hi {
+            let k = front + window.len();
+            let given = if k == low {
+                first.take()
+            } else if k == high {
+                last.take()
+            } else {
+                None
+            };
+            window.push_back(given.unwrap_or_else(|| Arc::new(lift(&done[k - 1]))));
+        }
+        out.push(mul(&window[hi - front], &window[lo - front]));
+    }
+    (out, window.pop_back())
 }
 
 /// A subtree's value: a plain constant (no ciphertext work yet) or a value
@@ -169,43 +307,81 @@ enum Node<T> {
 }
 
 /// The outer tree of [`bsgs_polynomial_eval`]: its leaves, the giants
-/// `X^{2^j}` built so far, and the algebra.
+/// `X^{2^j}`, and the algebra — read-only, shared by every worker.
 struct OuterTree<'a, T, L, Lf, M, C, A> {
     coeffs: &'a [u64],
     bs: usize,
     /// `x^1..x^{bs−1}`, the leaves' terms.
     powers: Vec<T>,
-    /// `X = x^bs` until it becomes `giants[0]`.
-    top: Option<T>,
-    /// `giants[j] = X^{2^j}`, lifted once on its first use as a factor.
-    giants: Vec<(T, Option<L>)>,
-    lift: &'a mut Lf,
-    mul: &'a mut M,
-    lincomb: &'a mut C,
-    add: &'a mut A,
+    /// `giants[j] = X^{2^j}` and its lift, made once on its first use as a
+    /// factor.
+    giants: Vec<(T, OnceLock<L>)>,
+    lift: &'a Lf,
+    mul: &'a M,
+    lincomb: &'a C,
+    add: &'a A,
 }
 
 impl<T, L, Lf, M, C, A> OuterTree<'_, T, L, Lf, M, C, A>
 where
-    Lf: FnMut(&T) -> L,
-    M: FnMut(&L, &L) -> T,
-    C: FnMut(&[T], &[u64], u64) -> T,
-    A: FnMut(&T, &T) -> T,
+    T: Send + Sync,
+    L: Send + Sync,
+    Lf: Fn(&T) -> L + Sync,
+    M: Fn(&L, &L) -> T + Sync,
+    C: Fn(&[T], &[u64], u64) -> T + Sync,
+    A: Fn(&T, &T) -> T + Sync,
 {
     /// `Σ_{g<len} leaf_{first+g}(x)·X^g`, depth-first: the `lo` subtree
-    /// holds the largest power of two of leaves below `len`.
-    fn eval(&mut self, first: usize, len: usize) -> Node<T> {
+    /// holds the largest power of two of leaves below `len`. A node that
+    /// forks hands the subtrees of [`Self::frontier`] to workers and
+    /// combines them in tree order.
+    fn eval(&self, first: usize, len: usize, workers: usize) -> Node<T> {
         if len == 1 {
             return self.leaf(first);
         }
-        let j = (len - 1).ilog2() as usize;
-        let half = 1 << j;
-        let lo = self.eval(first, half);
-        let hi = self.eval(first + half, len - half);
+        if fork(len, workers).is_some() {
+            let mut parts = Vec::new();
+            Self::frontier(first, len, workers, &mut parts);
+            let tasks = parts.into_iter().map(|(f, l)| move || self.eval(f, l, 1));
+            let nodes = fork_all(tasks.collect());
+            return self.combine(len, workers, &mut nodes.into_iter());
+        }
+        let (j, half) = halves(len);
+        let lo = self.eval(first, half, workers);
+        let hi = self.eval(first + half, len - half, workers);
         self.node(lo, hi, j)
     }
 
-    fn leaf(&mut self, g: usize) -> Node<T> {
+    /// The subtrees of a forking node, in tree order: its halves, each
+    /// split again while it forks with its share of the workers.
+    fn frontier(first: usize, len: usize, workers: usize, parts: &mut Vec<(usize, usize)>) {
+        match fork(len, workers) {
+            Some((half, w_lo)) => {
+                Self::frontier(first, half, w_lo, parts);
+                Self::frontier(first + half, len - half, workers - w_lo, parts);
+            }
+            None => parts.push((first, len)),
+        }
+    }
+
+    /// The nodes above [`Self::frontier`]'s subtrees, from their values.
+    fn combine(
+        &self,
+        len: usize,
+        workers: usize,
+        parts: &mut impl Iterator<Item = Node<T>>,
+    ) -> Node<T> {
+        match fork(len, workers) {
+            Some((half, w_lo)) => {
+                let lo = self.combine(half, w_lo, parts);
+                let hi = self.combine(len - half, workers - w_lo, parts);
+                self.node(lo, hi, halves(len).0)
+            }
+            None => parts.next().expect("one value per subtree"),
+        }
+    }
+
+    fn leaf(&self, g: usize) -> Node<T> {
         let start = g * self.bs;
         let end = (start + self.bs).min(self.coeffs.len());
         let cs = &self.coeffs[start + 1..end];
@@ -217,11 +393,10 @@ where
     }
 
     /// `lo + X^{2^j}·hi`.
-    fn node(&mut self, lo: Node<T>, hi: Node<T>, j: usize) -> Node<T> {
+    fn node(&self, lo: Node<T>, hi: Node<T>, j: usize) -> Node<T> {
         let scaled = match hi {
             Node::Const(0) => return lo,
             Node::Const(c) => {
-                self.giant(j, false);
                 let xj = std::slice::from_ref(&self.giants[j].0);
                 if let Node::Const(c0) = lo {
                     return Node::Value((self.lincomb)(xj, &[c], c0));
@@ -229,13 +404,13 @@ where
                 (self.lincomb)(xj, &[c], 0)
             }
             Node::Value(h) => {
-                self.giant(j, true);
+                let (x, l) = &self.giants[j];
+                let xj = l.get_or_init(|| (self.lift)(x));
                 let h = {
                     let lifted = (self.lift)(&h);
                     drop(h);
                     lifted
                 };
-                let xj = self.giants[j].1.as_ref().expect("lifted above");
                 (self.mul)(xj, &h)
             }
         };
@@ -245,32 +420,23 @@ where
             Node::Value(l) => (self.add)(&l, &scaled),
         })
     }
+}
 
-    /// Builds `giants[..=j]` by squaring (each factor lifted once) and,
-    /// when `lifted`, lifts `giants[j]` too.
-    fn giant(&mut self, j: usize, lifted: bool) {
-        if self.giants.is_empty() {
-            let x = self.top.take().expect("an outer tree has X = x^bs");
-            self.giants.push((x, None));
-        }
-        while self.giants.len() <= j {
-            let last = self.giants.len() - 1;
-            self.lift_giant(last);
-            let l = self.giants[last].1.as_ref().expect("lifted above");
-            let square = (self.mul)(l, l);
-            self.giants.push((square, None));
-        }
-        if lifted {
-            self.lift_giant(j);
-        }
-    }
+/// A tree node over `len ≥ 2` leaves: `j` and the `2^j` leaves of `lo`.
+fn halves(len: usize) -> (usize, usize) {
+    let j = (len - 1).ilog2() as usize;
+    (j, 1 << j)
+}
 
-    fn lift_giant(&mut self, j: usize) {
-        let (x, l) = &mut self.giants[j];
-        if l.is_none() {
-            *l = Some((self.lift)(x));
-        }
+/// Whether a node over `len` leaves forks at `workers`: its halves both
+/// hold [`FORK_MIN`] leaves and there are workers to share. Returns `lo`'s
+/// leaves and its share of the workers (the larger one).
+fn fork(len: usize, workers: usize) -> Option<(usize, usize)> {
+    if len < 2 * FORK_MIN || workers < 2 {
+        return None;
     }
+    let half = halves(len).1;
+    (len - half >= FORK_MIN).then(|| (half, workers.div_ceil(2)))
 }
 
 /// Halevi–Shoup's diagonal matrix–vector product with a baby-step/giant-step
@@ -401,8 +567,9 @@ pub fn lincomb_by_terms<T>(
 mod tests {
     use super::*;
     use crate::modops::Modulus;
-    use std::cell::Cell;
-    use std::rc::Rc;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     fn eval_plain(coeffs: &[u64], x: u64, q: &Modulus) -> u64 {
         let mut acc = 0;
@@ -462,26 +629,32 @@ mod tests {
         }
     }
 
-    /// Runs the schedule over `Z_q` with the per-term reference `lincomb`;
-    /// returns the value and the number of `mul` calls.
-    fn eval_bsgs(coeffs: &[u64], x: u64, q: &Modulus) -> (u64, usize) {
-        let mut muls = 0usize;
+    /// Runs the schedule over `Z_q` on `workers` with the per-term
+    /// reference `lincomb`; returns the value and the number of `mul`
+    /// calls.
+    fn eval_bsgs_on(workers: usize, coeffs: &[u64], x: u64, q: &Modulus) -> (u64, usize) {
+        let muls = AtomicUsize::new(0);
         let v = bsgs_polynomial_eval(
+            workers,
             coeffs,
             x,
-            &mut |a: &u64| *a,
-            &mut |a: &u64, b: &u64| {
-                muls += 1;
+            &|a: &u64| *a,
+            &|a: &u64, b: &u64| {
+                muls.fetch_add(1, Ordering::Relaxed);
                 q.mul(*a, *b)
             },
-            &mut |xs: &[u64], cs: &[u64], c: u64| {
+            &|xs: &[u64], cs: &[u64], c: u64| {
                 let sum =
                     lincomb_by_terms(xs, cs, |a, c| q.mul(*a, q.reduce(c)), |a, b| q.add(*a, *b));
                 q.add(sum.unwrap_or(0), q.reduce(c))
             },
-            &mut |a: &u64, b: &u64| q.add(*a, *b),
+            &|a: &u64, b: &u64| q.add(*a, *b),
         );
-        (v, muls)
+        (v, muls.into_inner())
+    }
+
+    fn eval_bsgs(coeffs: &[u64], x: u64, q: &Modulus) -> (u64, usize) {
+        eval_bsgs_on(1, coeffs, x, q)
     }
 
     /// The dense-polynomial CMult count of the tree schedule: baby powers,
@@ -589,15 +762,19 @@ mod tests {
     #[test]
     fn dense_lut_cmult_counts_are_pinned() {
         for (t, want) in [(17u64, 8usize), (257, 34), (65537, 518)] {
-            let mut muls = 0usize;
+            let muls = AtomicUsize::new(0);
             bsgs_polynomial_eval(
+                1,
                 &dense(t),
                 (),
-                &mut |_: &()| (),
-                &mut |_: &(), _: &()| muls += 1,
-                &mut |_: &[()], _: &[u64], _: u64| (),
-                &mut |_: &(), _: &()| (),
+                &|_: &()| (),
+                &|_: &(), _: &()| {
+                    muls.fetch_add(1, Ordering::Relaxed);
+                },
+                &|_: &[()], _: &[u64], _: u64| (),
+                &|_: &(), _: &()| (),
             );
+            let muls = muls.into_inner();
             assert_eq!(muls, want, "t={t}");
             assert_eq!(muls, tree_muls(t as usize - 1), "t={t}");
         }
@@ -608,11 +785,12 @@ mod tests {
         let ceil_log2 = |v: usize| v.next_power_of_two().ilog2();
         for t in [17u64, 257, 65537] {
             let depth = bsgs_polynomial_eval(
+                1,
                 &dense(t),
                 0u32,
-                &mut |d: &u32| *d,
-                &mut |a: &u32, b: &u32| a.max(b) + 1,
-                &mut |xs: &[u32], cs: &[u64], _: u64| {
+                &|d: &u32| *d,
+                &|a: &u32, b: &u32| a.max(b) + 1,
+                &|xs: &[u32], cs: &[u64], _: u64| {
                     xs.iter()
                         .zip(cs)
                         .filter(|(_, &c)| c != 0)
@@ -620,7 +798,7 @@ mod tests {
                         .max()
                         .unwrap_or(0)
                 },
-                &mut |a: &u32, b: &u32| *a.max(b),
+                &|a: &u32, b: &u32| *a.max(b),
             );
             let split = BsgsSplit::balanced(t as usize);
             assert_eq!(
@@ -631,45 +809,138 @@ mod tests {
         }
     }
 
-    /// A value that counts how many of its kind are alive (and the peak).
-    struct Tracked(Rc<Cell<(usize, usize)>>);
+    /// What one run of the schedule did, tallied the way `fbs::Tally`
+    /// does, plus its lifts and the threads its products ran on.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Run {
+        value: u64,
+        /// (mul, scalar terms, lincomb constants + adds) calls.
+        tally: (usize, usize, usize),
+        lifts: usize,
+    }
+
+    fn run_on(workers: usize, coeffs: &[u64], x: u64) -> (Run, usize) {
+        let q = Modulus::new(65537);
+        let (muls, terms, adds, lifts) = Default::default();
+        let (muls, terms, adds, lifts): (AtomicUsize, AtomicUsize, AtomicUsize, AtomicUsize) =
+            (muls, terms, adds, lifts);
+        let threads = Mutex::new(HashSet::new());
+        let bump = |c: &AtomicUsize, n: usize| {
+            c.fetch_add(n, Ordering::Relaxed);
+        };
+        let value = bsgs_polynomial_eval(
+            workers,
+            coeffs,
+            x,
+            &|a: &u64| {
+                bump(&lifts, 1);
+                *a
+            },
+            &|a: &u64, b: &u64| {
+                bump(&muls, 1);
+                threads.lock().unwrap().insert(std::thread::current().id());
+                q.mul(*a, *b)
+            },
+            &|xs: &[u64], cs: &[u64], c: u64| {
+                bump(&terms, cs.iter().filter(|&&c| c != 0).count());
+                bump(&adds, usize::from(c != 0));
+                let sum =
+                    lincomb_by_terms(xs, cs, |a, c| q.mul(*a, q.reduce(c)), |a, b| q.add(*a, *b));
+                q.add(sum.unwrap_or(0), q.reduce(c))
+            },
+            &|a: &u64, b: &u64| {
+                bump(&adds, 1);
+                q.add(*a, *b)
+            },
+        );
+        let run = Run {
+            value,
+            tally: (muls.into_inner(), terms.into_inner(), adds.into_inner()),
+            lifts: lifts.into_inner(),
+        };
+        (run, threads.into_inner().unwrap().len())
+    }
+
+    /// At every worker count the schedule makes the same calls: value,
+    /// tallies and lifts equal the one-worker run. A `t = 257` FBS never
+    /// forks. A `t = 65537` one forks its levels of 32, 64 and 128
+    /// products into runs of at least `FORK_MIN` (2, 2 / 3 / 4, 2 / 3 / 4
+    /// runs at 2 / 3 / 4 workers) and its tree into 2 / 3 / 4 subtrees,
+    /// each extra run or subtree on a thread of its own.
+    #[test]
+    fn forked_runs_match_the_one_worker_run() {
+        for t in [257u64, 65537] {
+            let mut sparse = dense(t);
+            let bs = BsgsSplit::balanced(t as usize).baby;
+            // Whole leaves zero or constant, scattered zero terms.
+            for (i, c) in sparse.iter_mut().enumerate() {
+                let g = i / bs;
+                if g % 7 == 3 || (g % 5 == 1 && i % bs != 0) || i % 11 == 4 {
+                    *c = 0;
+                }
+            }
+            for coeffs in [dense(t), sparse] {
+                let (want, one) = run_on(1, &coeffs, 4242);
+                assert_eq!(one, 1);
+                assert_eq!(want.value, eval_plain(&coeffs, 4242, &Modulus::new(65537)));
+                for (workers, spawned) in [(2usize, 4usize), (3, 7), (4, 10)] {
+                    let (got, threads) = run_on(workers, &coeffs, 4242);
+                    assert_eq!(got, want, "t={t} workers={workers}");
+                    let spawned = if t == 65537 { spawned } else { 0 };
+                    assert_eq!(threads, 1 + spawned, "t={t} workers={workers}");
+                }
+            }
+        }
+    }
+
+    /// A value that counts how many of its kind are alive (and the peak),
+    /// across threads.
+    struct Tracked(Arc<[AtomicUsize; 2]>);
 
     impl Tracked {
-        fn new(live: &Rc<Cell<(usize, usize)>>) -> Self {
-            let (now, peak) = live.get();
-            live.set((now + 1, peak.max(now + 1)));
-            Tracked(Rc::clone(live))
+        fn new(live: &Arc<[AtomicUsize; 2]>) -> Self {
+            let now = live[0].fetch_add(1, Ordering::SeqCst) + 1;
+            live[1].fetch_max(now, Ordering::SeqCst);
+            Tracked(Arc::clone(live))
         }
     }
 
     impl Drop for Tracked {
         fn drop(&mut self) {
-            let (now, peak) = self.0.get();
-            self.0.set((now - 1, peak));
+            self.0[0].fetch_sub(1, Ordering::SeqCst);
         }
     }
 
     #[test]
     fn live_values_stay_within_baby_powers_plus_log_giants() {
         for t in [257u64, 65537] {
-            let live = Rc::new(Cell::new((0, 0)));
             let split = BsgsSplit::balanced(t as usize);
-            let out = bsgs_polynomial_eval(
-                &dense(t),
-                Tracked::new(&live),
-                &mut |_: &Tracked| Tracked::new(&live),
-                &mut |_: &Tracked, _: &Tracked| Tracked::new(&live),
-                &mut |_: &[Tracked], _: &[u64], _: u64| Tracked::new(&live),
-                &mut |_: &Tracked, _: &Tracked| Tracked::new(&live),
-            );
-            drop(out);
-            let (now, peak) = live.get();
-            assert_eq!(now, 0, "t={t}: every value dropped");
             let log_gs = split.giant.next_power_of_two().ilog2() as usize;
-            // bs − 1 baby powers; per tree level a giant, its lift and a
-            // pending `lo`; and a leaf, a lifted `hi` or a product in flight
-            // (28 of 29 at t = 257, 280 of 281 at t = 65537).
-            assert!(peak <= split.baby + 3 * log_gs, "t={t}: peak {peak}");
+            for workers in 1..=4 {
+                let live = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+                let out = bsgs_polynomial_eval(
+                    workers,
+                    &dense(t),
+                    Tracked::new(&live),
+                    &|_: &Tracked| Tracked::new(&live),
+                    &|_: &Tracked, _: &Tracked| Tracked::new(&live),
+                    &|_: &[Tracked], _: &[u64], _: u64| Tracked::new(&live),
+                    &|_: &Tracked, _: &Tracked| Tracked::new(&live),
+                );
+                drop(out);
+                let (now, peak) = (
+                    live[0].load(Ordering::SeqCst),
+                    live[1].load(Ordering::SeqCst),
+                );
+                assert_eq!(now, 0, "t={t}: every value dropped");
+                // bs − 1 baby powers and the giants, shared by every
+                // worker; per worker a pending `lo` per tree level and a
+                // leaf, a lifted `hi` or a product in flight, or a run's
+                // window of lifts (29 of 29 at t = 257, 281 of 281 at
+                // t = 65537 on one worker; 281–284 of 305–353 on 2–4).
+                let bound = split.baby + 3 * log_gs * workers;
+                assert!(peak <= bound, "t={t} workers={workers}: peak {peak}");
+            }
         }
     }
 

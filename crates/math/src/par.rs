@@ -1,24 +1,35 @@
-//! Fan-out on `std` threads, for the two places where it measurably pays.
+//! Fork–join on `std` threads, for the three places where it measurably
+//! pays.
 //!
 //! Athena gets its speed from spreading independent limbs and LWEs over
 //! the FRU array (§4.3). On CPU threads at the ring sizes this workspace
 //! runs, that split inside a single operation costs more than it saves: a
 //! scoped spawn and join takes tens of microseconds, longer than a
 //! per-limb NTT at `N = 128`. So every request-path operation runs
-//! sequentially on its caller's thread, and [`parallel_for_each_mut_with`]
-//! has exactly two callers: `InferenceSession::run_batch`, which hands
-//! each worker a contiguous chunk of a batch of requests, and
-//! `HomLinearTransform::new`, which builds a transform's diagonal cache
-//! once per engine. A new region belongs here only with a measured gain
-//! on a benchmark workload.
+//! sequentially on its caller's thread, and the two primitives here have
+//! three callers:
 //!
-//! The primitive is built on `std::thread::scope` alone (no external
-//! crates) and is **deterministic**: each item is touched by exactly one
-//! worker, so the result is identical for any worker count, including the
-//! inline `threads = 1` path, which spawns nothing. Every worker records
-//! its operation counters into the counter scope of the thread that
-//! spawned it (see [`crate::stats`]), so a `measure` around a region
-//! counts all of it.
+//! * [`parallel_for_each_mut_with`] in `InferenceSession::run_batch`,
+//!   which hands each worker a contiguous chunk of a batch of requests,
+//!   and in `HomLinearTransform::new`, which builds a transform's
+//!   diagonal cache once per engine;
+//! * [`parallel_join`] in `bsgs::bsgs_polynomial_eval`, which splits a
+//!   large FBS's baby-power levels and outer tree across the workers —
+//!   whole ciphertext products, not limbs.
+//!
+//! A new region belongs here only with a measured gain on a benchmark
+//! workload.
+//!
+//! Both are built on `std::thread::scope` alone (no external crates) and
+//! are **deterministic**: each item or side is run by exactly one thread,
+//! so the result is identical for any worker count, including the inline
+//! paths, which spawn nothing. A thread spawned by either is a *worker*,
+//! and a worker runs every nested region inline: a `run_batch` that
+//! already fills the cores never spawns again inside its requests. Every
+//! worker records its operation counters into a private block that is
+//! added into the counter scope of the thread that spawned it when the
+//! worker finishes (see [`crate::stats`]), so a `measure` around a region
+//! counts all of it without the workers sharing a cache line.
 //!
 //! The worker count is [`std::thread::available_parallelism`], overridable
 //! with the `ATHENA_THREADS` environment variable or at run time with
@@ -29,8 +40,11 @@
 //! let mut squares = [1u64, 2, 3, 4];
 //! par::parallel_for_each_mut_with(2, &mut squares, |x| *x *= *x);
 //! assert_eq!(squares, [1, 4, 9, 16]);
+//! let (a, b) = par::parallel_join(|| 6 * 7, || "side");
+//! assert_eq!((a, b), (42, "side"));
 //! ```
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -39,6 +53,24 @@ use crate::stats::Scope;
 /// Process-wide thread-count override set by [`set_threads`]
 /// (0 means "not set").
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Whether the calling thread is a worker spawned by this module.
+    static WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is a worker of a region, which runs every
+/// nested region inline.
+fn in_worker() -> bool {
+    WORKER.with(Cell::get)
+}
+
+/// Runs `f` as a worker spawned by the thread whose counter scope is
+/// `counters`.
+fn work<T>(counters: Scope, f: impl FnOnce() -> T) -> T {
+    WORKER.with(|w| w.set(true));
+    counters.enter(f)
+}
 
 /// The worker count, resolved in priority order:
 /// [`set_threads`] override, then the `ATHENA_THREADS` environment
@@ -74,7 +106,7 @@ where
 {
     let len = items.len();
     let threads = threads.min(len).max(1);
-    if threads == 1 {
+    if threads == 1 || in_worker() {
         for item in items {
             f(item);
         }
@@ -88,7 +120,7 @@ where
         for part in items.chunks_mut(chunk) {
             let counters = counters.clone();
             scope.spawn(move || {
-                counters.enter(|| {
+                work(counters, || {
                     for item in part {
                         fref(item);
                     }
@@ -96,6 +128,30 @@ where
             });
         }
     });
+}
+
+/// Runs `a` on the calling thread and `b` on a new scoped worker at the
+/// same time, and returns both results. Inside a worker of any region both
+/// run inline, `a` first. A panic in either side propagates to the caller
+/// with its own payload, once both sides have finished.
+pub fn parallel_join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    if in_worker() {
+        return (a(), b());
+    }
+    let counters = Scope::current();
+    std::thread::scope(|scope| {
+        let side = scope.spawn(move || work(counters, b));
+        let ra = a();
+        match side.join() {
+            Ok(rb) => (ra, rb),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
 }
 
 #[cfg(test)]
@@ -181,6 +237,72 @@ mod tests {
         let mut one = [5u64];
         parallel_for_each_mut_with(8, &mut one, |x| *x += 1);
         assert_eq!(one, [6]);
+    }
+
+    #[test]
+    fn join_returns_both_sides_in_order() {
+        let (a, b) = parallel_join(|| (0..10u64).sum::<u64>(), || vec![1, 2, 3]);
+        assert_eq!((a, b), (45, vec![1, 2, 3]));
+        let me = std::thread::current().id();
+        let (here, there) = parallel_join(
+            || std::thread::current().id(),
+            || std::thread::current().id(),
+        );
+        assert_eq!(here, me);
+        assert_ne!(there, me, "the second side runs on a worker");
+    }
+
+    #[test]
+    fn join_reraises_the_workers_own_panic_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            parallel_join(
+                || 1,
+                || -> u32 { std::panic::panic_any(String::from("side fault")) },
+            )
+        });
+        let payload = caught.expect_err("the worker panicked");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("side fault")
+        );
+        // The calling side's panic wins when both sides fail.
+        let caught = std::panic::catch_unwind(|| {
+            parallel_join(
+                || -> u32 { std::panic::panic_any(7u8) },
+                || -> u32 { std::panic::panic_any(9u8) },
+            )
+        });
+        assert_eq!(caught.unwrap_err().downcast_ref::<u8>(), Some(&7));
+    }
+
+    /// A region nested in a worker of either primitive runs on that
+    /// worker's own thread.
+    #[test]
+    fn nested_regions_inside_a_worker_spawn_nothing() {
+        let mut items = [0u8; 4];
+        parallel_for_each_mut_with(2, &mut items, |_| {
+            let me = std::thread::current().id();
+            let (a, b) = parallel_join(
+                || std::thread::current().id(),
+                || std::thread::current().id(),
+            );
+            assert_eq!((a, b), (me, me));
+            let mut inner = [0u8; 4];
+            parallel_for_each_mut_with(4, &mut inner, |_| {
+                assert_eq!(std::thread::current().id(), me)
+            });
+        });
+        let ((), ()) = parallel_join(
+            || (),
+            || {
+                let me = std::thread::current().id();
+                let (a, b) = parallel_join(
+                    || std::thread::current().id(),
+                    || std::thread::current().id(),
+                );
+                assert_eq!((a, b), (me, me));
+            },
+        );
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! is built through [`Poly::from_values`] (or [`Poly`]'s `Clone`), which
 //! records it in the `AllocTake` row of [`crate::stats`].
 
+use std::borrow::Cow;
+
 use crate::modops::Modulus;
 use crate::ntt::NttTables;
 use crate::stats::{record, Counter};
@@ -240,10 +242,17 @@ impl Ring {
     }
 
     /// Full polynomial multiplication: accepts any domains, returns `Eval`.
+    /// An operand already in `Eval` form is read in place, not copied.
     pub fn mul(&self, a: &Poly, b: &Poly) -> Poly {
-        let ea = self.to_eval(a);
-        let eb = self.to_eval(b);
-        self.mul_eval(&ea, &eb)
+        self.mul_eval(&self.eval_form(a), &self.eval_form(b))
+    }
+
+    /// `p` in `Eval` form: borrowed when it already is, else transformed.
+    fn eval_form<'p>(&self, p: &'p Poly) -> Cow<'p, Poly> {
+        match p.domain {
+            Domain::Eval => Cow::Borrowed(p),
+            Domain::Coeff => Cow::Owned(self.to_eval(p)),
+        }
     }
 
     /// Galois automorphism `a(X) → a(X^k)` for odd `k`, in coefficient

@@ -14,8 +14,11 @@
 //! installed as the calling thread's current scope, and returns what was
 //! recorded into it. A `record` lands in the recording thread's current
 //! scope, or nowhere when that thread has none. The `par` layer hands the
-//! spawning thread's scope to every worker it starts, so a `run_batch`
-//! inside the closure is counted in full, at any worker count. A delta
+//! spawning thread's scope to every worker it starts; the worker records
+//! into a private block of its own (no cache line shared with the
+//! spawner) and adds it into that scope when it finishes, so a `run_batch`
+//! or a forked FBS inside the closure is counted in full, at any worker
+//! count. A delta
 //! therefore holds exactly the work of its own call tree: requests served
 //! concurrently on other threads never leak into it, and nothing has to be
 //! serialised to keep a count attributable.
@@ -96,11 +99,20 @@ impl Index<Counter> for Counts {
     }
 }
 
-/// A live scope's block: shared by the measuring thread and the `par`
-/// workers it spawns, hence atomic. `Relaxed` throughout: the rows publish
-/// no other data, and a block is read only after the workers that record
-/// into it have been joined.
-type Block = [AtomicU64; ROWS];
+/// A live scope's block: written by the one thread that has it installed,
+/// and added into by the `par` workers it spawns as they finish, hence
+/// atomic. `Relaxed` throughout: the rows publish no other data, and a
+/// block is read only after the workers that add into it have been
+/// joined. Aligned to its own cache lines, so a worker's private block
+/// never shares one with its spawner's.
+#[repr(align(128))]
+struct Block([AtomicU64; ROWS]);
+
+impl Block {
+    fn zeroed() -> Arc<Self> {
+        Arc::new(Block(std::array::from_fn(|_| AtomicU64::new(0))))
+    }
+}
 
 thread_local! {
     /// The calling thread's current scope (`None` outside every `measure`).
@@ -115,7 +127,7 @@ pub fn record(c: Counter, n: u64) {
     if c.enabled() {
         let _ = SCOPE.try_with(|scope| {
             if let Some(block) = &*scope.borrow() {
-                block[c as usize].fetch_add(n, Ordering::Relaxed);
+                block.0[c as usize].fetch_add(n, Ordering::Relaxed);
             }
         });
     }
@@ -126,16 +138,18 @@ pub fn record(c: Counter, n: u64) {
 /// spawned — then folds those totals into the enclosing scope (see the
 /// module header).
 pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Counts) {
-    let block: Arc<Block> = Arc::new(std::array::from_fn(|_| AtomicU64::new(0)));
+    let block = Block::zeroed();
+    let outer = install(Some(Arc::clone(&block)));
     let restore = Restore {
-        outer: install(Some(Arc::clone(&block))),
+        into: outer.clone(),
+        outer,
         fold: Some(Arc::clone(&block)),
     };
     let out = f();
     drop(restore);
     (
         out,
-        Counts(block.each_ref().map(|c| c.load(Ordering::Relaxed))),
+        Counts(block.0.each_ref().map(|c| c.load(Ordering::Relaxed))),
     )
 }
 
@@ -153,17 +167,19 @@ fn install(scope: Option<Arc<Block>>) -> Option<Arc<Block>> {
     SCOPE.try_with(|s| s.replace(scope)).ok().flatten()
 }
 
-/// Puts the enclosing scope back when dropped — on return and on unwind
-/// alike — after adding `fold`'s totals into it.
+/// Puts the thread's previous scope `outer` back when dropped — on return
+/// and on unwind alike — after adding `fold`'s totals into `into` (the
+/// enclosing scope of a `measure`, the spawner's scope for a worker).
 struct Restore {
     outer: Option<Arc<Block>>,
     fold: Option<Arc<Block>>,
+    into: Option<Arc<Block>>,
 }
 
 impl Drop for Restore {
     fn drop(&mut self) {
-        if let (Some(outer), Some(inner)) = (&self.outer, &self.fold) {
-            for (o, i) in outer.iter().zip(inner.iter()) {
+        if let (Some(into), Some(inner)) = (&self.into, &self.fold) {
+            for (o, i) in into.0.iter().zip(inner.0.iter()) {
                 o.fetch_add(i.load(Ordering::Relaxed), Ordering::Relaxed);
             }
         }
@@ -183,11 +199,16 @@ impl Scope {
         Scope(SCOPE.try_with(|s| s.borrow().clone()).ok().flatten())
     }
 
-    /// Runs `f` with this scope installed on the calling thread.
+    /// Runs `f` counting into this scope: through a private block that
+    /// is installed on the calling thread and added into the scope when
+    /// `f` ends (by returning or by unwinding). Outside every scope, `f`
+    /// runs with none installed.
     pub(crate) fn enter<T>(self, f: impl FnOnce() -> T) -> T {
+        let private = self.0.as_ref().map(|_| Block::zeroed());
         let _restore = Restore {
-            outer: install(self.0),
-            fold: None,
+            outer: install(private.clone()),
+            fold: private,
+            into: self.0,
         };
         f()
     }
@@ -499,6 +520,52 @@ mod tests {
         });
         assert_eq!(counts[Counter::Hrot], seen(Counter::Hrot, 64));
         assert_eq!(counts[Counter::Smult], seen(Counter::Smult, 64 * 65 / 2));
+    }
+
+    #[test]
+    fn measure_counts_both_sides_of_a_join() {
+        let ((), counts) = measure(|| {
+            record(Counter::Hadd, 1);
+            let ((), inner) = op_stats::measure(|| {
+                par::parallel_join(
+                    || record(Counter::Cmult, 3),
+                    || {
+                        record(Counter::Cmult, 5);
+                        // A nested join inside the worker runs inline and
+                        // still counts.
+                        par::parallel_join(
+                            || record(Counter::Smult, 2),
+                            || record(Counter::Smult, 4),
+                        );
+                    },
+                );
+            });
+            assert_eq!(inner.cmult, seen(Counter::Cmult, 8));
+            assert_eq!(inner.smult, seen(Counter::Smult, 6));
+        });
+        assert_eq!(counts[Counter::Cmult], seen(Counter::Cmult, 8));
+        assert_eq!(counts[Counter::Smult], seen(Counter::Smult, 6));
+        assert_eq!(counts[Counter::Hadd], seen(Counter::Hadd, 1));
+        // A worker of a join outside every scope counts nowhere.
+        par::parallel_join(|| (), || record(Counter::Cmult, 1));
+        assert_eq!(measure(|| ()).1, Counts::default());
+    }
+
+    #[test]
+    fn a_panicking_worker_still_folds_its_counts() {
+        let ((), counts) = measure(|| {
+            let caught = std::panic::catch_unwind(|| {
+                par::parallel_join(
+                    || record(Counter::Hrot, 1),
+                    || {
+                        record(Counter::Hrot, 2);
+                        std::panic::resume_unwind(Box::new("side fault"));
+                    },
+                )
+            });
+            assert!(caught.is_err());
+        });
+        assert_eq!(counts[Counter::Hrot], seen(Counter::Hrot, 3));
     }
 
     #[test]

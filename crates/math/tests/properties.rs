@@ -202,15 +202,16 @@ fn bsgs_matches_horner() {
             .map(|i| (i.wrapping_mul(seed | 1)) % Q)
             .collect();
         let got = bsgs_polynomial_eval(
+            1,
             &coeffs,
             x,
-            &mut |a: &u64| *a,
-            &mut |a: &u64, b: &u64| m.mul(*a, *b),
-            &mut |xs: &[u64], cs: &[u64], c: u64| {
+            &|a: &u64| *a,
+            &|a: &u64, b: &u64| m.mul(*a, *b),
+            &|xs: &[u64], cs: &[u64], c: u64| {
                 let sum = lincomb_by_terms(xs, cs, |a, c| m.mul(*a, c % Q), |a, b| m.add(*a, *b));
                 m.add(sum.unwrap_or(0), c % Q)
             },
-            &mut |a: &u64, b: &u64| m.add(*a, *b),
+            &|a: &u64, b: &u64| m.add(*a, *b),
         );
         let mut acc = 0u64;
         for &c in coeffs.iter().rev() {
